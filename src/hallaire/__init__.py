@@ -20,7 +20,6 @@ from .caputo import (
 )
 from .grids import (
     Grid1D,
-    build_grid,
     convergence_order,
     norm_grad_forward,
     norm_grad_l2,
@@ -95,7 +94,6 @@ __all__ = [
     "assemble_rhs",
     "assemble_tridiagonal",
     "benchmark_problem",
-    "build_grid",
     "build_load_stencil",
     "caputo_power",
     "check_alpha",

@@ -59,9 +59,7 @@ class CaputoKernel:
     """Weight cache and scale factors for one (alpha, tau) pair.
 
     ``scale`` multiplies raw level differences u^{s+1} - u^s, i.e. it already
-    absorbs the 1/tau of the divided difference.  Extension replaces the
-    cached array atomically, so a kernel extended up front can be shared by
-    concurrent readers.
+    absorbs the 1/tau of the divided difference.
     """
 
     def __init__(self, alpha: float, tau: float, nsteps: int = 0):

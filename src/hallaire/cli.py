@@ -27,8 +27,6 @@ CHECK_FAILED = 1
 def _add_solver_flags(parser):
     parser.add_argument("--backend", choices=("woodbury", "dense"), default=None,
                         help="linear solver for the per-step systems")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for independent solves")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -86,7 +84,6 @@ def _config_from_args(args) -> StudyConfig:
         "problem": args.problem,
         "backend": args.backend,
         "out": args.out,
-        "jobs": args.jobs,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
     return build_config(values)
@@ -107,17 +104,15 @@ def _cmd_self_check(args) -> int:
                 "ladder out in the config file instead"
             )
         values = parse_config_file(args.config)
-        for key in ("backend", "jobs"):
-            value = getattr(args, key)
-            if value is not None:
-                values[key] = value
+        if args.backend is not None:
+            values["backend"] = args.backend
         config = build_config(values)
         if config.reference is None:
             raise ValueError("self-check configs need a 'reference' entry")
     elif args.table == "1":
-        config = table1_config(backend=args.backend or "woodbury", jobs=args.jobs)
+        config = table1_config(backend=args.backend or "woodbury")
     else:
-        config = table2_config(deep=args.deep, backend=args.backend or "woodbury", jobs=args.jobs)
+        config = table2_config(deep=args.deep, backend=args.backend or "woodbury")
     report = run_study(config)
     deep_line = None
     if args.table == "2" and args.deep and not args.config:
@@ -148,7 +143,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_self_check(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

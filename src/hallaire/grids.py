@@ -53,11 +53,6 @@ class Grid1D:
         return np.arange(self.nt + 1) * self.tau
 
 
-def build_grid(length, final_time, nx, nt) -> Grid1D:
-    """Validated :class:`Grid1D` constructor."""
-    return Grid1D(float(length), float(final_time), int(nx), int(nt))
-
-
 def norm_l2(v, h: float) -> float:
     """Discrete L2 norm sqrt(h * sum v_i^2) of the supplied interior values."""
     v = np.asarray(v, dtype=float)
@@ -67,23 +62,8 @@ def norm_l2(v, h: float) -> float:
 
 
 def norm_max(values) -> float:
-    """Max-abs norm of an array, or of a stream of per-level arrays.
-
-    Passing an iterator lets callers measure a whole space-time history
-    without materializing it.
-    """
-    if isinstance(values, np.ndarray):
-        arr = values
-    elif hasattr(values, "__next__"):
-        best = None
-        for level in values:
-            m = float(np.max(np.abs(np.asarray(level, dtype=float))))
-            best = m if best is None else max(best, m)
-        if best is None:
-            raise ValueError("norm_max expects at least one value")
-        return best
-    else:
-        arr = np.asarray(values, dtype=float)
+    """Max-abs norm of an array."""
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("norm_max expects at least one value")
     return float(np.max(np.abs(arr)))

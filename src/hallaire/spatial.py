@@ -98,13 +98,17 @@ def evaluate_load(v, stencil: LoadStencil) -> float:
     return float(np.dot(stencil.weights, v[stencil.nodes]))
 
 
-def simpson_integral(v, h: float) -> float:
-    """Composite Simpson approximation of the integral over the full interval."""
-    v = np.asarray(v, dtype=float)
-    n = v.size - 1
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights h/3 * (1, 4, 2, ..., 2, 4, 1) on n + 1 nodes."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"composite Simpson needs an even interval count, got {n}")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, v))
+    return w * (h / 3.0)
+
+
+def simpson_integral(v, h: float) -> float:
+    """Composite Simpson approximation of the integral over the full interval."""
+    v = np.asarray(v, dtype=float)
+    return float(np.dot(simpson_weights(v.size - 1, h), v))

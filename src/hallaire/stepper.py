@@ -16,7 +16,7 @@ import numpy as np
 from .caputo import CaputoKernel, check_alpha, gamma_const
 from .grids import Grid1D
 from .problems import ProblemSpec
-from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference
+from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,36 +144,21 @@ def _sample(values, shape) -> np.ndarray:
     return np.broadcast_to(arr, shape)
 
 
-def _simpson_row(problem: ProblemSpec, grid: Grid1D, t_half: float) -> LoadRow:
-    if grid.nx % 2 != 0:
-        raise ValueError("the distributed load needs an even number of spatial intervals")
-    q = _sample(problem.integral_load(grid.x, t_half), grid.x.shape)
-    w = np.ones(grid.nx + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= grid.h / 3.0
-    return LoadRow("integral", np.arange(grid.nx - 1), (w * q)[1:-1])
-
-
-def assemble_load_columns(problem: ProblemSpec, grid: Grid1D, t_half: float, stencils=None):
+def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
     """Low-rank pieces of the implicit matrix at one half layer.
 
     Returns dense columns ``U`` (one per load, minus half the compact average
     of the coefficient) and matching sparse rows ``W`` such that the full
     matrix is the tridiagonal core plus sum_k U_k W_k^T.
     """
+    grid = state.grid
     x = grid.x
-    if stencils is None:
-        stencils = tuple(build_load_stencil(ld.position, grid) for ld in problem.loads)
-    cols = []
-    rows = []
-    for load, stencil in zip(problem.loads, stencils):
-        q = _sample(load.coefficient(x, t_half), x.shape)
-        cols.append(-0.5 * compact_average(q))
-        rows.append(interior_load_row(stencil, grid.nx))
-    if problem.integral_load is not None:
+    cols = [-0.5 * compact_average(_sample(ld.coefficient(x, t_half), x.shape)) for ld in problem.loads]
+    rows = list(state.load_rows)
+    if state.simpson is not None:
+        q = _sample(problem.integral_load(x, t_half), x.shape)
         cols.append(np.full(grid.nx - 1, -0.5))
-        rows.append(_simpson_row(problem, grid, t_half))
+        rows.append(LoadRow("integral", np.arange(grid.nx - 1), (state.simpson * q)[1:-1]))
     if cols:
         columns = np.column_stack(cols)
     else:
@@ -182,10 +167,13 @@ def assemble_load_columns(problem: ProblemSpec, grid: Grid1D, t_half: float, ste
 
 
 class SolverState:
-    """Marching state: stored levels, their compact averages, and the step index.
+    """Marching state: stored levels, per-solve constants, and the step index.
 
     Every stored level keeps exact zeros at the boundary nodes.  The full
-    history is retained because the fractional convolution needs it.
+    history is retained because the fractional convolution needs it.  The
+    tridiagonal core, the interior point-load rows and the Simpson node
+    weights of the distributed load do not change in time and are built here
+    once.
     """
 
     def __init__(self, problem: ProblemSpec, grid: Grid1D, backend: str = "woodbury"):
@@ -197,14 +185,17 @@ class SolverState:
         self.backend = backend
         self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
         self.tridiag = assemble_tridiagonal(grid, problem.alpha, problem.mu)
-        self.stencils = tuple(build_load_stencil(ld.position, grid) for ld in problem.loads)
+        self.load_rows = tuple(
+            interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in problem.loads
+        )
+        self.simpson = None
+        if problem.integral_load is not None:
+            self.simpson = simpson_weights(grid.nx, grid.h)
         self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
         y0 = np.array(_sample(problem.initial(grid.x), grid.x.shape))
         y0[0] = 0.0
         y0[-1] = 0.0
         self.levels[0] = y0
-        self.hlevels = np.zeros((grid.nt + 1, grid.nx - 1))
-        self.hlevels[0] = compact_average(y0)
         self.j = 0
 
     @property
@@ -212,40 +203,36 @@ class SolverState:
         return self.levels[self.j]
 
 
-def _history_sum(hlevels: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
-    # sum_{s=0}^{j-1} c_{j-s} (H y^{s+1} - H y^s), with the differences folded
-    # into per-level weights so the stored levels are consumed directly.
-    rev = w[1 : j + 1][::-1]
-    g = np.empty(j + 1)
-    g[0] = -rev[0]
-    g[1:] = rev
-    if j >= 2:
-        g[1:-1] -= rev[1:]
-    return g @ hlevels[: j + 1]
+def _history_sum(levels: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
+    # c_0 y^j - sum_{s=0}^{j-1} c_{j-s} (y^{s+1} - y^s) as one weight per
+    # stored level: level k carries c_{j-k} - c_{j-k+1}, with c_{j+1} = 0.
+    g = np.diff(w[: j + 1][::-1], prepend=0.0)
+    return g @ levels[: j + 1]
 
 
 def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=None) -> np.ndarray:
-    """Explicit side of the step from level j to j+1."""
+    """Explicit side of the step from level j to j+1.
+
+    The compact average is linear, so it is applied once to the folded
+    history plus the forcing rather than to each stored level.
+    """
     if j < 0 or j > state.j:
         raise ValueError(f"history is stored through level {state.j}, requested step at {j}")
     grid = state.grid
     tau = grid.tau
     t_half = (j + 0.5) * tau
     kernel = state.kernel
-    w = kernel.weights(j)
-    b = kernel.scale * w[0] * state.hlevels[j]
-    if j >= 1:
-        b = b - kernel.scale * _history_sum(state.hlevels, w, j)
+    f = _sample(problem.forcing(grid.x, t_half), grid.x.shape)
+    nodal = kernel.scale * _history_sum(state.levels, kernel.weights(j), j) + f
+    b = compact_average(nodal)
     b += (0.5 - problem.mu / tau) * second_difference(state.levels[j], grid.h)
     if load_parts is None:
-        load_parts = assemble_load_columns(problem, grid, t_half, state.stencils)
+        load_parts = assemble_load_columns(state, problem, t_half)
     columns, rows = load_parts
     if rows:
         interior = state.levels[j][1:-1]
         ell = np.array([row.dot(interior) for row in rows])
         b -= columns @ ell
-    f = _sample(problem.forcing(grid.x, t_half), grid.x.shape)
-    b += compact_average(f)
     return b
 
 
@@ -268,17 +255,19 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     if j >= grid.nt:
         raise ValueError(f"already at the final level {j}")
     t_half = (j + 0.5) * grid.tau
-    parts = assemble_load_columns(problem, grid, t_half, state.stencils)
+    parts = assemble_load_columns(state, problem, t_half)
     b = assemble_rhs(state, problem, j, load_parts=parts)
     columns, rows = parts
     if state.backend == "dense":
         interior = np.linalg.solve(_dense_matrix(state.tridiag, columns, rows), b)
     else:
         interior = woodbury_solve(state.tridiag, columns, rows, b)
-    y = np.zeros(grid.nx + 1)
-    y[1:-1] = interior
-    state.levels[j + 1] = y
-    state.hlevels[j + 1] = compact_average(y)
+    if not np.isfinite(interior).all():
+        raise FloatingPointError(
+            f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
+            f"tau / stability_step_limit = {grid.tau / stability_step_limit(problem):.3g}"
+        )
+    state.levels[j + 1, 1:-1] = interior
     state.j = j + 1
     return state
 

@@ -3,8 +3,6 @@ reference tables."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -47,7 +45,6 @@ class StudyConfig:
     out: str | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     reference: str | None = None
-    jobs: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("spatial", "temporal"):
@@ -135,38 +132,24 @@ def _step_label(extent: float, count: int) -> str:
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
-    """Solve every (alpha, rung) pair and collect errors and observed orders.
+    """Solve every (alpha, rung) pair in order and collect errors and observed orders.
 
-    Independent solves run on a worker pool; rows are assembled in
-    deterministic (alpha, rung) order regardless of completion order.
+    The solves run one after another: the march is pure Python holding the
+    interpreter lock, so a thread pool only made studies slower.
     """
     probe = make_problem(config.problem, config.alphas[0])
     if probe.exact is None:
         raise ValueError("refinement studies need a problem with an exact solution")
 
-    def run_one(task):
-        alpha, (nx, nt) = task
-        problem = make_problem(config.problem, alpha)
-        grid = Grid1D(problem.length, problem.final_time, nx, nt)
-        tracker = _ErrorTracker(problem, grid)
-        solve(problem, grid, observers=(tracker,), backend=config.backend)
-        return tracker
-
-    tasks = [(alpha, rung) for alpha in config.alphas for rung in config.ladder]
-    jobs = config.jobs or min(len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trackers = list(pool.map(run_one, tasks))
-    else:
-        trackers = [run_one(task) for task in tasks]
-
     rows = []
-    nrungs = len(config.ladder)
-    for ai, alpha in enumerate(config.alphas):
+    for alpha in config.alphas:
+        problem = make_problem(config.problem, alpha)
         prev = None
         prev_rung = None
-        for ri, (nx, nt) in enumerate(config.ladder):
-            tracker = trackers[ai * nrungs + ri]
+        for nx, nt in config.ladder:
+            grid = Grid1D(problem.length, problem.final_time, nx, nt)
+            tracker = _ErrorTracker(problem, grid)
+            solve(problem, grid, observers=(tracker,), backend=config.backend)
             if config.mode == "spatial":
                 label = _step_label(probe.length, nx)
             else:
@@ -201,6 +184,8 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
 
 def format_sci(x: float) -> str:
     """Scientific notation with six digits after the point and a bare exponent."""
+    if not np.isfinite(x):
+        raise ValueError(f"cannot write the non-finite value {x} in a report")
     mantissa, exponent = f"{x:.6e}".split("e")
     return f"{mantissa}e{int(exponent)}"
 
@@ -260,14 +245,17 @@ def parse_report(text: str, mode: str = "unknown", problem: str = "") -> Converg
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed report line: {line!r}")
+        errs = tuple(float(cell) for cell in (parts[2], parts[4], parts[6]))
         co = tuple(None if cell == "" else float(cell) for cell in (parts[3], parts[5], parts[7]))
+        if not all(e > 0.0 and np.isfinite(e) for e in errs):
+            raise ValueError(f"error cells must be positive and finite in report line: {line!r}")
         rows.append(
             StudyRow(
                 alpha=float(parts[0]),
                 step_label=parts[1],
-                err_max=float(parts[2]),
-                err_l2=float(parts[4]),
-                err_grad=float(parts[6]),
+                err_max=errs[0],
+                err_l2=errs[1],
+                err_grad=errs[2],
                 co_max=co[0],
                 co_l2=co[1],
                 co_grad=co[2],
@@ -403,7 +391,7 @@ TABLE2_DEFAULT_NT = (10, 20, 40, 80, 160)
 TABLE2_DEEP_NT = (320, 640, 1280, 2560, 5120)
 
 
-def table1_config(backend: str = "woodbury", jobs: int | None = None) -> StudyConfig:
+def table1_config(backend: str = "woodbury") -> StudyConfig:
     """Spatial-refinement preset matching the bundled reference table 1."""
     return StudyConfig(
         mode="spatial",
@@ -413,11 +401,10 @@ def table1_config(backend: str = "woodbury", jobs: int | None = None) -> StudyCo
         backend=backend,
         tolerances=Tolerances(first_co_atol=0.15),
         reference="table1",
-        jobs=jobs,
     )
 
 
-def table2_config(deep: bool = False, backend: str = "woodbury", jobs: int | None = None) -> StudyConfig:
+def table2_config(deep: bool = False, backend: str = "woodbury") -> StudyConfig:
     """Temporal-refinement preset matching the bundled reference table 2.
 
     The finest rungs cost O(nt^2 * nx) and stay behind ``deep``.
@@ -430,25 +417,27 @@ def table2_config(deep: bool = False, backend: str = "woodbury", jobs: int | Non
         problem="benchmark",
         backend=backend,
         reference="table2",
-        jobs=jobs,
     )
 
 
 def parse_count(token: str, extent: float) -> int:
     """Interval count from either a count ('24') or a step ('1/24')."""
     token = token.strip()
-    if "/" in token or "." in token:
+    try:
+        if "/" not in token and "." not in token:
+            return int(token)
         step = Fraction(token)
-        if step <= 0:
-            raise ValueError(f"step {token!r} must be positive")
-        count = Fraction(extent).limit_denominator(10**9) / step
-        if count.denominator != 1:
-            raise ValueError(f"step {token!r} does not divide the extent {extent:g}")
-        return int(count)
-    return int(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{token!r} is neither an interval count nor a step") from None
+    if step <= 0:
+        raise ValueError(f"step {token!r} must be positive")
+    count = Fraction(extent).limit_denominator(10**9) / step
+    if count.denominator != 1:
+        raise ValueError(f"step {token!r} does not divide the extent {extent:g}")
+    return int(count)
 
 
-CONFIG_KEYS = ("mode", "problem", "backend", "out", "alpha", "nx", "nt", "reference", "jobs")
+CONFIG_KEYS = ("mode", "problem", "backend", "out", "alpha", "nx", "nt", "reference")
 
 
 def parse_config_file(path) -> dict:
@@ -495,7 +484,6 @@ def build_config(values: dict) -> StudyConfig:
         if not nts:
             raise ValueError("a temporal study needs an nt ladder")
         ladder = tuple((nxs[0] if nxs else 1000, nt) for nt in nts)
-    jobs = values.get("jobs")
     return StudyConfig(
         mode=mode,
         alphas=alphas,
@@ -504,5 +492,4 @@ def build_config(values: dict) -> StudyConfig:
         backend=values.get("backend", "woodbury"),
         out=values.get("out"),
         reference=values.get("reference"),
-        jobs=int(jobs) if jobs is not None else None,
     )

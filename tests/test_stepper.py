@@ -155,8 +155,8 @@ class TestWoodbury:
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 12, 8)
         tri = assemble_tridiagonal(g, p.alpha, p.mu)
-        columns, rows = assemble_load_columns(p, g, 0.0625)
         state = SolverState(p, g)
+        columns, rows = assemble_load_columns(state, p, 0.0625)
         b = assemble_rhs(state, p, 0)
         got = woodbury_solve(tri, columns, rows, b)
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
@@ -179,7 +179,7 @@ class TestLoadColumns:
         p = _zeros_problem()
         p = ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, zero),), p.forcing, p.initial)
         g = Grid1D(1.0, 1.0, 10, 4)
-        columns, rows = assemble_load_columns(p, g, 0.1)
+        columns, rows = assemble_load_columns(SolverState(p, g), p, 0.1)
         assert np.array_equal(columns, np.zeros((9, 1)))
         assert len(rows) == 1
 
@@ -188,13 +188,13 @@ class TestLoadColumns:
         base = _zeros_problem()
         p = ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, one),), base.forcing, base.initial)
         g = Grid1D(1.0, 1.0, 10, 4)
-        columns, _ = assemble_load_columns(p, g, 0.1)
+        columns, _ = assemble_load_columns(SolverState(p, g), p, 0.1)
         assert columns[:, 0] == pytest.approx([-0.5] * 9, rel=1e-15)
 
     def test_benchmark_first_column(self):
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 10, 10)
-        columns, _ = assemble_load_columns(p, g, 0.05)
+        columns, _ = assemble_load_columns(SolverState(p, g), p, 0.05)
         want = -0.5 * compact_average(np.exp(g.x + 0.05))
         assert columns[:, 0] == pytest.approx(want, rel=1e-14)
 
@@ -247,6 +247,7 @@ class TestStepAndSolve:
             lambda x, t: 1.0 + 0.5 * np.cos(t) * np.asarray(x, dtype=float),
             lambda x, t: np.cos(np.asarray(x, dtype=float) * t),
         )
+        cases = []
         for trial in range(8):
             m = trial % 4
             loads = tuple(
@@ -261,6 +262,12 @@ class TestStepAndSolve:
                 loads=loads,
             )
             grid = Grid1D(1.0, 1.0, int(rng.integers(3, 7)) * 2, int(rng.integers(3, 9)))
+            cases.append((problem, grid))
+        # a history long enough to exercise the folded convolution weights,
+        # with three point loads and with the distributed load
+        cases.append((benchmark_problem(0.9), Grid1D(1.0, 1.0, 12, 48)))
+        cases.append((integral_benchmark_problem(0.7), Grid1D(1.0, 1.0, 12, 48)))
+        for problem, grid in cases:
             ref = dense_march(problem, grid)
             scale = np.max(np.abs(ref))
             got = solve(problem, grid).levels
@@ -336,6 +343,13 @@ class TestStepAndSolve:
         step(state, p)
         with pytest.raises(ValueError):
             step(state, p)
+
+    def test_non_finite_level_names_step(self):
+        blowup = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf if t > 0.5 else 0.0)
+        p = _zeros_problem(forcing=blowup)
+        g = Grid1D(1.0, 1.0, 8, 4)
+        with pytest.raises(FloatingPointError, match=r"time level 3 \(t = 0.75\).*stability_step_limit"):
+            solve(p, g)
 
     def test_observer_failure_names_level(self):
         p = _zeros_problem()

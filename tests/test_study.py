@@ -75,11 +75,6 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="exact"):
             run_study(tiny_temporal_config(problem="blind"))
 
-    def test_parallel_matches_serial(self):
-        serial = run_study(tiny_temporal_config(alphas=(0.3, 0.7), jobs=1))
-        threaded = run_study(tiny_temporal_config(alphas=(0.3, 0.7), jobs=4))
-        assert emit_report(serial) == emit_report(threaded)
-
     def test_reference_table_cell_reproduced(self):
         report = run_study(
             tiny_temporal_config(alphas=(0.9,), ladder=((1000, 10), (1000, 20)))
@@ -110,7 +105,7 @@ class TestEmission:
             assert emit_report(parse_report(text)) == text
 
     def test_study_emission_deterministic(self):
-        config = tiny_temporal_config(jobs=2)
+        config = tiny_temporal_config()
         first = emit_report(run_study(config))
         second = emit_report(run_study(config))
         assert first == second
@@ -309,6 +304,39 @@ class TestCli:
             "mode = temporal\nalpha = 0.5\nnx = 1000\nnt = 1/10\nreference = table2\n"
         )
         assert main(["self-check", "--config", str(cfg), "--deep"]) == 2
+
+    def test_bad_values_exit_two(self, tmp_path, monkeypatch, capsys):
+        import hallaire.cli as cli_mod
+
+        assert main(["run", "--mode", "temporal", "--nx", "1/0", "--nt", "10"]) == 2
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "ten"]) == 2
+        err = capsys.readouterr().err
+        assert "'1/0'" in err and "'ten'" in err
+
+        ref = tmp_path / "zero.csv"
+        ref.write_text(
+            "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad\n"
+            "0.5,1/10,0,,1.0e-3,,1.0e-2,\n"
+        )
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 50\nnt = 4\nreference = {ref}\n")
+        assert main(["self-check", "--config", str(cfg)]) == 2
+        assert "0.5,1/10,0" in capsys.readouterr().err
+
+        zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+        blowup = lambda alpha: ProblemSpec(
+            1.0, 1.0, alpha, 1.0, (), lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan),
+            lambda x: np.zeros_like(x), exact=zero,
+        )
+        monkeypatch.setitem(PROBLEMS, "blowup", blowup)
+        assert main(["run", "--mode", "temporal", "--problem", "blowup", "--nx", "8", "--nt", "4"]) == 2
+        assert "time level 1" in capsys.readouterr().err
+
+        nan_row = StudyRow(0.5, "1/4", float("nan"), 1.0, 1.0)
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: ConvergenceReport("temporal", "benchmark", (nan_row,)))
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "nan" in err and len(err.strip().splitlines()) == 1
 
     def test_usage_errors_exit_two(self, tmp_path):
         assert main(["run", "--mode", "spatial", "--alpha", "0.5"]) == 2
