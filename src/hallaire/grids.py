@@ -98,6 +98,9 @@ def norm_grad_forward(v, h: float) -> float:
 
 def convergence_order(e1: float, e2: float, ratio: float) -> float:
     """Observed order log(e1/e2) / log(ratio) between two refinement levels."""
+    for name, value in (("e1", e1), ("e2", e2), ("ratio", ratio)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite; no convergence order can be taken")
     if e1 <= 0.0 or e2 <= 0.0:
         raise ValueError("errors must be positive to take a convergence order")
     if ratio <= 1.0:

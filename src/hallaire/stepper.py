@@ -1,8 +1,12 @@
 """Per-step assembly and solution of the implicit half-layer scheme.
 
-Each step solves a tridiagonal system plus a low-rank correction carrying the
-load terms: Thomas elimination inside a Woodbury update, with a dense LU
-fallback selectable for cross-validation.
+Each step solves a constant tridiagonal system T plus a low-rank correction
+carrying the load terms, by the Woodbury identity, with a dense LU fallback
+selectable for cross-validation.  T is factored once per solve.  Each load
+has one side that does not change in time (the row of a point load, the
+column of the distributed load); it is solved against T once per solve too,
+so a step costs one tridiagonal sweep, plus one per distributed load when
+point loads are also present.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .caputo import CaputoKernel, check_alpha, gamma_const
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
+
+# Every entry of the distributed load's column: it does not change in time.
+INTEGRAL_COLUMN = -0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,64 +57,132 @@ class LoadRow:
     def dot(self, v) -> float:
         return float(np.dot(self.weights, v[self.cols]))
 
+    def dense(self, n: int) -> np.ndarray:
+        out = np.zeros(n)
+        out[self.cols] = self.weights
+        return out
 
-def thomas_solve(tri: Tridiagonal, b) -> np.ndarray:
-    """Solve the tridiagonal system by forward elimination and back substitution."""
-    n = tri.n
-    b = np.asarray(b, dtype=float)
-    if b.size != n:
-        raise ValueError(f"right-hand side has length {b.size}, expected {n}")
+
+@dataclass(frozen=True, eq=False)
+class ThomasFactor:
+    """Thomas elimination of a tridiagonal matrix, kept for repeated sweeps.
+
+    The matrix is L U with L lower bidiagonal (the matrix's sub-diagonal
+    ``lower`` below the pivots ``piv``) and U unit upper bidiagonal (``cp``
+    above the diagonal).  They are plain lists because the sweeps are Python
+    loops.
+    """
+
+    matrix: Tridiagonal
+    piv: list
+    cp: list
+    lower: list
+    symmetric: bool
+
+    @property
+    def n(self) -> int:
+        return len(self.piv)
+
+    def transpose(self) -> ThomasFactor:
+        """Factor of the transposed matrix; this one when the matrix is symmetric."""
+        if self.symmetric:
+            return self
+        tri = self.matrix
+        return thomas_factor(Tridiagonal(tri.upper, tri.diag, tri.lower))
+
+
+def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
+    """Pivots and back-substitution multipliers of the tridiagonal matrix."""
     lower = tri.lower.tolist()
     diag = tri.diag.tolist()
     upper = tri.upper.tolist()
-    rhs = b.tolist()
+    n = len(diag)
+    piv = [0.0] * n
     cp = [0.0] * (n - 1)
-    dp = [0.0] * n
-    piv = diag[0]
-    if piv == 0.0:
-        raise np.linalg.LinAlgError("zero pivot in tridiagonal elimination (row 0)")
-    if n > 1:
-        cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if piv == 0.0:
+    for i in range(n):
+        p = diag[i] - lower[i - 1] * cp[i - 1] if i else diag[0]
+        if p == 0.0:
             raise np.linalg.LinAlgError(f"zero pivot in tridiagonal elimination (row {i})")
+        piv[i] = p
         if i < n - 1:
-            cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-    x = dp
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return np.asarray(x)
+            cp[i] = upper[i] / p
+    return ThomasFactor(tri, piv, cp, lower, bool(np.array_equal(tri.lower, tri.upper)))
 
 
-def woodbury_solve(tri: Tridiagonal, columns, rows, b) -> np.ndarray:
-    """Solve (T + sum_k U_k W_k^T) x = b.
+def thomas_solve(tri, b) -> np.ndarray:
+    """Solve the tridiagonal system by forward elimination and back substitution.
 
-    Uses one tridiagonal solve per column plus one for the right-hand side,
-    closed by a small dense capacitance system.
+    ``tri`` is the matrix, factored on the spot, or its :class:`ThomasFactor`,
+    in which case the call is one forward and one backward sweep.
     """
-    y0 = thomas_solve(tri, b)
-    m = 0 if columns is None else np.asarray(columns).shape[1]
-    if m == 0:
-        return y0
-    columns = np.asarray(columns, dtype=float)
-    if len(rows) != m:
-        raise ValueError(f"{m} columns need {m} rows, got {len(rows)}")
-    z = np.column_stack([thomas_solve(tri, columns[:, k]) for k in range(m)])
-    cap = np.eye(m)
-    for a, row in enumerate(rows):
-        for k in range(m):
-            cap[a, k] += row.dot(z[:, k])
-    g = np.array([row.dot(y0) for row in rows])
+    b = np.asarray(b, dtype=float)
+    if b.size != tri.n:
+        raise ValueError(f"right-hand side has length {b.size}, expected {tri.n}")
+    factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
+    piv = factor.piv
+    rhs = b.tolist()
+    d = rhs[0] / piv[0]
+    dp = [d]
+    for r, low, p in zip(rhs[1:], factor.lower, piv[1:]):
+        d = (r - low * d) / p
+        dp.append(d)
+    x = [d]
+    for d, c in zip(dp[-2::-1], reversed(factor.cp)):
+        x.append(d - c * x[-1])
+    return np.asarray(x[::-1])
+
+
+def _capacitance_solve(cap: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
     try:
-        q = np.linalg.solve(cap, g)
+        return np.linalg.solve(cap, g)
     except np.linalg.LinAlgError as exc:
         labels = ", ".join(row.label for row in rows)
         raise np.linalg.LinAlgError(
             f"singular capacitance matrix for load configuration ({labels})"
         ) from exc
+
+
+def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None) -> np.ndarray:
+    """Solve (T + sum_k U_k W_k^T) x = b.
+
+    ``tri`` is T or its :class:`ThomasFactor`.  A load may come with one side
+    already solved against T: ``row_solves[k] = T^{-T} W_k`` or
+    ``column_solves[k] = T^{-1} U_k`` (``None`` where not known).  The
+    correction is closed from the side that needs fewer new solves, the
+    columns on a tie, through the capacitance matrix I + W^T T^{-1} U:
+
+    * rows: cap = I + V^T U, q = cap^{-1} V^T b, x = T^{-1}(b - U q);
+    * columns: y = T^{-1} b, cap = I + W^T Z, x = y - Z cap^{-1} W^T y.
+
+    Either way a call costs one tridiagonal sweep plus one per missing solve.
+    """
+    factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
+    m = 0 if columns is None else np.asarray(columns).shape[1]
+    if m == 0:
+        return thomas_solve(factor, b)
+    columns = np.asarray(columns, dtype=float)
+    if len(rows) != m:
+        raise ValueError(f"{m} columns need {m} rows, got {len(rows)}")
+    b = np.asarray(b, dtype=float)
+    if b.size != factor.n:
+        raise ValueError(f"right-hand side has length {b.size}, expected {factor.n}")
+    v = [None] * m if row_solves is None else list(row_solves)
+    z = [None] * m if column_solves is None else list(column_solves)
+    need_v = [k for k in range(m) if v[k] is None]
+    need_z = [k for k in range(m) if z[k] is None]
+    if len(need_v) < len(need_z):
+        factor_t = factor.transpose() if need_v else factor
+        for k in need_v:
+            v[k] = thomas_solve(factor_t, rows[k].dense(factor.n))
+        vt = np.column_stack(v).T
+        q = _capacitance_solve(np.eye(m) + vt @ columns, vt @ b, rows)
+        return thomas_solve(factor, b - columns @ q)
+    for k in need_z:
+        z[k] = thomas_solve(factor, columns[:, k])
+    z = np.column_stack(z)
+    wt = np.stack([row.dense(factor.n) for row in rows])
+    y0 = thomas_solve(factor, b)
+    q = _capacitance_solve(np.eye(m) + wt @ z, wt @ y0, rows)
     return y0 - z @ q
 
 
@@ -141,7 +216,7 @@ def interior_load_row(stencil: LoadStencil, nx: int) -> LoadRow:
 
 def _sample(values, shape) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    return np.broadcast_to(arr, shape)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
@@ -157,7 +232,7 @@ def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: floa
     rows = list(state.load_rows)
     if state.simpson is not None:
         q = _sample(problem.integral_load(x, t_half), x.shape)
-        cols.append(np.full(grid.nx - 1, -0.5))
+        cols.append(np.full(grid.nx - 1, INTEGRAL_COLUMN))
         rows.append(LoadRow("integral", np.arange(grid.nx - 1), (state.simpson * q)[1:-1]))
     if cols:
         columns = np.column_stack(cols)
@@ -171,9 +246,11 @@ class SolverState:
 
     Every stored level keeps exact zeros at the boundary nodes.  The full
     history is retained because the fractional convolution needs it.  The
-    tridiagonal core, the interior point-load rows and the Simpson node
-    weights of the distributed load do not change in time and are built here
-    once.
+    tridiagonal core and its factor, the interior point-load rows, the Simpson
+    node weights of the distributed load, and the solves of each load's
+    constant side against the core (``row_solves`` for the point loads,
+    ``column_solves`` for the distributed load, ``None`` for the other kind)
+    do not change in time and are built here once.
     """
 
     def __init__(self, problem: ProblemSpec, grid: Grid1D, backend: str = "woodbury"):
@@ -185,12 +262,19 @@ class SolverState:
         self.backend = backend
         self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
         self.tridiag = assemble_tridiagonal(grid, problem.alpha, problem.mu)
+        self.factor = thomas_factor(self.tridiag)
         self.load_rows = tuple(
             interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in problem.loads
         )
+        n = grid.nx - 1
+        factor_t = self.factor.transpose()
+        self.row_solves = tuple(thomas_solve(factor_t, row.dense(n)) for row in self.load_rows)
+        self.column_solves = (None,) * len(self.load_rows)
         self.simpson = None
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
+            self.row_solves += (None,)
+            self.column_solves += (thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN)),)
         self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
         y0 = np.array(_sample(problem.initial(grid.x), grid.x.shape))
         y0[0] = 0.0
@@ -261,7 +345,9 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     if state.backend == "dense":
         interior = np.linalg.solve(_dense_matrix(state.tridiag, columns, rows), b)
     else:
-        interior = woodbury_solve(state.tridiag, columns, rows, b)
+        interior = woodbury_solve(
+            state.factor, columns, rows, b, row_solves=state.row_solves, column_solves=state.column_solves
+        )
     if not np.isfinite(interior).all():
         raise FloatingPointError(
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "

@@ -437,6 +437,19 @@ def parse_count(token: str, extent: float) -> int:
     return int(count)
 
 
+def parse_alphas(text: str) -> tuple[float, ...]:
+    """Comma-separated fractional orders; a bad token is named with the key."""
+    if not text.strip():
+        raise ValueError("alpha: the list of fractional orders is empty")
+    alphas = []
+    for token in text.split(","):
+        try:
+            alphas.append(float(token))
+        except ValueError:
+            raise ValueError(f"alpha: {token.strip()!r} is not a fractional order") from None
+    return tuple(alphas)
+
+
 CONFIG_KEYS = ("mode", "problem", "backend", "out", "alpha", "nx", "nt", "reference")
 
 
@@ -466,7 +479,7 @@ def build_config(values: dict) -> StudyConfig:
     if mode is None:
         raise ValueError("a study needs a mode (spatial or temporal)")
     problem = values.get("problem", "benchmark")
-    alphas = tuple(float(tok) for tok in str(values.get("alpha", "0.1,0.5,0.9")).split(","))
+    alphas = parse_alphas(str(values.get("alpha", "0.1,0.5,0.9")))
     probe = make_problem(problem, alphas[0])
     nx_tokens = str(values.get("nx", "")).split(",") if values.get("nx") else []
     nt_tokens = str(values.get("nt", "")).split(",") if values.get("nt") else []

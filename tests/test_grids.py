@@ -155,6 +155,14 @@ class TestConvergenceOrder:
             convergence_order(1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             convergence_order(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="e1 = nan"):
+            convergence_order(math.nan, 1.0, 2.0)
+        with pytest.raises(ValueError, match="e1 = inf"):
+            convergence_order(math.inf, 1.0, 2.0)
+        with pytest.raises(ValueError, match="e2 = inf"):
+            convergence_order(1.0, math.inf, 2.0)
+        with pytest.raises(ValueError, match="ratio = nan"):
+            convergence_order(1.0, 0.5, math.nan)
 
     @given(
         e=st.floats(1e-12, 1e6),

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallaire import (
     Grid1D,
@@ -23,7 +25,8 @@ from hallaire import (
     thomas_solve,
     woodbury_solve,
 )
-from hallaire.stepper import LoadRow
+import hallaire.stepper as stepper_mod
+from hallaire.stepper import LoadRow, thomas_factor
 from oracles import dense_march
 
 
@@ -53,6 +56,33 @@ def _dense_from(tri, columns, rows):
         full[row.cols] = row.weights
         a += np.outer(col, full)
     return a
+
+
+POSITIONS = (0.21, 0.43, 0.67, 0.79)
+COEFFS = (
+    lambda x, t: np.exp(0.5 * np.asarray(x, dtype=float) - t),
+    lambda x, t: np.sin(2.0 * np.asarray(x, dtype=float) + t),
+    lambda x, t: 1.0 + 0.5 * np.cos(t) * np.asarray(x, dtype=float),
+    lambda x, t: np.cos(np.asarray(x, dtype=float) * t),
+)
+
+
+def _loaded_problem(alpha, load_indices, distributed, mode=3):
+    """Manufactured problem with the chosen point loads and, optionally, the
+    distributed load q = e^{x+t}."""
+    loads = tuple(PointLoad(POSITIONS[i], COEFFS[i]) for i in load_indices)
+    integral_load = None
+    if distributed:
+        k = mode * math.pi
+        # integral of e^x sin(k x) over [0, 1]
+        profile_integral = (k - math.e * k * (-1) ** mode) / (1.0 + k * k)
+        integral_load = (
+            lambda x, t: np.exp(np.asarray(x, dtype=float) + t),
+            lambda t: math.exp(t) * profile_integral,
+        )
+    return manufactured_problem(
+        mode, ((1.0, 3.0), (1.0, 2.0 + alpha)), alpha, loads=loads, integral_load=integral_load
+    )
 
 
 def _random_dominant(rng, n):
@@ -132,6 +162,25 @@ class TestThomas:
         tri = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
         with pytest.raises(ValueError):
             thomas_solve(tri, np.ones(4))
+        with pytest.raises(ValueError):
+            thomas_solve(thomas_factor(tri), np.ones(4))
+
+    def test_factor_reused(self, rng):
+        tri = _random_dominant(rng, 11)
+        factor = thomas_factor(tri)
+        for _ in range(3):
+            b = rng.standard_normal(11)
+            assert np.array_equal(thomas_solve(factor, b), thomas_solve(tri, b))
+
+    def test_transposed_factor(self, rng):
+        tri = _random_dominant(rng, 10)
+        b = rng.standard_normal(10)
+        dense = _dense_from(tri, np.zeros((10, 0)), [])
+        got = thomas_solve(thomas_factor(tri).transpose(), b)
+        assert got == pytest.approx(np.linalg.solve(dense.T, b), rel=1e-12, abs=1e-12)
+        sym = Tridiagonal(tri.upper, tri.diag, tri.upper)
+        factor = thomas_factor(sym)
+        assert factor.transpose() is factor
 
 
 class TestWoodbury:
@@ -162,6 +211,32 @@ class TestWoodbury:
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("known", ["none", "rows", "columns", "mixed", "mostly rows"])
+    def test_known_sides_match_dense(self, rng, known):
+        # a non-symmetric core, so the row side needs the transposed factor
+        n, m = 9, 3
+        tri = _random_dominant(rng, n)
+        columns = rng.standard_normal((n, m))
+        rows = [LoadRow(f"x={k}", np.arange(k, k + 4), rng.standard_normal(4)) for k in range(m)]
+        b = rng.standard_normal(n)
+        dense_t = _dense_from(tri, np.zeros((n, 0)), [])
+        v = [np.linalg.solve(dense_t.T, row.dense(n)) for row in rows]
+        z = [np.linalg.solve(dense_t, columns[:, k]) for k in range(m)]
+        pattern = {
+            "none": "...",
+            "rows": "vvv",
+            "columns": "zzz",
+            "mixed": "vz.",
+            "mostly rows": "vvz",
+        }[known]
+        got = woodbury_solve(
+            tri, columns, rows, b,
+            row_solves=[v[k] if c == "v" else None for k, c in enumerate(pattern)],
+            column_solves=[z[k] if c == "z" else None for k, c in enumerate(pattern)],
+        )
+        want = np.linalg.solve(_dense_from(tri, columns, rows), b)
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
     def test_singular_capacitance_names_loads(self):
         tri = Tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
@@ -240,18 +315,11 @@ class TestStepAndSolve:
     @pytest.mark.filterwarnings("ignore:time step .* exceeds")
     def test_marched_equivalence_with_dense_oracle(self, rng):
         # randomized small problems, all load counts, both marching paths
-        positions = (0.21, 0.43, 0.67, 0.79)
-        coeffs = (
-            lambda x, t: np.exp(0.5 * np.asarray(x, dtype=float) - t),
-            lambda x, t: np.sin(2.0 * np.asarray(x, dtype=float) + t),
-            lambda x, t: 1.0 + 0.5 * np.cos(t) * np.asarray(x, dtype=float),
-            lambda x, t: np.cos(np.asarray(x, dtype=float) * t),
-        )
         cases = []
         for trial in range(8):
             m = trial % 4
             loads = tuple(
-                PointLoad(positions[i], coeffs[(trial + i) % 4]) for i in range(m)
+                PointLoad(POSITIONS[i], COEFFS[(trial + i) % 4]) for i in range(m)
             )
             alpha = float(rng.uniform(0.05, 0.95))
             problem = manufactured_problem(
@@ -264,9 +332,10 @@ class TestStepAndSolve:
             grid = Grid1D(1.0, 1.0, int(rng.integers(3, 7)) * 2, int(rng.integers(3, 9)))
             cases.append((problem, grid))
         # a history long enough to exercise the folded convolution weights,
-        # with three point loads and with the distributed load
+        # with three point loads, with the distributed load, and with both
         cases.append((benchmark_problem(0.9), Grid1D(1.0, 1.0, 12, 48)))
         cases.append((integral_benchmark_problem(0.7), Grid1D(1.0, 1.0, 12, 48)))
+        cases.append((_loaded_problem(0.6, (0, 3), True), Grid1D(1.0, 1.0, 12, 48)))
         for problem, grid in cases:
             ref = dense_march(problem, grid)
             scale = np.max(np.abs(ref))
@@ -274,6 +343,59 @@ class TestStepAndSolve:
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
             got_dense = solve(problem, grid, backend="dense").levels
             assert np.max(np.abs(got_dense - ref)) <= 1e-10 * scale
+
+    @given(
+        loads=st.sets(st.integers(0, 3)),
+        distributed=st.booleans(),
+        alpha=st.floats(0.05, 0.95),
+        mode=st.integers(1, 3),
+        nx=st.integers(3, 12).map(lambda k: 2 * k),
+        nt=st.integers(1, 16),
+    )
+    @settings(deadline=None, max_examples=40)
+    @pytest.mark.filterwarnings("ignore:time step .* exceeds")
+    def test_any_load_mix_matches_dense_backend(self, loads, distributed, alpha, mode, nx, nt):
+        problem = _loaded_problem(alpha, sorted(loads), distributed, mode=mode)
+        grid = Grid1D(1.0, 1.0, nx, nt)
+        want = solve(problem, grid, backend="dense").levels
+        got = solve(problem, grid).levels
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "loads, distributed, per_step",
+        [((0, 1, 2), False, 1), ((), True, 1), ((0, 3), True, 2), ((1,), True, 2), ((), False, 1)],
+    )
+    def test_sweeps_per_step(self, monkeypatch, loads, distributed, per_step):
+        calls = []
+        original = stepper_mod.thomas_solve
+
+        def counted(tri, b):
+            calls.append(tri)
+            return original(tri, b)
+
+        monkeypatch.setattr(stepper_mod, "thomas_solve", counted)
+        state = solve(_loaded_problem(0.5, loads, distributed), Grid1D(1.0, 1.0, 12, 5))
+        # each load's constant side once per solve, then per_step per step
+        assert len(calls) == len(loads) + distributed + per_step * 5
+        assert all(tri is state.factor for tri in calls)
+
+    def test_singular_capacitance_in_step_names_loads(self):
+        # A coefficient that is nonzero only at the node x = 0 gives the load
+        # the column U = -c/24 e_0, so the capacitance is 1 + v_0 U_0 with
+        # v = T^{-1} W.  Pick c to make it exactly zero.
+        base = _zeros_problem()
+        grid = Grid1D(1.0, 1.0, 10, 4)
+
+        def with_coefficient(c):
+            spike = lambda x, t: np.where(np.asarray(x, dtype=float) == 0.0, c, 0.0)
+            return ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, spike),), base.forcing, base.initial)
+
+        v0 = SolverState(with_coefficient(0.0), grid).row_solves[0][0]
+        candidates = (24.0 / v0 * (1.0 + k * 2.0**-52) for k in range(-64, 65))
+        c = next(c for c in candidates if 1.0 + v0 * (-0.5 * (c / 12.0)) == 0.0)
+        problem = with_coefficient(c)
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular capacitance .*x=0\.4"):
+            solve(problem, grid)
 
     def test_integral_load_matches_dense_oracle(self):
         p = integral_benchmark_problem(0.4)

@@ -313,6 +313,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'1/0'" in err and "'ten'" in err
 
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4", "--alpha", ","]) == 2
+        assert "alpha: '' is not a fractional order" in capsys.readouterr().err
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4", "--alpha", "0.5,half"]) == 2
+        assert "alpha: 'half'" in capsys.readouterr().err
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4", "--alpha", " "]) == 2
+        assert "alpha: the list of fractional orders is empty" in capsys.readouterr().err
+
         ref = tmp_path / "zero.csv"
         ref.write_text(
             "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad\n"
