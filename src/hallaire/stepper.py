@@ -6,7 +6,10 @@ selectable for cross-validation.  T is factored once per solve.  Each load
 has one side that does not change in time (the row of a point load, the
 column of the distributed load); it is solved against T once per solve too,
 so a step costs one tridiagonal sweep, plus one per distributed load when
-point loads are also present.
+point loads are also present.  The factor keeps the Thomas elimination as
+block inverses with scalar carries between blocks (a partitioned solver in
+the manner of H. H. Wang, ACM TOMS 7(2), 1981), so a sweep is a batched numpy
+matvec and a chain over the blocks, not a loop over the unknowns.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .spatial import LoadStencil, build_load_stencil, compact_average, second_di
 
 # Every entry of the distributed load's column: it does not change in time.
 INTEGRAL_COLUMN = -0.5
+
+# Rows per block of the blocked tridiagonal inverse (see ThomasFactor).
+BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,23 +71,37 @@ class LoadRow:
 
 @dataclass(frozen=True, eq=False)
 class ThomasFactor:
-    """Thomas elimination of a tridiagonal matrix, kept for repeated sweeps.
+    """Thomas elimination of a tridiagonal matrix, kept as a blocked inverse.
 
-    The matrix is L U with L lower bidiagonal (the matrix's sub-diagonal
-    ``lower`` below the pivots ``piv``) and U unit upper bidiagonal (``cp``
-    above the diagonal).  They are plain lists because the sweeps are Python
-    loops.
+    The matrix is L U with L lower bidiagonal (the pivots on the diagonal)
+    and U unit upper bidiagonal (the multipliers above it).  The unknowns are
+    cut into K blocks of s = min(n, BLOCK) rows, the last one padded with
+    identity rows; block k owns the bidiagonal pieces L_k and U_k and couples
+    to its neighbours through one sub-diagonal and one multiplier.  Per block:
+
+    * ``inverse[k]`` is the dense s x s product U_k^{-1} L_k^{-1};
+    * ``last_row[k]`` is the last row of L_k^{-1}, which turns the block's
+      right-hand side into its last forward unknown;
+    * ``forward[k]`` and ``backward[k]`` are the block's solution for a unit
+      carry entering from the left (the previous block's last forward
+      unknown) and from the right (the next block's first solution entry);
+    * ``gain[k]`` scales the left carry into the block's last forward unknown.
+
+    That is n * s + 3 n floats, and a solve is a batched matvec plus two
+    scalar chains of length K (see :func:`thomas_solve`).
     """
 
     matrix: Tridiagonal
-    piv: list
-    cp: list
-    lower: list
+    inverse: np.ndarray
+    last_row: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    gain: list
     symmetric: bool
 
     @property
     def n(self) -> int:
-        return len(self.piv)
+        return self.matrix.n
 
     def transpose(self) -> ThomasFactor:
         """Factor of the transposed matrix; this one when the matrix is symmetric."""
@@ -92,11 +112,13 @@ class ThomasFactor:
 
 
 def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
-    """Pivots and back-substitution multipliers of the tridiagonal matrix."""
+    """Pivots and multipliers of the tridiagonal matrix, folded into blocks."""
     lower = tri.lower.tolist()
     diag = tri.diag.tolist()
     upper = tri.upper.tolist()
     n = len(diag)
+    if n == 0:
+        raise ValueError("cannot factor an empty tridiagonal matrix")
     piv = [0.0] * n
     cp = [0.0] * (n - 1)
     for i in range(n):
@@ -106,30 +128,78 @@ def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
         piv[i] = p
         if i < n - 1:
             cp[i] = upper[i] / p
-    return ThomasFactor(tri, piv, cp, lower, bool(np.array_equal(tri.lower, tri.upper)))
+    s = min(n, BLOCK)
+    k = -(-n // s)
+    # Row i of the padded system: pivot, sub-diagonal to row i-1, multiplier
+    # to row i+1.  Couplings across a block edge sit in column 0 of ``low``
+    # and column s-1 of ``up``.
+    p = np.ones(k * s)
+    p[:n] = piv
+    low = np.zeros(k * s)
+    low[1:n] = lower
+    up = np.zeros(k * s)
+    up[: n - 1] = cp
+    p, low, up = (a.reshape(k, s) for a in (p, low, up))
+    eye = np.eye(s)
+    linv = np.empty((k, s, s))
+    linv[:, 0] = eye[0] / p[:, :1]
+    for i in range(1, s):
+        linv[:, i] = (eye[i] - low[:, i, None] * linv[:, i - 1]) / p[:, i, None]
+    uinv = np.empty((k, s, s))
+    uinv[:, -1] = eye[-1]
+    for i in range(s - 2, -1, -1):
+        uinv[:, i] = eye[i] - up[:, i, None] * uinv[:, i + 1]
+    inverse = uinv @ linv
+    return ThomasFactor(
+        matrix=tri,
+        inverse=inverse,
+        last_row=linv[:, -1].copy(),
+        forward=-low[:, :1] * inverse[:, :, 0],
+        backward=-up[:, -1:] * uinv[:, :, -1],
+        gain=(-low[:, 0] * linv[:, -1, 0]).tolist(),
+        symmetric=bool(np.array_equal(tri.lower, tri.upper)),
+    )
 
 
 def thomas_solve(tri, b) -> np.ndarray:
-    """Solve the tridiagonal system by forward elimination and back substitution.
+    """Solve the tridiagonal system with the blocked inverse of its factor.
 
-    ``tri`` is the matrix, factored on the spot, or its :class:`ThomasFactor`,
-    in which case the call is one forward and one backward sweep.
+    ``tri`` is the matrix, factored on the spot, or its :class:`ThomasFactor`.
+    Each block is solved on its own in one batched matvec; the forward carries
+    (each block's last forward unknown) and then the backward carries (each
+    block's first solution entry) are chained over the K blocks, and both are
+    added back as multiples of the blocks' carry responses.  With one block
+    this is a single matvec with the exact inverse.
     """
     b = np.asarray(b, dtype=float)
     if b.size != tri.n:
         raise ValueError(f"right-hand side has length {b.size}, expected {tri.n}")
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
-    piv = factor.piv
-    rhs = b.tolist()
-    d = rhs[0] / piv[0]
-    dp = [d]
-    for r, low, p in zip(rhs[1:], factor.lower, piv[1:]):
-        d = (r - low * d) / p
-        dp.append(d)
-    x = [d]
-    for d, c in zip(dp[-2::-1], reversed(factor.cp)):
-        x.append(d - c * x[-1])
-    return np.asarray(x[::-1])
+    inverse = factor.inverse
+    k, s, _ = inverse.shape
+    if k == 1:
+        return inverse[0] @ b
+    n = b.size
+    blocks = np.zeros(k * s)
+    blocks[:n] = b
+    blocks = blocks.reshape(k, s)
+    y = np.matmul(inverse, blocks[:, :, None])[:, :, 0]
+    ends = np.einsum("ks,ks->k", factor.last_row, blocks).tolist()
+    left = [0.0] * k
+    carry = 0.0
+    for i, (end, gain) in enumerate(zip(ends, factor.gain)):
+        left[i] = carry
+        carry = end + gain * carry
+    left = np.array(left)
+    first = (y[:, 0] + factor.forward[:, 0] * left).tolist()
+    back = factor.backward[:, 0].tolist()
+    right = [0.0] * k
+    carry = 0.0
+    for i in range(k - 1, -1, -1):
+        right[i] = carry
+        carry = first[i] + back[i] * carry
+    x = y + factor.forward * left[:, None] + factor.backward * np.array(right)[:, None]
+    return x.reshape(-1)[:n]
 
 
 def _capacitance_solve(cap: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
@@ -147,7 +217,8 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
 
     ``tri`` is T or its :class:`ThomasFactor`.  A load may come with one side
     already solved against T: ``row_solves[k] = T^{-T} W_k`` or
-    ``column_solves[k] = T^{-1} U_k`` (``None`` where not known).  The
+    ``column_solves[k] = T^{-1} U_k`` (``None`` where not known); an m x n
+    array of ``row_solves`` is used as V^T without restacking.  The
     correction is closed from the side that needs fewer new solves, the
     columns on a tie, through the capacitance matrix I + W^T T^{-1} U:
 
@@ -174,7 +245,7 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
         factor_t = factor.transpose() if need_v else factor
         for k in need_v:
             v[k] = thomas_solve(factor_t, rows[k].dense(factor.n))
-        vt = np.column_stack(v).T
+        vt = np.array(v) if need_v else np.asarray(row_solves)
         q = _capacitance_solve(np.eye(m) + vt @ columns, vt @ b, rows)
         return thomas_solve(factor, b - columns @ q)
     for k in need_z:
@@ -226,18 +297,17 @@ def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: floa
     of the coefficient) and matching sparse rows ``W`` such that the full
     matrix is the tridiagonal core plus sum_k U_k W_k^T.
     """
-    grid = state.grid
-    x = grid.x
+    x = state.x
     cols = [-0.5 * compact_average(_sample(ld.coefficient(x, t_half), x.shape)) for ld in problem.loads]
     rows = list(state.load_rows)
     if state.simpson is not None:
         q = _sample(problem.integral_load(x, t_half), x.shape)
-        cols.append(np.full(grid.nx - 1, INTEGRAL_COLUMN))
-        rows.append(LoadRow("integral", np.arange(grid.nx - 1), (state.simpson * q)[1:-1]))
+        cols.append(state.integral_column)
+        rows.append(LoadRow("integral", state.integral_cols, (state.simpson * q)[1:-1]))
     if cols:
         columns = np.column_stack(cols)
     else:
-        columns = np.zeros((grid.nx - 1, 0))
+        columns = np.zeros((state.grid.nx - 1, 0))
     return columns, rows
 
 
@@ -246,11 +316,13 @@ class SolverState:
 
     Every stored level keeps exact zeros at the boundary nodes.  The full
     history is retained because the fractional convolution needs it.  The
-    tridiagonal core and its factor, the interior point-load rows, the Simpson
-    node weights of the distributed load, and the solves of each load's
-    constant side against the core (``row_solves`` for the point loads,
-    ``column_solves`` for the distributed load, ``None`` for the other kind)
-    do not change in time and are built here once.
+    nodes ``x``, the tridiagonal core and its factor, the interior point-load
+    rows, the distributed load's Simpson node weights, constant column and
+    interior indices, and the solves of each load's constant side against the
+    core do not change in time and are built here once.  ``row_solves`` holds
+    the point loads' solves as the rows of one array, or as a tuple ending in
+    ``None`` for the distributed load; ``column_solves`` holds ``None`` for
+    each point load and the distributed load's column solve.
     """
 
     def __init__(self, problem: ProblemSpec, grid: Grid1D, backend: str = "woodbury"):
@@ -259,6 +331,8 @@ class SolverState:
         if problem.integral_load is not None and grid.nx % 2 != 0:
             raise ValueError("the distributed load needs an even number of spatial intervals")
         self.grid = grid
+        self.x = grid.x
+        self.x.flags.writeable = False
         self.backend = backend
         self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
         self.tridiag = assemble_tridiagonal(grid, problem.alpha, problem.mu)
@@ -268,15 +342,19 @@ class SolverState:
         )
         n = grid.nx - 1
         factor_t = self.factor.transpose()
-        self.row_solves = tuple(thomas_solve(factor_t, row.dense(n)) for row in self.load_rows)
+        self.row_solves = np.zeros((len(self.load_rows), n))
+        for k, row in enumerate(self.load_rows):
+            self.row_solves[k] = thomas_solve(factor_t, row.dense(n))
         self.column_solves = (None,) * len(self.load_rows)
-        self.simpson = None
+        self.simpson = self.integral_column = self.integral_cols = None
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
-            self.row_solves += (None,)
-            self.column_solves += (thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN)),)
+            self.integral_column = np.full(n, INTEGRAL_COLUMN)
+            self.integral_cols = np.arange(n)
+            self.row_solves = (*self.row_solves, None)
+            self.column_solves += (thomas_solve(self.factor, self.integral_column),)
         self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
-        y0 = np.array(_sample(problem.initial(grid.x), grid.x.shape))
+        y0 = np.array(_sample(problem.initial(self.x), self.x.shape))
         y0[0] = 0.0
         y0[-1] = 0.0
         self.levels[0] = y0
@@ -306,7 +384,7 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     tau = grid.tau
     t_half = (j + 0.5) * tau
     kernel = state.kernel
-    f = _sample(problem.forcing(grid.x, t_half), grid.x.shape)
+    f = _sample(problem.forcing(state.x, t_half), state.x.shape)
     nodal = kernel.scale * _history_sum(state.levels, kernel.weights(j), j) + f
     b = compact_average(nodal)
     b += (0.5 - problem.mu / tau) * second_difference(state.levels[j], grid.h)

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hallaire import (
@@ -26,7 +26,7 @@ from hallaire import (
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.stepper import LoadRow, thomas_factor
+from hallaire.stepper import BLOCK, LoadRow, thomas_factor
 from oracles import dense_march
 
 
@@ -181,6 +181,65 @@ class TestThomas:
         sym = Tridiagonal(tri.upper, tri.diag, tri.upper)
         factor = thomas_factor(sym)
         assert factor.transpose() is factor
+
+    @given(
+        n=st.one_of(
+            st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK, 6 * BLOCK]),
+            st.integers(1, 200),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        transpose=st.booleans(),
+    )
+    @example(n=BLOCK - 1, seed=1, transpose=False)
+    @example(n=BLOCK, seed=2, transpose=True)
+    @example(n=BLOCK + 1, seed=3, transpose=False)
+    @example(n=4 * BLOCK, seed=4, transpose=True)
+    @settings(deadline=None, max_examples=60)
+    def test_blocked_sweep_matches_dense_lu(self, n, seed, transpose):
+        # strictly diagonally dominant, non-symmetric, rows of either sign
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-1.0, 1.0, size=n - 1)
+        upper = rng.uniform(-1.0, 1.0, size=n - 1)
+        diag = rng.uniform(0.1, 2.0, size=n)
+        diag[1:] += np.abs(lower)
+        diag[:-1] += np.abs(upper)
+        diag *= rng.choice([-1.0, 1.0], size=n)
+        tri = Tridiagonal(lower, diag, upper)
+        dense = _dense_from(tri, np.zeros((n, 0)), [])
+        factor = thomas_factor(tri)
+        if transpose:
+            factor, dense = factor.transpose(), dense.T
+        b = rng.standard_normal(n)
+        got = thomas_solve(factor, b)
+        want = np.linalg.solve(dense, b)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "nx, nt, alpha",
+        [
+            (1000, 10, 0.1),
+            (1000, 160, 0.1),
+            (1000, 10, 0.9),
+            (1000, 160, 0.9),
+            (1000, 1280, 0.9),
+            (24, 10000, 0.5),
+        ],
+    )
+    def test_benchmark_operators_match_banded_lapack(self, rng, nx, nt, alpha):
+        # the real cores of the wide, deep and long benchmark solves against
+        # LAPACK's banded solver
+        solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+        tri = assemble_tridiagonal(Grid1D(1.0, 1.0, nx, nt), alpha, benchmark_problem(alpha).mu)
+        bands = np.zeros((3, tri.n))
+        bands[0, 1:] = tri.upper
+        bands[1] = tri.diag
+        bands[2, :-1] = tri.lower
+        factor = thomas_factor(tri)
+        for b in (rng.standard_normal(tri.n), np.ones(tri.n), np.sin(np.linspace(0.0, 9.0, tri.n))):
+            want = solve_banded((1, 1), bands, b)
+            got = thomas_solve(factor, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestWoodbury:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hallaire import (
     ConvergenceReport,
@@ -353,3 +355,100 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--format", "toml"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Small config and reference files, and report paths, for the CLI fuzz test."""
+    root = tmp_path_factory.mktemp("cli")
+    ref = root / "ref.csv"
+    ref.write_text(
+        "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad\n"
+        "0.5,1/4,1.0e-3,,1.0e-3,,1.0e-2,\n"
+    )
+    checked = root / "checked.cfg"
+    checked.write_text(f"mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = {ref}\n")
+    unchecked = root / "unchecked.cfg"
+    unchecked.write_text("mode = spatial\nalpha = 0.5\nnx = 8,16\nnt = 8\n")
+    return {
+        "configs": [str(checked), str(unchecked), str(root / "missing.cfg"), str(ref)],
+        # a new file, a directory and the empty path
+        "outs": [str(root / "out.csv"), str(root), ""],
+    }
+
+
+# Tokens for the CLI fuzz: every count is at most 16 and every nt at most 32,
+# so no generated command starts a large solve.
+_JUNK = st.sampled_from(["", " ", "-", "--", "-x", "--bogus", "nan", "1e400", "1/0", "ten", ",", "0.5,", "\x00"])
+_COUNT = st.one_of(st.integers(-2, 16).map(str), st.integers(0, 16).map(lambda k: f"1/{k}"), _JUNK)
+_NT = st.one_of(st.integers(-2, 32).map(str), st.integers(0, 32).map(lambda k: f"1/{k}"), _JUNK)
+_ALPHA = st.one_of(st.sampled_from(["0", "1", "-0.5", "0.1", "0.5", "0.9", "0.999", "inf"]), _JUNK)
+
+
+def _ladder(token):
+    return st.lists(token, min_size=1, max_size=3).map(",".join)
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+def _argv(command, head, groups, tail):
+    return st.tuples(head, st.lists(groups, max_size=6), tail).map(
+        lambda parts: [command] + parts[0] + [tok for group in parts[1] for tok in group] + parts[2]
+    )
+
+
+def _run_argv(outs):
+    groups = st.one_of(
+        _flag("--mode", st.one_of(st.sampled_from(["spatial", "temporal"]), _JUNK)),
+        _flag("--alpha", _ladder(_ALPHA)),
+        _flag("--nx", _ladder(_COUNT)),
+        _flag("--nt", _ladder(_NT)),
+        _flag("--problem", st.one_of(st.sampled_from(["benchmark", "integral-load"]), _JUNK)),
+        _flag("--format", st.sampled_from(["csv", "markdown", "toml"])),
+        _flag("--backend", st.sampled_from(["woodbury", "sparse"])),
+        _flag("--out", st.sampled_from(outs)),
+        _JUNK.map(lambda tok: [tok]),
+    )
+    # a valid study first, half the time, so that some overrides still run
+    head = st.sampled_from([[], ["--mode", "temporal", "--alpha", "0.5", "--nx", "8"]])
+    # a spatial study without --nt would march 10000 steps, so one small --nt
+    # always comes last, where argparse lets it win
+    tail = _flag("--nt", st.integers(1, 32).map(str))
+    return _argv("run", head, groups, tail)
+
+
+def _self_check_argv(configs, outs):
+    groups = st.one_of(
+        _flag("--table", st.sampled_from(["1", "2", "3"])),
+        st.just(["--deep"]),
+        _flag("--backend", st.sampled_from(["woodbury", "sparse"])),
+        _flag("--out", st.sampled_from(outs)),
+        _JUNK.map(lambda tok: [tok]),
+    )
+    # the bundled tables are large, so every command names a small config last
+    tail = _flag("--config", st.sampled_from(configs))
+    return _argv("self-check", st.just([]), groups, tail)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=100)
+@pytest.mark.filterwarnings("ignore:time step .* exceeds")
+def test_cli_exit_codes_fuzz(cli_files, data):
+    """Any command line ends in exit code 0, 1 or 2, never a traceback."""
+    argv = data.draw(
+        st.one_of(
+            _run_argv(cli_files["outs"]),
+            _self_check_argv(cli_files["configs"], cli_files["outs"]),
+            # a bare self-check would run the bundled table 1
+            st.lists(st.one_of(st.sampled_from(["run", "-h", "--help"]), _JUNK), max_size=3),
+        )
+    )
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        # argparse reports usage errors (2) and --help (0) by exiting
+        code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
