@@ -56,36 +56,30 @@ def gamma_const(alpha: float) -> float:
 
 
 class CaputoKernel:
-    """Weight cache and scale factors for one (alpha, tau) pair.
+    """Weights and scale factors for one (alpha, tau) pair.
 
     ``scale`` multiplies raw level differences u^{s+1} - u^s, i.e. it already
-    absorbs the 1/tau of the divided difference.
+    absorbs the 1/tau of the divided difference.  Weights c_0..c_nsteps are
+    computed once; a longer prefix is computed on each request.
     """
 
     def __init__(self, alpha: float, tau: float, nsteps: int = 0):
         check_alpha(alpha)
-        if tau <= 0.0:
-            raise ValueError(f"time step must be positive, got {tau}")
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise ValueError(f"time step must be positive and finite, got {tau}")
         self.alpha = float(alpha)
         self.tau = float(tau)
         self.scale = tau ** (-alpha) / math.gamma(2.0 - alpha)
         self.gamma = gamma_const(alpha)
         self._c = l1_weight_array(max(int(nsteps), 0), alpha)
 
-    def extend(self, j: int) -> "CaputoKernel":
-        """Make sure weights c_0..c_j are cached.
-
-        Grows geometrically, so extending one index at a time stays O(total)
-        overall.
-        """
-        if j >= self._c.size:
-            self._c = l1_weight_array(max(j, 2 * self._c.size), self.alpha)
-        return self
-
     def weights(self, j: int) -> np.ndarray:
         """Array of c_0..c_j (treat as read-only)."""
-        self.extend(j)
-        return self._c[: j + 1]
+        if j < 0:
+            raise ValueError(f"weight index must be nonnegative, got {j}")
+        if j < self._c.size:
+            return self._c[: j + 1]
+        return l1_weight_array(j, self.alpha)
 
     def weights_transformed(self, j: int) -> np.ndarray:
         """Weights with the leading entry replaced by 1."""

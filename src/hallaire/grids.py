@@ -8,6 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is a whole number >= ``least``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform mesh on [0, length] x [0, final_time].
@@ -22,17 +33,13 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
-        if not self.length > 0.0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not self.final_time > 0.0:
-            raise ValueError(f"final_time must be positive, got {self.final_time}")
-        if self.nx != int(self.nx) or self.nx < 4:
-            raise ValueError(
-                "nx must be an integer >= 4 (the compact and load stencils "
-                f"need interior room), got {self.nx}"
-            )
-        if self.nt != int(self.nt) or self.nt < 1:
-            raise ValueError(f"nt must be an integer >= 1, got {self.nt}")
+        for name in ("length", "final_time"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # the compact and load stencils need interior room
+        object.__setattr__(self, "nx", _count("nx", self.nx, 4))
+        object.__setattr__(self, "nt", _count("nt", self.nt, 1))
 
     @property
     def h(self) -> float:
@@ -69,25 +76,12 @@ def norm_max(values) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def norm_grad_l2(v, h: float) -> float:
-    """Backward-difference energy norm sqrt(h * sum_i ((v_i - v_{i-1})/h)^2).
-
-    The sum runs over i = 1..len(v)-1; ``v`` is a full nodal vector.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("norm_grad_l2 expects a full nodal vector (length >= 2)")
-    d = np.diff(v) / h
-    return math.sqrt(h * float(np.dot(d, d)))
-
-
 def norm_grad_forward(v, h: float) -> float:
     """Energy norm from forward differences at the interior nodes.
 
     Sums ((v_{i+1} - v_i)/h)^2 for i = 1..len(v)-2, i.e. it skips the
     difference across the first interval.  This is the variant the bundled
-    reference tables were produced with; :func:`norm_grad_l2` covers all
-    intervals.
+    reference tables were produced with.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 3:

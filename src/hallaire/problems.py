@@ -49,10 +49,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.length <= 0.0 or self.final_time <= 0.0:
-            raise ValueError("domain extents must be positive")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        for name in ("length", "final_time", "mu"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         xs = [ld.position for ld in self.loads]
         if any(not 0.0 < x < self.length for x in xs):
             raise ValueError(f"load points {xs} must lie strictly inside (0, {self.length})")

@@ -87,17 +87,6 @@ def build_load_stencil(position: float, grid: Grid1D) -> LoadStencil:
     return LoadStencil(float(position), anchor, nodes, weights)
 
 
-def evaluate_load(v, stencil: LoadStencil) -> float:
-    """Interpolated value of the nodal vector ``v`` at the stencil's point."""
-    v = np.asarray(v, dtype=float)
-    if stencil.nodes[0] < 0 or stencil.nodes[-1] >= v.size:
-        raise ValueError(
-            f"stencil nodes {stencil.nodes.tolist()} fall outside a vector of "
-            f"length {v.size}"
-        )
-    return float(np.dot(stencil.weights, v[stencil.nodes]))
-
-
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights h/3 * (1, 4, 2, ..., 2, 4, 1) on n + 1 nodes."""
     if n < 2 or n % 2 != 0:

@@ -219,13 +219,15 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
     already solved against T: ``row_solves[k] = T^{-T} W_k`` or
     ``column_solves[k] = T^{-1} U_k`` (``None`` where not known); an m x n
     array of ``row_solves`` is used as V^T without restacking.  The
-    correction is closed from the side that needs fewer new solves, the
-    columns on a tie, through the capacitance matrix I + W^T T^{-1} U:
+    correction is closed through the capacitance matrix I + W^T T^{-1} U:
 
-    * rows: cap = I + V^T U, q = cap^{-1} V^T b, x = T^{-1}(b - U q);
-    * columns: y = T^{-1} b, cap = I + W^T Z, x = y - Z cap^{-1} W^T y.
+    * from the columns when every column solve is given: y = T^{-1} b,
+      cap = I + W^T Z, x = y - Z cap^{-1} W^T y;
+    * otherwise from the rows, solving the missing ones against T^T:
+      cap = I + V^T U, q = cap^{-1} V^T b, x = T^{-1}(b - U q).
 
-    Either way a call costs one tridiagonal sweep plus one per missing solve.
+    Either way a call costs one tridiagonal sweep plus one per missing row
+    solve.
     """
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     m = 0 if columns is None else np.asarray(columns).shape[1]
@@ -237,24 +239,19 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
     b = np.asarray(b, dtype=float)
     if b.size != factor.n:
         raise ValueError(f"right-hand side has length {b.size}, expected {factor.n}")
-    v = [None] * m if row_solves is None else list(row_solves)
-    z = [None] * m if column_solves is None else list(column_solves)
-    need_v = [k for k in range(m) if v[k] is None]
-    need_z = [k for k in range(m) if z[k] is None]
-    if len(need_v) < len(need_z):
-        factor_t = factor.transpose() if need_v else factor
-        for k in need_v:
-            v[k] = thomas_solve(factor_t, rows[k].dense(factor.n))
-        vt = np.array(v) if need_v else np.asarray(row_solves)
-        q = _capacitance_solve(np.eye(m) + vt @ columns, vt @ b, rows)
-        return thomas_solve(factor, b - columns @ q)
-    for k in need_z:
-        z[k] = thomas_solve(factor, columns[:, k])
-    z = np.column_stack(z)
-    wt = np.stack([row.dense(factor.n) for row in rows])
-    y0 = thomas_solve(factor, b)
-    q = _capacitance_solve(np.eye(m) + wt @ z, wt @ y0, rows)
-    return y0 - z @ q
+    if column_solves is not None and all(z is not None for z in column_solves):
+        z = np.column_stack(column_solves)
+        wt = np.stack([row.dense(factor.n) for row in rows])
+        y0 = thomas_solve(factor, b)
+        q = _capacitance_solve(np.eye(m) + wt @ z, wt @ y0, rows)
+        return y0 - z @ q
+    vt = [None] * m if row_solves is None else row_solves
+    if any(v is None for v in vt):
+        factor_t = factor.transpose()
+        vt = [thomas_solve(factor_t, row.dense(factor.n)) if v is None else v for v, row in zip(vt, rows)]
+    vt = np.asarray(vt)
+    q = _capacitance_solve(np.eye(m) + vt @ columns, vt @ b, rows)
+    return thomas_solve(factor, b - columns @ q)
 
 
 def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
@@ -316,7 +313,8 @@ class SolverState:
 
     Every stored level keeps exact zeros at the boundary nodes.  The full
     history is retained because the fractional convolution needs it.  The
-    nodes ``x``, the tridiagonal core and its factor, the interior point-load
+    nodes ``x``, the factor of the tridiagonal core (the core itself is
+    ``factor.matrix``), the interior point-load
     rows, the distributed load's Simpson node weights, constant column and
     interior indices, and the solves of each load's constant side against the
     core do not change in time and are built here once.  ``row_solves`` holds
@@ -335,8 +333,7 @@ class SolverState:
         self.x.flags.writeable = False
         self.backend = backend
         self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
-        self.tridiag = assemble_tridiagonal(grid, problem.alpha, problem.mu)
-        self.factor = thomas_factor(self.tridiag)
+        self.factor = thomas_factor(assemble_tridiagonal(grid, problem.alpha, problem.mu))
         self.load_rows = tuple(
             interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in problem.loads
         )
@@ -421,7 +418,7 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     b = assemble_rhs(state, problem, j, load_parts=parts)
     columns, rows = parts
     if state.backend == "dense":
-        interior = np.linalg.solve(_dense_matrix(state.tridiag, columns, rows), b)
+        interior = np.linalg.solve(_dense_matrix(state.factor.matrix, columns, rows), b)
     else:
         interior = woodbury_solve(
             state.factor, columns, rows, b, row_solves=state.row_solves, column_solves=state.column_solves

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid1D, convergence_order, norm_grad_forward, norm_l2
+from .grids import Grid1D, convergence_order, norm_grad_forward, norm_l2, norm_max
 from .problems import PROBLEMS, make_problem
 from .stepper import solve
 
@@ -115,7 +115,7 @@ class _ErrorTracker:
 
     def __call__(self, j, t, level):
         z = level - np.asarray(self._exact(self._x, t), dtype=float)
-        c = float(np.max(np.abs(z)))
+        c = norm_max(z)
         l2 = norm_l2(z[1:-1], self._h)
         grad = norm_grad_forward(z, self._h)
         self.max_c = max(self.max_c, c)
@@ -245,13 +245,19 @@ def parse_report(text: str, mode: str = "unknown", problem: str = "") -> Converg
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed report line: {line!r}")
-        errs = tuple(float(cell) for cell in (parts[2], parts[4], parts[6]))
-        co = tuple(None if cell == "" else float(cell) for cell in (parts[3], parts[5], parts[7]))
+        try:
+            alpha = float(parts[0])
+            errs = tuple(float(cell) for cell in (parts[2], parts[4], parts[6]))
+            co = tuple(None if cell == "" else float(cell) for cell in (parts[3], parts[5], parts[7]))
+        except ValueError:
+            raise ValueError(f"unreadable number in report line: {line!r}") from None
         if not all(e > 0.0 and np.isfinite(e) for e in errs):
             raise ValueError(f"error cells must be positive and finite in report line: {line!r}")
+        if not all(c is None or np.isfinite(c) for c in (alpha, *co)):
+            raise ValueError(f"alpha and order cells must be finite in report line: {line!r}")
         rows.append(
             StudyRow(
-                alpha=float(parts[0]),
+                alpha=alpha,
                 step_label=parts[1],
                 err_max=errs[0],
                 err_l2=errs[1],
@@ -363,26 +369,30 @@ def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> 
     return CheckResult(passed, tuple(cells), tuple(warnings))
 
 
-def deep_order_check(report: ConvergenceReport, alpha: float = 0.9,
-                     band: tuple[float, float] = (1.29 - 0.1, 1.47 + 0.1),
-                     tail: int = 2) -> tuple[bool, str]:
+DEEP_ALPHA = 0.9
+DEEP_BAND = (1.29 - 0.1, 1.47 + 0.1)
+DEEP_TAIL = 2
+
+
+def deep_order_check(report: ConvergenceReport) -> tuple[bool, str]:
     """Qualitative gate for the finest temporal rungs.
 
     At strong memory (large alpha) the observed orders drift from 2 down
     toward 2-alpha as the steps shrink; exact cell values are too noisy there
     for the percent-level comparison, so this checks the shape instead:
-    strictly decreasing orders below 2 with the last ``tail`` rungs inside
-    ``band``.
+    strictly decreasing orders below 2 at ``DEEP_ALPHA`` with the last
+    ``DEEP_TAIL`` rungs inside ``DEEP_BAND``.
     """
-    cos = [r.co_max for r in report.rows if r.alpha == alpha and r.co_max is not None]
-    if len(cos) < tail + 1:
-        return False, f"not enough rungs at alpha={alpha:g} for the deep order check"
+    cos = [r.co_max for r in report.rows if r.alpha == DEEP_ALPHA and r.co_max is not None]
+    if len(cos) < DEEP_TAIL + 1:
+        return False, f"not enough rungs at alpha={DEEP_ALPHA:g} for the deep order check"
+    lo, hi = DEEP_BAND
     decreasing = all(b < a for a, b in zip(cos, cos[1:]))
     below_two = all(c < 2.0 for c in cos)
-    in_band = all(band[0] <= c <= band[1] for c in cos[-tail:])
+    in_band = all(lo <= c <= hi for c in cos[-DEEP_TAIL:])
     detail = (
-        f"alpha={alpha:g} orders " + ", ".join(f"{c:.4f}" for c in cos)
-        + f"; decreasing={decreasing}, below 2={below_two}, tail in [{band[0]:g}, {band[1]:g}]={in_band}"
+        f"alpha={DEEP_ALPHA:g} orders " + ", ".join(f"{c:.4f}" for c in cos)
+        + f"; decreasing={decreasing}, below 2={below_two}, tail in [{lo:g}, {hi:g}]={in_band}"
     )
     return decreasing and below_two and in_band, detail
 

@@ -9,12 +9,12 @@ from hallaire import (
     CaputoKernel,
     apply_half_layer,
     caputo_power,
-    gamma_const,
     l1_weight,
     l1_weight_array,
     split_half_layer,
     truncation_bound,
 )
+from hallaire.caputo import gamma_const
 from oracles import caputo_by_quadrature
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
@@ -230,12 +230,11 @@ class TestTruncationDecay:
 
 
 class TestKernelObject:
-    def test_extension_preserves_prefix(self):
+    def test_weights_past_nsteps_match_array(self):
         kernel = CaputoKernel(0.45, 0.01, nsteps=3)
-        before = kernel.weights(3).copy()
-        kernel.extend(50)
-        assert np.array_equal(kernel.weights(3), before)
-        assert kernel.weights(50).shape == (51,)
+        assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
+        assert np.array_equal(kernel.weights(50), l1_weight_array(50, 0.45))
+        assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
 
     def test_scale_factor(self):
         kernel = CaputoKernel(0.5, 0.1)
@@ -246,3 +245,10 @@ class TestKernelObject:
             CaputoKernel(1.2, 0.1)
         with pytest.raises(ValueError):
             CaputoKernel(0.5, 0.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CaputoKernel(0.5, tau)
+        kernel = CaputoKernel(0.5, 0.1, nsteps=4)
+        for j in (-1, -2, -5):
+            with pytest.raises(ValueError):
+                kernel.weights(j)

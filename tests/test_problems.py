@@ -9,10 +9,10 @@ from hallaire import (
     ProblemSpec,
     benchmark_problem,
     caputo_power,
-    integral_benchmark_problem,
     make_problem,
     manufactured_problem,
 )
+from hallaire.problems import integral_benchmark_problem
 from oracles import caputo_by_quadrature
 
 
@@ -153,6 +153,16 @@ class TestProblemSpec:
     def test_mu_must_be_positive(self):
         with pytest.raises(ValueError):
             manufactured_problem(1, ((1.0, 2.0),), 0.5, mu=0.0)
+
+    @pytest.mark.parametrize(
+        "length, final_time, mu",
+        [(1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (math.inf, 1.0, 1.0),
+         (1.0, math.inf, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0)],
+    )
+    def test_non_finite_values_rejected(self, length, final_time, mu):
+        zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError):
+            ProblemSpec(length, final_time, 0.5, mu, (), zero, lambda x: np.zeros_like(x))
 
     def test_load_ordering_enforced(self):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))

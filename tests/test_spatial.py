@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallaire import (
-    Grid1D,
-    build_load_stencil,
-    compact_average,
-    evaluate_load,
-    second_difference,
-    simpson_integral,
-)
+from hallaire import Grid1D, compact_average, second_difference
+from hallaire.spatial import build_load_stencil, simpson_integral
 
 
 class TestSecondDifference:
@@ -112,7 +106,7 @@ class TestLoadStencil:
     def test_cubic_reproduction_at_benchmark_point(self):
         g = Grid1D(1.0, 1.0, 24, 1)
         st_ = build_load_stencil(0.2, g)
-        assert evaluate_load(g.x**3, st_) == pytest.approx(0.008, abs=1e-14)
+        assert st_.weights @ (g.x**3)[st_.nodes] == pytest.approx(0.008, abs=1e-14)
 
     @given(pos=st.floats(0.1, 0.9))
     @settings(deadline=None, max_examples=60)
@@ -121,7 +115,7 @@ class TestLoadStencil:
         st_ = build_load_stencil(pos, g)
         for coeffs in ((1.0, 0.0, 0.0, 0.0), (0.3, -2.0, 1.5, 0.25)):
             poly = np.polynomial.Polynomial(coeffs)
-            assert evaluate_load(poly(g.x), st_) == pytest.approx(poly(pos), rel=1e-13, abs=1e-13)
+            assert st_.weights @ poly(g.x)[st_.nodes] == pytest.approx(poly(pos), rel=1e-13, abs=1e-13)
 
     def test_boundary_window_allowed_on_coarse_grid(self):
         # x = 0.2 on six intervals anchors at node 1; the window reaches node 0
@@ -129,7 +123,7 @@ class TestLoadStencil:
         st_ = build_load_stencil(0.2, g)
         assert st_.anchor == 1
         assert st_.nodes[0] == 0
-        assert evaluate_load(g.x**2, st_) == pytest.approx(0.04, abs=1e-14)
+        assert st_.weights @ (g.x**2)[st_.nodes] == pytest.approx(0.04, abs=1e-14)
 
     def test_too_close_to_boundary_rejected(self):
         g = Grid1D(1.0, 1.0, 10, 1)
@@ -146,27 +140,23 @@ class TestLoadStencil:
 
 
 class TestEvaluateLoad:
+    """The interpolated value ``weights @ v[nodes]`` of a load stencil."""
+
     def test_constant(self):
         g = Grid1D(1.0, 1.0, 12, 1)
         st_ = build_load_stencil(0.37, g)
-        assert evaluate_load(np.full(13, 2.5), st_) == pytest.approx(2.5, rel=1e-14)
+        assert st_.weights @ np.full(13, 2.5)[st_.nodes] == pytest.approx(2.5, rel=1e-14)
 
     def test_quadratic(self):
         g = Grid1D(1.0, 1.0, 12, 1)
         st_ = build_load_stencil(0.37, g)
-        assert evaluate_load(g.x**2, st_) == pytest.approx(0.37**2, abs=1e-14)
+        assert st_.weights @ (g.x**2)[st_.nodes] == pytest.approx(0.37**2, abs=1e-14)
 
     def test_sine_fourth_order(self):
         g = Grid1D(1.0, 1.0, 24, 1)
         st_ = build_load_stencil(0.5, g)
-        got = evaluate_load(np.sin(3.0 * math.pi * g.x), st_)
+        got = st_.weights @ np.sin(3.0 * math.pi * g.x)[st_.nodes]
         assert abs(got - (-1.0)) <= 10.0 * g.h**4
-
-    def test_index_out_of_range(self):
-        g = Grid1D(1.0, 1.0, 12, 1)
-        st_ = build_load_stencil(0.9, g)
-        with pytest.raises(ValueError):
-            evaluate_load(np.zeros(5), st_)
 
 
 class TestSimpson:

@@ -10,23 +10,27 @@ from hallaire import (
     Grid1D,
     PointLoad,
     ProblemSpec,
-    SolverState,
     Tridiagonal,
-    assemble_load_columns,
-    assemble_rhs,
-    assemble_tridiagonal,
     benchmark_problem,
     compact_average,
-    integral_benchmark_problem,
     manufactured_problem,
     solve,
-    stability_step_limit,
-    step,
-    thomas_solve,
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.stepper import BLOCK, LoadRow, thomas_factor
+from hallaire.problems import integral_benchmark_problem
+from hallaire.stepper import (
+    BLOCK,
+    LoadRow,
+    SolverState,
+    assemble_load_columns,
+    assemble_rhs,
+    assemble_tridiagonal,
+    stability_step_limit,
+    step,
+    thomas_factor,
+    thomas_solve,
+)
 from oracles import dense_march
 
 

@@ -4,20 +4,38 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hallaire import (
-    ConvergenceReport,
     StudyConfig,
-    StudyRow,
     convergence_order,
     deep_order_check,
     emit_report,
-    load_reference,
     parse_report,
     run_study,
     self_check,
 )
 from hallaire.cli import main
 from hallaire.problems import PROBLEMS, ProblemSpec
-from hallaire.study import build_config, parse_config_file, parse_count, table2_config
+from hallaire.study import (
+    ConvergenceReport,
+    StudyRow,
+    build_config,
+    load_reference,
+    parse_config_file,
+    parse_count,
+    table2_config,
+)
+
+HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
+
+# Report lines with one cell that cannot be read or is not finite.
+BAD_REPORT_LINES = {
+    "alpha-x": "x,1/10,1.0e-3,,1.0e-3,,1.0e-2,",
+    "alpha-nan": "nan,1/10,1.0e-3,,1.0e-3,,1.0e-2,",
+    "err_C-abc": "0.5,1/10,abc,,1.0e-3,,1.0e-2,",
+    "co_C-x": "0.5,1/10,1.0e-3,x,1.0e-3,,1.0e-2,",
+    "co_C-nan": "0.5,1/10,1.0e-3,nan,1.0e-3,,1.0e-2,",
+    "co_L2-inf": "0.5,1/10,1.0e-3,,1.0e-3,inf,1.0e-2,",
+    "co_grad-minus-inf": "0.5,1/10,1.0e-3,,1.0e-3,,1.0e-2,-inf",
+}
 
 
 def tiny_temporal_config(**overrides):
@@ -112,6 +130,12 @@ class TestEmission:
         second = emit_report(run_study(config))
         assert first == second
         assert emit_report(parse_report(first)) == first
+
+    @pytest.mark.parametrize("line", list(BAD_REPORT_LINES.values()), ids=list(BAD_REPORT_LINES))
+    def test_bad_cell_names_the_line(self, line):
+        with pytest.raises(ValueError) as exc:
+            parse_report(f"{HEADER}\n0.5,1/5,2.0e-3,,2.0e-3,,2.0e-2,\n{line}\n")
+        assert line in str(exc.value)
 
     def test_markdown_layout(self):
         report = run_study(tiny_temporal_config())
@@ -346,6 +370,17 @@ class TestCli:
         assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "nan" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["alpha-x", "co_C-nan"])
+    def test_bad_reference_cell_exits_two(self, tmp_path, capsys, name):
+        line = BAD_REPORT_LINES[name]
+        ref = tmp_path / "bad.csv"
+        ref.write_text(f"{HEADER}\n{line}\n")
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = {ref}\n")
+        assert main(["self-check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert line in err and len(err.strip().splitlines()) == 1
 
     def test_usage_errors_exit_two(self, tmp_path):
         assert main(["run", "--mode", "spatial", "--alpha", "0.5"]) == 2
