@@ -127,13 +127,13 @@ def split_half_layer(history, kernel: CaputoKernel, j: int | None = None):
 
 
 def caputo_power(p: float, alpha: float, t):
-    """Closed-form Caputo derivative of t**p: Gamma(p+1)/Gamma(p+1-alpha) t**(p-alpha)."""
+    """Caputo derivative of t**p, Gamma(p+1)/Gamma(p+1-alpha) t**(p-alpha); 0 for t <= 0."""
     check_alpha(alpha)
-    if p <= 0.0:
-        raise ValueError(f"exponent must be positive, got {p}")
+    if not (p > 0.0 and math.isfinite(p)):
+        raise ValueError(f"exponent must be positive and finite, got {p}")
     coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     tt = np.asarray(t, dtype=float)
-    out = np.zeros_like(tt)
+    out = np.where(np.isnan(tt), np.nan, 0.0)
     nz = tt > 0.0
     out[nz] = coef * tt[nz] ** (p - alpha)
     return float(out) if out.ndim == 0 else out
@@ -146,9 +146,9 @@ def truncation_bound(alpha: float, tau: float, m2: float) -> float:
     decays like tau**(2-alpha).
     """
     check_alpha(alpha)
-    if tau <= 0.0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    if m2 < 0.0:
-        raise ValueError(f"second-derivative bound must be nonnegative, got {m2}")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"time step must be positive and finite, got {tau}")
+    if not (m2 >= 0.0 and math.isfinite(m2)):
+        raise ValueError(f"second-derivative bound must be nonnegative and finite, got {m2}")
     lead = 2.0 ** alpha * m2 / (4.0 * math.gamma(2.0 - alpha))
     return lead * ((1.0 - alpha) / 2.0 + 1.0) * tau ** (2.0 - alpha)

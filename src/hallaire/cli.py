@@ -24,12 +24,6 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--backend", choices=("woodbury", "dense"), default=None,
-                        help="linear solver for the per-step systems")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hallaire",
@@ -48,7 +42,7 @@ def _build_parser():
                        help="comma-separated step counts or steps (e.g. 10,20 or 1/10,1/20)")
     run_p.add_argument("--problem", default=None)
     run_p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    _add_solver_flags(run_p)
+    run_p.add_argument("--out", default=None, help="write the report to this path")
 
     check_p = sub.add_parser(
         "self-check",
@@ -59,7 +53,7 @@ def _build_parser():
                          help="include the costly fine time rungs of table 2")
     check_p.add_argument("--config", default=None,
                          help="run a custom config (with a reference) instead of a preset")
-    _add_solver_flags(check_p)
+    check_p.add_argument("--out", default=None, help="write the computed report to this path")
     return parser
 
 
@@ -82,7 +76,6 @@ def _config_from_args(args) -> StudyConfig:
         "nx": args.nx,
         "nt": args.nt,
         "problem": args.problem,
-        "backend": args.backend,
         "out": args.out,
     }
     values.update({k: v for k, v in overrides.items() if v is not None})
@@ -103,16 +96,13 @@ def _cmd_self_check(args) -> int:
                 "--deep applies to the bundled --table 2 preset; spell the full "
                 "ladder out in the config file instead"
             )
-        values = parse_config_file(args.config)
-        if args.backend is not None:
-            values["backend"] = args.backend
-        config = build_config(values)
+        config = build_config(parse_config_file(args.config))
         if config.reference is None:
             raise ValueError("self-check configs need a 'reference' entry")
     elif args.table == "1":
-        config = table1_config(backend=args.backend or "woodbury")
+        config = table1_config()
     else:
-        config = table2_config(deep=args.deep, backend=args.backend or "woodbury")
+        config = table2_config(deep=args.deep)
     report = run_study(config)
     deep_line = None
     if args.table == "2" and args.deep and not args.config:

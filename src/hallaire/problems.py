@@ -16,6 +16,11 @@ Evaluator = Callable[[np.ndarray, float], np.ndarray]
 SpaceFunc = Callable[[np.ndarray], np.ndarray]
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PointLoad:
     """One interior sampling point and its coefficient q(x, t)."""
@@ -50,9 +55,7 @@ class ProblemSpec:
     def __post_init__(self):
         check_alpha(self.alpha)
         for name in ("length", "final_time", "mu"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
         xs = [ld.position for ld in self.loads]
         if any(not 0.0 < x < self.length for x in xs):
             raise ValueError(f"load points {xs} must lie strictly inside (0, {self.length})")
@@ -81,12 +84,13 @@ def manufactured_problem(
     closed form to keep the forcing exact.
     """
     check_alpha(alpha)
-    if mode != int(mode) or mode < 1:
+    if not (math.isfinite(mode) and mode == int(mode) and mode >= 1):
         raise ValueError(f"spatial mode count must be a positive integer, got {mode}")
+    _check_positive("length", length)
     terms = tuple((float(a), float(p)) for a, p in time_terms)
-    for _, p in terms:
-        if p <= 1.0:
-            raise ValueError(f"time exponents must exceed 1, got {p}")
+    for a, p in terms:
+        if not (math.isfinite(a) and math.isfinite(p) and p > 1.0):
+            raise ValueError(f"time terms need finite coefficients and exponents above 1, got {(a, p)}")
     k = mode * math.pi / length
     kk = k * k
 

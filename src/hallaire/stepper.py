@@ -1,15 +1,15 @@
 """Per-step assembly and solution of the implicit half-layer scheme.
 
 Each step solves a constant tridiagonal system T plus a low-rank correction
-carrying the load terms, by the Woodbury identity, with a dense LU fallback
-selectable for cross-validation.  T is factored once per solve.  Each load
-has one side that does not change in time (the row of a point load, the
-column of the distributed load); it is solved against T once per solve too,
-so a step costs one tridiagonal sweep, plus one per distributed load when
-point loads are also present.  The factor keeps the Thomas elimination as
-block inverses with scalar carries between blocks (a partitioned solver in
-the manner of H. H. Wang, ACM TOMS 7(2), 1981), so a sweep is a batched numpy
-matvec and a chain over the blocks, not a loop over the unknowns.
+carrying the load terms, by the Woodbury identity.  T is factored once per
+solve.  Each load has one side that does not change in time (the row of a
+point load, the column of the distributed load); it is solved against T once
+per solve too, so a step costs one tridiagonal sweep, plus one per
+distributed load when point loads are also present.  The factor keeps the
+Thomas elimination as block inverses with scalar carries between blocks (a
+partitioned solver in the manner of H. H. Wang, ACM TOMS 7(2), 1981), so a
+sweep is a batched numpy matvec and a chain over the blocks, not a loop over
+the unknowns.
 """
 
 from __future__ import annotations
@@ -323,15 +323,12 @@ class SolverState:
     each point load and the distributed load's column solve.
     """
 
-    def __init__(self, problem: ProblemSpec, grid: Grid1D, backend: str = "woodbury"):
-        if backend not in ("woodbury", "dense"):
-            raise ValueError(f"unknown backend {backend!r}; choices: woodbury, dense")
+    def __init__(self, problem: ProblemSpec, grid: Grid1D):
         if problem.integral_load is not None and grid.nx % 2 != 0:
             raise ValueError("the distributed load needs an even number of spatial intervals")
         self.grid = grid
         self.x = grid.x
         self.x.flags.writeable = False
-        self.backend = backend
         self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
         self.factor = thomas_factor(assemble_tridiagonal(grid, problem.alpha, problem.mu))
         self.load_rows = tuple(
@@ -356,10 +353,6 @@ class SolverState:
         y0[-1] = 0.0
         self.levels[0] = y0
         self.j = 0
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.levels[self.j]
 
 
 def _history_sum(levels: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
@@ -395,18 +388,6 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     return b
 
 
-def _dense_matrix(tri: Tridiagonal, columns: np.ndarray, rows) -> np.ndarray:
-    n = tri.n
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = tri.diag
-    a[idx[:-1], idx[:-1] + 1] = tri.upper
-    a[idx[1:], idx[1:] - 1] = tri.lower
-    for col, row in zip(columns.T, rows):
-        a[:, row.cols] += np.outer(col, row.weights)
-    return a
-
-
 def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     """Advance the state by one time level."""
     grid = state.grid
@@ -416,13 +397,9 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     t_half = (j + 0.5) * grid.tau
     parts = assemble_load_columns(state, problem, t_half)
     b = assemble_rhs(state, problem, j, load_parts=parts)
-    columns, rows = parts
-    if state.backend == "dense":
-        interior = np.linalg.solve(_dense_matrix(state.factor.matrix, columns, rows), b)
-    else:
-        interior = woodbury_solve(
-            state.factor, columns, rows, b, row_solves=state.row_solves, column_solves=state.column_solves
-        )
+    interior = woodbury_solve(
+        state.factor, *parts, b, row_solves=state.row_solves, column_solves=state.column_solves
+    )
     if not np.isfinite(interior).all():
         raise FloatingPointError(
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
@@ -452,7 +429,7 @@ def _notify(observers, j, t, level):
             raise RuntimeError(f"observer failed at time level {j}") from exc
 
 
-def solve(problem: ProblemSpec, grid: Grid1D, observers=(), backend: str = "woodbury") -> SolverState:
+def solve(problem: ProblemSpec, grid: Grid1D, observers=()) -> SolverState:
     """March all time steps; observers see every stored level in order."""
     if not (
         math.isclose(grid.length, problem.length)
@@ -466,7 +443,7 @@ def solve(problem: ProblemSpec, grid: Grid1D, observers=(), backend: str = "wood
             RuntimeWarning,
             stacklevel=2,
         )
-    state = SolverState(problem, grid, backend=backend)
+    state = SolverState(problem, grid)
     _notify(observers, 0, 0.0, state.levels[0])
     for j in range(grid.nt):
         step(state, problem)

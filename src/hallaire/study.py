@@ -41,7 +41,6 @@ class StudyConfig:
     alphas: tuple[float, ...]
     ladder: tuple[tuple[int, int], ...]  # (nx, nt) per rung
     problem: str = "benchmark"
-    backend: str = "woodbury"
     out: str | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     reference: str | None = None
@@ -49,8 +48,6 @@ class StudyConfig:
     def __post_init__(self):
         if self.mode not in ("spatial", "temporal"):
             raise ValueError(f"mode must be 'spatial' or 'temporal', got {self.mode!r}")
-        if self.backend not in ("woodbury", "dense"):
-            raise ValueError(f"backend must be 'woodbury' or 'dense', got {self.backend!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; choices: {sorted(PROBLEMS)}")
         if not self.alphas:
@@ -149,7 +146,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
         for nx, nt in config.ladder:
             grid = Grid1D(problem.length, problem.final_time, nx, nt)
             tracker = _ErrorTracker(problem, grid)
-            solve(problem, grid, observers=(tracker,), backend=config.backend)
+            solve(problem, grid, observers=(tracker,))
             if config.mode == "spatial":
                 label = _step_label(probe.length, nx)
             else:
@@ -325,7 +322,8 @@ def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> 
 
     Failures are recorded in the result, not raised.  If an error cell misses
     the tolerance but its final-level variant would pass, the cell is noted
-    accordingly.
+    accordingly.  Rows missing from the reference are warned about; a study
+    with none in the reference is a ValueError, as comparing nothing proves nothing.
     """
     if config.reference is None:
         raise ValueError("self-check needs a reference table")
@@ -363,8 +361,7 @@ def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> 
             dev = abs(got - want)
             cells.append(CellCheck(row.alpha, row.step_label, column, got, want, dev, co_tol, dev <= co_tol))
     if not cells:
-        warnings.append("reference contained no comparable cells")
-        return CheckResult(True, (), tuple(warnings))
+        raise ValueError(f"reference {config.reference!r} has no entry for any row of the study")
     passed = all(c.ok for c in cells)
     return CheckResult(passed, tuple(cells), tuple(warnings))
 
@@ -401,20 +398,19 @@ TABLE2_DEFAULT_NT = (10, 20, 40, 80, 160)
 TABLE2_DEEP_NT = (320, 640, 1280, 2560, 5120)
 
 
-def table1_config(backend: str = "woodbury") -> StudyConfig:
+def table1_config() -> StudyConfig:
     """Spatial-refinement preset matching the bundled reference table 1."""
     return StudyConfig(
         mode="spatial",
         alphas=(0.1, 0.5, 0.9),
         ladder=((6, 10000), (12, 10000), (24, 10000)),
         problem="benchmark",
-        backend=backend,
         tolerances=Tolerances(first_co_atol=0.15),
         reference="table1",
     )
 
 
-def table2_config(deep: bool = False, backend: str = "woodbury") -> StudyConfig:
+def table2_config(deep: bool = False) -> StudyConfig:
     """Temporal-refinement preset matching the bundled reference table 2.
 
     The finest rungs cost O(nt^2 * nx) and stay behind ``deep``.
@@ -425,7 +421,6 @@ def table2_config(deep: bool = False, backend: str = "woodbury") -> StudyConfig:
         alphas=(0.1, 0.5, 0.9),
         ladder=tuple((1000, nt) for nt in nts),
         problem="benchmark",
-        backend=backend,
         reference="table2",
     )
 
@@ -460,7 +455,7 @@ def parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(alphas)
 
 
-CONFIG_KEYS = ("mode", "problem", "backend", "out", "alpha", "nx", "nt", "reference")
+CONFIG_KEYS = ("mode", "problem", "out", "alpha", "nx", "nt", "reference")
 
 
 def parse_config_file(path) -> dict:
@@ -512,7 +507,6 @@ def build_config(values: dict) -> StudyConfig:
         alphas=alphas,
         ladder=ladder,
         problem=problem,
-        backend=values.get("backend", "woodbury"),
         out=values.get("out"),
         reference=values.get("reference"),
     )

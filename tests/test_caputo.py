@@ -164,8 +164,14 @@ class TestCaputoPower:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_invalid_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            caputo_power(0.0, 0.5, 1.0)
+        for p in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="exponent"):
+                caputo_power(p, 0.5, 1.0)
+
+    def test_nan_time_gives_nan(self):
+        assert math.isnan(caputo_power(2.0, 0.5, math.nan))
+        got = caputo_power(2.0, 0.5, np.array([math.nan, 0.0, -1.0]))
+        assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 0.0
 
 
 class TestTruncationBound:
@@ -181,6 +187,14 @@ class TestTruncationBound:
             b1 = truncation_bound(alpha, 0.02, 3.0)
             b2 = truncation_bound(alpha, 0.01, 3.0)
             assert b1 / b2 == pytest.approx(2.0 ** (2.0 - alpha), rel=1e-13)
+
+    def test_invalid_arguments(self):
+        for tau in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time step"):
+                truncation_bound(0.5, tau, 1.0)
+        for m2 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="second-derivative bound"):
+                truncation_bound(0.5, 0.1, m2)
 
 
 def _max_half_layer_error(u, exact, alpha, tau, nsteps, m2_of_t):

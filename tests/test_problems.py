@@ -139,14 +139,22 @@ class TestManufactured:
             assert abs(residual_at(p, (), 2, xx, tt)) <= 1e-10
 
     def test_shallow_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            manufactured_problem(3, ((1.0, 1.0),), 0.5)
-        with pytest.raises(ValueError):
-            manufactured_problem(3, ((1.0, 0.5),), 0.5)
+        bad_terms = (
+            (1.0, 1.0), (1.0, 0.5), (1.0, math.nan), (1.0, math.inf), (math.nan, 2.0), (math.inf, 2.0)
+        )
+        for a, p in bad_terms:
+            with pytest.raises(ValueError, match="time terms"):
+                manufactured_problem(3, ((a, p),), 0.5)
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            manufactured_problem(0, ((1.0, 2.0),), 0.5)
+        for mode in (0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mode"):
+                manufactured_problem(mode, ((1.0, 2.0),), 0.5)
+
+    def test_bad_length_rejected_before_use(self):
+        for length in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="length"):
+                manufactured_problem(3, ((1.0, 2.0),), 0.5, length=length)
 
 
 class TestProblemSpec:

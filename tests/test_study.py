@@ -66,10 +66,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_temporal_config(problem="mystery")
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            tiny_temporal_config(backend="qr")
-
 
 class TestRunStudy:
     def test_single_rung_has_no_orders(self):
@@ -183,13 +179,21 @@ class TestSelfCheck:
         assert any(cell.column == "err_C" and cell.step == "1/10" for cell in failures)
         assert "FAIL" in result.summary()
 
-    def test_empty_reference_degenerate_pass(self, tmp_path):
+    def test_empty_reference_rejected(self, tmp_path):
         ref = tmp_path / "empty.csv"
         ref.write_text("alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad\n")
         config = tiny_temporal_config(reference=str(ref))
+        with pytest.raises(ValueError, match="empty.csv"):
+            self_check(config)
+
+    def test_partial_cover_keeps_warnings(self):
+        config = tiny_temporal_config(
+            alphas=(0.5,), ladder=((1000, 10), (1000, 30)), reference="table2"
+        )
         result = self_check(config)
         assert result.passed
-        assert result.warnings
+        assert len(result.cells) == 3
+        assert result.warnings == ("no reference entry for alpha=0.5, step=1/30",)
 
     def test_reference_required(self):
         with pytest.raises(ValueError):
@@ -391,6 +395,32 @@ class TestCli:
             main(["run", "--format", "toml"])
         assert exc.value.code == 2
 
+    def test_uncovered_self_check_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("mode = temporal\nalpha = 0.3\nnx = 50\nnt = 4,8\nreference = table2\n")
+        assert main(["self-check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "PASSED" not in captured.out
+        assert "'table2'" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command", [["run", "--mode", "temporal", "--nx", "8", "--nt", "4"], ["self-check"]]
+    )
+    def test_backend_flag_is_a_usage_error(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--backend", "dense"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "self-check"])
+    def test_backend_config_key_exits_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            "mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = table2\nbackend = dense\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'backend'" in err and len(err.strip().splitlines()) == 1
+
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
@@ -414,7 +444,9 @@ def cli_files(tmp_path_factory):
 
 # Tokens for the CLI fuzz: every count is at most 16 and every nt at most 32,
 # so no generated command starts a large solve.
-_JUNK = st.sampled_from(["", " ", "-", "--", "-x", "--bogus", "nan", "1e400", "1/0", "ten", ",", "0.5,", "\x00"])
+_JUNK = st.sampled_from(
+    ["", " ", "-", "--", "-x", "--bogus", "--backend", "nan", "1e400", "1/0", "ten", ",", "0.5,", "\x00"]
+)
 _COUNT = st.one_of(st.integers(-2, 16).map(str), st.integers(0, 16).map(lambda k: f"1/{k}"), _JUNK)
 _NT = st.one_of(st.integers(-2, 32).map(str), st.integers(0, 32).map(lambda k: f"1/{k}"), _JUNK)
 _ALPHA = st.one_of(st.sampled_from(["0", "1", "-0.5", "0.1", "0.5", "0.9", "0.999", "inf"]), _JUNK)
@@ -442,7 +474,6 @@ def _run_argv(outs):
         _flag("--nt", _ladder(_NT)),
         _flag("--problem", st.one_of(st.sampled_from(["benchmark", "integral-load"]), _JUNK)),
         _flag("--format", st.sampled_from(["csv", "markdown", "toml"])),
-        _flag("--backend", st.sampled_from(["woodbury", "sparse"])),
         _flag("--out", st.sampled_from(outs)),
         _JUNK.map(lambda tok: [tok]),
     )
@@ -458,7 +489,6 @@ def _self_check_argv(configs, outs):
     groups = st.one_of(
         _flag("--table", st.sampled_from(["1", "2", "3"])),
         st.just(["--deep"]),
-        _flag("--backend", st.sampled_from(["woodbury", "sparse"])),
         _flag("--out", st.sampled_from(outs)),
         _JUNK.map(lambda tok: [tok]),
     )
