@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import CaputoKernel, check_alpha, gamma_const
+from .caputo import CaputoKernel, HistoryModes, check_alpha, gamma_const
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
@@ -202,7 +202,11 @@ def thomas_solve(tri, b) -> np.ndarray:
     return x.reshape(-1)[:n]
 
 
-def _capacitance_solve(cap: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
+def _capacitance_solve(left: np.ndarray, right: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
+    """Solve (I + left @ right) q = g."""
+    cap = left @ right
+    # a fresh product is C-contiguous, so ravel() is a view of it
+    cap.ravel()[:: cap.shape[0] + 1] += 1.0
     try:
         return np.linalg.solve(cap, g)
     except np.linalg.LinAlgError as exc:
@@ -243,14 +247,14 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
         z = np.column_stack(column_solves)
         wt = np.stack([row.dense(factor.n) for row in rows])
         y0 = thomas_solve(factor, b)
-        q = _capacitance_solve(np.eye(m) + wt @ z, wt @ y0, rows)
+        q = _capacitance_solve(wt, z, wt @ y0, rows)
         return y0 - z @ q
     vt = [None] * m if row_solves is None else row_solves
     if any(v is None for v in vt):
         factor_t = factor.transpose()
         vt = [thomas_solve(factor_t, row.dense(factor.n)) if v is None else v for v, row in zip(vt, rows)]
     vt = np.asarray(vt)
-    q = _capacitance_solve(np.eye(m) + vt @ columns, vt @ b, rows)
+    q = _capacitance_solve(vt, columns, vt @ b, rows)
     return thomas_solve(factor, b - columns @ q)
 
 
@@ -312,7 +316,10 @@ class SolverState:
     """Marching state: stored levels, per-solve constants, and the step index.
 
     Every stored level keeps exact zeros at the boundary nodes.  The full
-    history is retained because the fractional convolution needs it.  The
+    history is retained; the fractional convolution reads all of it on short
+    marches, and on long ones only the levels since the checkpoint of
+    ``modes``, the :class:`HistoryModes` that carry the older differences
+    (``None`` when the kernel fitted no exponential tail).  The
     nodes ``x``, the factor of the tridiagonal core (the core itself is
     ``factor.matrix``), the interior point-load
     rows, the distributed load's Simpson node weights, constant column and
@@ -348,6 +355,7 @@ class SolverState:
             self.row_solves = (*self.row_solves, None)
             self.column_solves += (thomas_solve(self.factor, self.integral_column),)
         self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
+        self.modes = None if self.kernel.soe is None else HistoryModes(self.kernel.soe, grid.nx + 1)
         y0 = np.array(_sample(problem.initial(self.x), self.x.shape))
         y0[0] = 0.0
         y0[-1] = 0.0
@@ -355,11 +363,15 @@ class SolverState:
         self.j = 0
 
 
-def _history_sum(levels: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
-    # c_0 y^j - sum_{s=0}^{j-1} c_{j-s} (y^{s+1} - y^s) as one weight per
-    # stored level: level k carries c_{j-k} - c_{j-k+1}, with c_{j+1} = 0.
-    g = np.diff(w[: j + 1][::-1], prepend=0.0)
-    return g @ levels[: j + 1]
+def _history_sum(levels: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes | None = None) -> np.ndarray:
+    # c_0 y^j - sum_{s=0}^{j-1} c_{j-s} (y^{s+1} - y^s).  The levels from
+    # the checkpoint S on carry one folded weight each (all levels when S = 0);
+    # the differences before S come from the modes.
+    start = 0 if modes is None else modes.catch_up(levels, j)
+    out = kernel.folded(j - start) @ levels[start : j + 1]
+    if start:
+        out += modes.tail(j)
+    return out
 
 
 def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=None) -> np.ndarray:
@@ -375,7 +387,7 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     t_half = (j + 0.5) * tau
     kernel = state.kernel
     f = _sample(problem.forcing(state.x, t_half), state.x.shape)
-    nodal = kernel.scale * _history_sum(state.levels, kernel.weights(j), j) + f
+    nodal = kernel.scale * _history_sum(state.levels, kernel, j, state.modes) + f
     b = compact_average(nodal)
     b += (0.5 - problem.mu / tau) * second_difference(state.levels[j], grid.h)
     if load_parts is None:

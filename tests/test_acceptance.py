@@ -35,6 +35,7 @@ from hallaire import (
 )
 from hallaire.stepper import LoadRow
 from test_problems import _benchmark_terms, residual_at
+from test_stepper import march
 
 RUN_DEEP = os.environ.get("HALLAIRE_DEEP", "") == "1"
 
@@ -89,6 +90,23 @@ def test_c2_deep_temporal_orders():
     ok, detail = deep_order_check(report)
     _report_line(2, ok, f"deep rungs, {detail}")
     assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "nt", [1280, pytest.param(5120, marks=pytest.mark.skipif(not RUN_DEEP, reason="set HALLAIRE_DEEP=1"))]
+)
+def test_c2_windowed_history_on_deep_grid(nt):
+    # The windowed history changes only the tail of the convolution; the
+    # round-off floor of merely reordering the exact sum is about 3.5e-12 here.
+    problem = make_problem("benchmark", 0.9)
+    grid = Grid1D(1.0, 1.0, 1000, nt)
+    windowed = march(problem, grid)
+    exact = march(problem, grid, windowed=False)
+    gap = float(np.max(np.abs(windowed.levels - exact.levels)))
+    ok = windowed.modes is not None and gap <= 1e-10
+    _report_line(2, ok, f"windowed history at nt={nt}: {windowed.kernel.soe.nodes.size} modes, "
+                 f"fit error {windowed.kernel.soe.error:.2e}, levels within {gap:.2e} of the exact history")
+    assert ok
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])

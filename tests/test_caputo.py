@@ -14,8 +14,8 @@ from hallaire import (
     split_half_layer,
     truncation_bound,
 )
-from hallaire.caputo import gamma_const
-from oracles import caputo_by_quadrature
+from hallaire.caputo import HISTORY_WINDOW, gamma_const
+from oracles import caputo_by_quadrature, l1_weights_direct
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
 
@@ -266,3 +266,39 @@ class TestKernelObject:
         for j in (-1, -2, -5):
             with pytest.raises(ValueError):
                 kernel.weights(j)
+
+
+class TestExponentialTail:
+    @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
+    @pytest.mark.parametrize("nsteps", [400, 1280, 10_000, 100_000])
+    def test_fit_error_is_small(self, alpha, nsteps):
+        fit = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).soe
+        assert fit is not None
+        assert 0.0 < fit.error <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
+    def test_recorded_error_is_the_measured_one(self, alpha):
+        nsteps = 2000
+        fit = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).soe
+        k = np.arange(HISTORY_WINDOW, nsteps + 1)
+        want = l1_weights_direct(nsteps, alpha)[HISTORY_WINDOW:]
+        got = np.array([math.fsum(fit.weights * np.exp(-kk * fit.nodes)) for kk in k])
+        assert np.max(np.abs(got / want - 1.0)) == pytest.approx(fit.error, rel=1e-2)
+
+    @pytest.mark.parametrize("nsteps", [0, 1, 32, 160, 320, 396])
+    def test_short_marches_fit_nothing(self, nsteps):
+        assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe is None
+
+    def test_first_windowed_march(self):
+        # from 397 steps the windowed history reads at most half the levels
+        assert CaputoKernel(0.5, 0.01, nsteps=397).soe is not None
+
+    @pytest.mark.parametrize("nsteps", [0, 1, 5, 400])
+    def test_folded_weights(self, nsteps):
+        kernel = CaputoKernel(0.37, 0.01, nsteps=nsteps)
+        for j in {0, 1, nsteps // 2, nsteps, nsteps + 3}:
+            # g_0 = c_j, g_k = c_{j-k} - c_{j-k+1}: the same operands as differencing c_j..c_0
+            want = np.diff(l1_weight_array(j, 0.37)[::-1], prepend=0.0)
+            assert np.array_equal(kernel.folded(j), want)
+        with pytest.raises(ValueError):
+            kernel.folded(-1)

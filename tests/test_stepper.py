@@ -13,16 +13,19 @@ from hallaire import (
     Tridiagonal,
     benchmark_problem,
     compact_average,
+    make_problem,
     manufactured_problem,
     solve,
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
+from hallaire.caputo import CaputoKernel, HistoryModes
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
     LoadRow,
     SolverState,
+    _history_sum,
     assemble_load_columns,
     assemble_rhs,
     assemble_tridiagonal,
@@ -357,6 +360,81 @@ class TestRhs:
         state = SolverState(p, g)
         with pytest.raises(ValueError):
             assemble_rhs(state, p, 1)
+
+
+def march(problem, grid, windowed=True):
+    """Levels of a full march; ``windowed=False`` sums the whole history exactly."""
+    state = SolverState(problem, grid)
+    if not windowed:
+        state.modes = None
+    for _ in range(grid.nt):
+        step(state, problem)
+    return state
+
+
+class TestWindowedHistory:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.011, 0.989),
+        nsteps=st.integers(450, 1500),
+        width=st.integers(1, 5),
+        shape=st.sampled_from(["walk", "noise", "smooth", "constant"]),
+        size=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_windowed_sum_matches_exact_sum(self, seed, alpha, nsteps, width, shape, size):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 1.0, nsteps + 1)[:, None]
+        levels = {
+            "walk": np.cumsum(rng.standard_normal((nsteps + 1, width)), axis=0),
+            "noise": rng.standard_normal((nsteps + 1, width)),
+            "smooth": np.sin(rng.uniform(1.0, 9.0, width) * t) + t**3,
+            "constant": np.broadcast_to(rng.standard_normal(width), (nsteps + 1, width)),
+        }[shape] * size
+        kernel = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps)
+        fit = kernel.soe
+        modes = HistoryModes(fit, width)
+        c = kernel.weights(nsteps)
+        delta = np.abs(np.diff(levels, axis=0))
+        mag = np.abs(levels)
+        for j in range(nsteps):
+            got = _history_sum(levels, kernel, j, modes)
+            want = _history_sum(levels, kernel, j)
+            lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
+            # fit error times sum_s c_{j-s} |y^{s+1} - y^s|, plus round-off on the levels
+            bound = fit.error * (lagged @ delta[:j]) + 1e-12 * (c[0] * mag[j] + lagged @ (mag[:j] + mag[1 : j + 1]))
+            assert np.all(np.abs(got - want) <= bound), j
+        assert modes.start > 0
+
+    @pytest.mark.parametrize("nt", [1, 10, 160, 320])
+    @pytest.mark.parametrize("name, nx", [("benchmark", 1000), ("integral-load", 200), ("benchmark", 24)])
+    def test_short_marches_carry_no_exponential_state(self, name, nx, nt):
+        state = SolverState(make_problem(name, 0.5), Grid1D(1.0, 1.0, nx, nt))
+        assert state.kernel.soe is None
+        assert state.modes is None
+
+    def test_deep_grid_state_is_small(self):
+        state = SolverState(benchmark_problem(0.9), Grid1D(1.0, 1.0, 1000, 1280))
+        fit = state.kernel.soe
+        held = state.modes.values.nbytes + sum(a.nbytes for a in (fit.nodes, fit.weights, fit.decay, fit.fold, fit.lagged))
+        assert held < 1_000_000
+
+    @pytest.mark.parametrize(
+        "problem, nx",
+        [(benchmark_problem(0.9), 6), (integral_benchmark_problem(0.3), 6), (_loaded_problem(0.6, (0, 3), True), 8)],
+    )
+    def test_windowed_march_matches_dense_oracle(self, problem, nx):
+        grid = Grid1D(1.0, 1.0, nx, 450)
+        state = march(problem, grid)
+        assert state.modes is not None and state.modes.start > 0
+        assert np.max(np.abs(state.levels - dense_march(problem, grid))) <= 1e-10
+
+    def test_step_behind_the_checkpoint_sums_exactly(self):
+        p = benchmark_problem(0.5)
+        state = march(p, Grid1D(1.0, 1.0, 12, 450))
+        assert state.modes.start > 100
+        for j in (0, 40, 100):
+            assert np.array_equal(_history_sum(state.levels, state.kernel, j, state.modes), _history_sum(state.levels, state.kernel, j))
 
 
 class TestStepAndSolve:
