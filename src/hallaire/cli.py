@@ -136,6 +136,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

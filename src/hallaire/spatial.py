@@ -26,12 +26,13 @@ def compact_average(v) -> np.ndarray:
     """(v_{i+1} + 10 v_i + v_{i-1}) / 12 at the interior nodes.
 
     Applied to samples of a second derivative this matches the plain second
-    difference of the function itself to fourth order.
+    difference of the function itself to fourth order.  A stack of nodal
+    vectors is averaged along its last axis, each vector exactly as alone.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 3:
+    if v.ndim == 0 or v.shape[-1] < 3:
         raise ValueError("compact_average expects a full nodal vector (length >= 3)")
-    return (v[2:] + 10.0 * v[1:-1] + v[:-2]) / 12.0
+    return (v[..., 2:] + 10.0 * v[..., 1:-1] + v[..., :-2]) / 12.0
 
 
 @dataclass(frozen=True, eq=False)

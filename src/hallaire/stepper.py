@@ -4,8 +4,10 @@ Each step solves a constant tridiagonal system T plus a low-rank correction
 carrying the load terms, by the Woodbury identity.  T is factored once per
 solve.  Each load has one side that does not change in time (the row of a
 point load, the column of the distributed load); it is solved against T once
-per solve too, so a step costs one tridiagonal sweep, plus one per
-distributed load when point loads are also present.  The factor keeps the
+per solve too.  The rest of the correction depends on time but not on the
+solution, so it is built for LOAD_BLOCK steps at a time (a :class:`LoadBlock`:
+the columns, the rows and the inverted capacitance matrices), and a step
+costs one tridiagonal sweep and a few small products.  The factor keeps the
 Thomas elimination as block inverses with scalar carries between blocks (a
 partitioned solver in the manner of H. H. Wang, ACM TOMS 7(2), 1981), so a
 sweep is a batched numpy matvec and a chain over the blocks, not a loop over
@@ -15,6 +17,7 @@ the unknowns.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +33,16 @@ INTEGRAL_COLUMN = -0.5
 
 # Rows per block of the blocked tridiagonal inverse (see ThomasFactor).
 BLOCK = 32
+
+# Steps per load block: their time-only load algebra is built together (see LoadBlock).
+LOAD_BLOCK = 32
+
+# Bytes of point-load samples stacked for one compact average while a block
+# is built.  A small grid averages its whole block in one call (three loads
+# at nx = 24), where the per-call cost matters; a wide one fewer half layers
+# at a time (one at nx = 1000), so that the block's samples and their
+# averages, 0.77 MB each there, are never held at once.
+SAMPLE_BYTES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +72,6 @@ class LoadRow:
     label: str
     cols: np.ndarray
     weights: np.ndarray
-
-    def dot(self, v) -> float:
-        return float(np.dot(self.weights, v[self.cols]))
 
     def dense(self, n: int) -> np.ndarray:
         out = np.zeros(n)
@@ -202,18 +212,73 @@ def thomas_solve(tri, b) -> np.ndarray:
     return x.reshape(-1)[:n]
 
 
-def _capacitance_solve(left: np.ndarray, right: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
-    """Solve (I + left @ right) q = g."""
-    cap = left @ right
-    # a fresh product is C-contiguous, so ravel() is a view of it
-    cap.ravel()[:: cap.shape[0] + 1] += 1.0
+def _dense_rows(rows, n: int) -> np.ndarray:
+    """Sparse load rows as the rows of one dense m x n array."""
+    return np.array([row.dense(n) for row in rows]).reshape(len(rows), n)
+
+
+def _singular(labels, where: str = "") -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(
+        f"singular capacitance matrix for load configuration ({', '.join(labels)}){where}"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LoadBlock:
+    """The time-only load algebra of the steps ``start .. stop - 1``.
+
+    Step j = start + i solves (T + U_j W_j^T) x = b with the dense columns
+    ``columns[i]`` = U_j (n x m), the dense rows ``rows[i]`` = W_j^T (m x n)
+    and ``inverses[i]``, the inverse of the capacitance matrix
+    I + W_j^T T^{-1} U_j.  The correction is closed from the row solves
+    ``row_solves[i]`` = W_j^T T^{-1}, or, when ``row_solves`` is ``None``,
+    from the column solves ``column_solves`` = T^{-1} U, which must then be
+    the same at every step.  None of it depends on the solution.
+    """
+
+    start: int
+    stop: int
+    columns: np.ndarray
+    rows: np.ndarray
+    inverses: np.ndarray
+    row_solves: np.ndarray | None
+    column_solves: np.ndarray | None
+
+    def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
+        """Solve step ``start + i``'s system, in one tridiagonal sweep.
+
+        From the rows: q = cap^{-1} V^T b, then x = T^{-1}(b - U q).  From the
+        columns: y = T^{-1} b, then x = y - Z cap^{-1} W^T y.
+        """
+        if self.row_solves is not None:
+            return thomas_solve(factor, b - self.columns[i] @ (self.inverses[i] @ (self.row_solves[i] @ b)))
+        y = thomas_solve(factor, b)
+        return y - self.column_solves @ (self.inverses[i] @ (self.rows[i] @ y))
+
+
+def _closing_block(start: int, columns, rows, row_solves=None, column_solves=None) -> LoadBlock:
+    """A :class:`LoadBlock` over the stacked sides, with its capacitance inverses.
+
+    The capacitance matrices are formed with one batched product and
+    inverted with one batched inverse.  The block stops before the first
+    singular one, so it is empty when the first is.  A matrix with
+    non-finite entries is not singular here: its inverse is non-finite, and
+    the step's finite check reports it.
+    """
+    cap = row_solves @ columns if column_solves is None else rows @ column_solves
+    diag = np.arange(cap.shape[-1])
+    cap[:, diag, diag] += 1.0
     try:
-        return np.linalg.solve(cap, g)
-    except np.linalg.LinAlgError as exc:
-        labels = ", ".join(row.label for row in rows)
-        raise np.linalg.LinAlgError(
-            f"singular capacitance matrix for load configuration ({labels})"
-        ) from exc
+        inverses = np.linalg.inv(cap)
+    except np.linalg.LinAlgError:
+        kept = []
+        for one in cap:
+            try:
+                kept.append(np.linalg.inv(one))
+            except np.linalg.LinAlgError:
+                break
+        inverses = np.array(kept).reshape(len(kept), *cap.shape[1:])
+    return LoadBlock(start, start + len(inverses), columns, rows, inverses, row_solves, column_solves)
 
 
 def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None) -> np.ndarray:
@@ -231,7 +296,8 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
       cap = I + V^T U, q = cap^{-1} V^T b, x = T^{-1}(b - U q).
 
     Either way a call costs one tridiagonal sweep plus one per missing row
-    solve.
+    solve.  The call is a one-step :class:`LoadBlock`: the capacitance is
+    inverted and the correction closed as in every step of the march.
     """
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     m = 0 if columns is None else np.asarray(columns).shape[1]
@@ -243,19 +309,18 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
     b = np.asarray(b, dtype=float)
     if b.size != factor.n:
         raise ValueError(f"right-hand side has length {b.size}, expected {factor.n}")
+    wt = _dense_rows(rows, factor.n)
     if column_solves is not None and all(z is not None for z in column_solves):
-        z = np.column_stack(column_solves)
-        wt = np.stack([row.dense(factor.n) for row in rows])
-        y0 = thomas_solve(factor, b)
-        q = _capacitance_solve(wt, z, wt @ y0, rows)
-        return y0 - z @ q
-    vt = [None] * m if row_solves is None else row_solves
-    if any(v is None for v in vt):
-        factor_t = factor.transpose()
-        vt = [thomas_solve(factor_t, row.dense(factor.n)) if v is None else v for v, row in zip(vt, rows)]
-    vt = np.asarray(vt)
-    q = _capacitance_solve(vt, columns, vt @ b, rows)
-    return thomas_solve(factor, b - columns @ q)
+        block = _closing_block(0, columns[None], wt[None], column_solves=np.column_stack(column_solves))
+    else:
+        vt = [None] * m if row_solves is None else row_solves
+        if any(v is None for v in vt):
+            factor_t = factor.transpose()
+            vt = [thomas_solve(factor_t, w) if v is None else v for v, w in zip(vt, wt)]
+        block = _closing_block(0, columns[None], wt[None], row_solves=np.asarray(vt)[None])
+    if block.stop == 0:
+        raise _singular([row.label for row in rows])
+    return block.close(factor, 0, b)
 
 
 def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
@@ -291,25 +356,94 @@ def _sample(values, shape) -> np.ndarray:
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
+def _load_samples(state: SolverState, problem: ProblemSpec, times):
+    """Load columns and distributed-load row weights at the given half layers.
+
+    Returns the columns as one ``(len(times), n, m)`` array, the point loads
+    first (minus half the compact average of each coefficient) and then the
+    distributed load's constant column, and the distributed load's interior
+    Simpson-weighted samples as a ``(len(times), n)`` array, or ``None``.
+    Each evaluator is called once per half layer, with a scalar time.  The
+    point loads' samples are stacked and averaged in one call per
+    SAMPLE_BYTES of samples, straight into the columns.
+    """
+    x = state.x
+    count = len(times)
+    columns = np.empty((count, len(problem.loads), x.size - 2))
+    if problem.loads:
+        per = max(1, SAMPLE_BYTES // (8 * len(problem.loads) * x.size))
+        for lo in range(0, count, per):
+            q = np.array([[_sample(ld.coefficient(x, t), x.shape) for ld in problem.loads] for t in times[lo : lo + per]])
+            columns[lo : lo + per] = -0.5 * compact_average(q)
+    columns = np.swapaxes(columns, 1, 2)
+    if state.simpson is None:
+        return columns, None
+    columns = np.concatenate((columns, np.full((count, x.size - 2, 1), INTEGRAL_COLUMN)), axis=2)
+    q = np.array([_sample(problem.integral_load(x, t), x.shape) for t in times])
+    return columns, (state.simpson * q)[:, 1:-1]
+
+
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
     """Low-rank pieces of the implicit matrix at one half layer.
 
     Returns dense columns ``U`` (one per load, minus half the compact average
     of the coefficient) and matching sparse rows ``W`` such that the full
-    matrix is the tridiagonal core plus sum_k U_k W_k^T.
+    matrix is the tridiagonal core plus sum_k U_k W_k^T.  These are one half
+    layer of the samples a :class:`LoadBlock` is built from.
     """
-    x = state.x
-    cols = [-0.5 * compact_average(_sample(ld.coefficient(x, t_half), x.shape)) for ld in problem.loads]
+    columns, weights = _load_samples(state, problem, (t_half,))
     rows = list(state.load_rows)
-    if state.simpson is not None:
-        q = _sample(problem.integral_load(x, t_half), x.shape)
-        cols.append(state.integral_column)
-        rows.append(LoadRow("integral", state.integral_cols, (state.simpson * q)[1:-1]))
-    if cols:
-        columns = np.column_stack(cols)
-    else:
-        columns = np.zeros((state.grid.nx - 1, 0))
-    return columns, rows
+    if weights is not None:
+        rows.append(LoadRow("integral", np.arange(weights.shape[1]), weights[0]))
+    return columns[0], rows
+
+
+def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlock:
+    """Load algebra of the steps from ``start`` up to the next multiple of LOAD_BLOCK.
+
+    The block ends at the last step, ``nt - 1``, so no load is evaluated past
+    the final level.  Point-load rows and their row solves are the state's
+    constants; a distributed load's rows are its samples, and with point
+    loads beside it each of its rows is solved against T^T here, one sweep
+    per step.  A capacitance matrix that is singular at the first step
+    raises; one that is singular at a later step ends the block before it.
+    """
+    grid = state.grid
+    stop = min((start // LOAD_BLOCK + 1) * LOAD_BLOCK, grid.nt)
+    columns, weights = _load_samples(state, problem, [(j + 0.5) * grid.tau for j in range(start, stop)])
+    count = stop - start
+    rows = np.broadcast_to(state.point_rows, (count, *state.point_rows.shape))
+    row_solves = np.broadcast_to(state.row_solves, rows.shape)
+    column_solves = None
+    if weights is not None:
+        rows = np.concatenate((rows, weights[:, None]), axis=1)
+        if len(state.load_rows):
+            factor_t = state.factor.transpose()
+            row_solves = np.concatenate(
+                (row_solves, np.array([thomas_solve(factor_t, w) for w in weights])[:, None]), axis=1
+            )
+        else:
+            row_solves, column_solves = None, state.integral_solve[:, None]
+    block = _closing_block(start, columns, rows, row_solves, column_solves)
+    if block.stop == start:
+        labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
+        raise _singular(labels, f" at time level {start + 1} (t = {(start + 1) * grid.tau:g})")
+    return block
+
+
+def _check_size(grid: Grid1D) -> None:
+    """Refuse a grid whose stored levels and factor cannot fit in this machine's memory."""
+    n = grid.nx - 1
+    need = 8 * ((grid.nt + 1) * (grid.nx + 1) + 3 * n * min(n, BLOCK))
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"a solve on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} bytes for its "
+            f"stored levels and factor, more than the {have:.3g} bytes of memory here"
+        )
 
 
 class SolverState:
@@ -319,20 +453,22 @@ class SolverState:
     history is retained; the fractional convolution reads all of it on short
     marches, and on long ones only the levels since the checkpoint of
     ``modes``, the :class:`HistoryModes` that carry the older differences
-    (``None`` when the kernel fitted no exponential tail).  The
-    nodes ``x``, the factor of the tridiagonal core (the core itself is
-    ``factor.matrix``), the interior point-load
-    rows, the distributed load's Simpson node weights, constant column and
-    interior indices, and the solves of each load's constant side against the
-    core do not change in time and are built here once.  ``row_solves`` holds
-    the point loads' solves as the rows of one array, or as a tuple ending in
-    ``None`` for the distributed load; ``column_solves`` holds ``None`` for
-    each point load and the distributed load's column solve.
+    (``None`` when the kernel fitted no exponential tail).  The nodes ``x``,
+    the factor of the tridiagonal core (the core itself is
+    ``factor.matrix``), the interior point-load rows (sparse as
+    ``load_rows``, dense as the rows of ``point_rows``) with their solves
+    against the transposed core (``row_solves``), and the distributed load's
+    Simpson node weights and constant column solved against the core
+    (``integral_solve``) do not change in time and are built here once.
+    ``block`` is the :class:`LoadBlock` of the current steps, ``None`` until
+    the first step.  A grid too large for this machine's memory is refused
+    with a ``ValueError`` before anything is allocated.
     """
 
     def __init__(self, problem: ProblemSpec, grid: Grid1D):
         if problem.integral_load is not None and grid.nx % 2 != 0:
             raise ValueError("the distributed load needs an even number of spatial intervals")
+        _check_size(grid)
         self.grid = grid
         self.x = grid.x
         self.x.flags.writeable = False
@@ -342,24 +478,22 @@ class SolverState:
             interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in problem.loads
         )
         n = grid.nx - 1
+        self.point_rows = _dense_rows(self.load_rows, n)
         factor_t = self.factor.transpose()
         self.row_solves = np.zeros((len(self.load_rows), n))
-        for k, row in enumerate(self.load_rows):
-            self.row_solves[k] = thomas_solve(factor_t, row.dense(n))
-        self.column_solves = (None,) * len(self.load_rows)
-        self.simpson = self.integral_column = self.integral_cols = None
+        for k, row in enumerate(self.point_rows):
+            self.row_solves[k] = thomas_solve(factor_t, row)
+        self.simpson = self.integral_solve = None
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
-            self.integral_column = np.full(n, INTEGRAL_COLUMN)
-            self.integral_cols = np.arange(n)
-            self.row_solves = (*self.row_solves, None)
-            self.column_solves += (thomas_solve(self.factor, self.integral_column),)
+            self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
         self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
         self.modes = None if self.kernel.soe is None else HistoryModes(self.kernel.soe, grid.nx + 1)
         y0 = np.array(_sample(problem.initial(self.x), self.x.shape))
         y0[0] = 0.0
         y0[-1] = 0.0
         self.levels[0] = y0
+        self.block = None
         self.j = 0
 
 
@@ -378,7 +512,9 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     """Explicit side of the step from level j to j+1.
 
     The compact average is linear, so it is applied once to the folded
-    history plus the forcing rather than to each stored level.
+    history plus the forcing rather than to each stored level.  The load
+    term U (W^T y^j) takes ``load_parts = (U, W^T)``, both dense; by default
+    they are assembled at the step's half layer.
     """
     if j < 0 or j > state.j:
         raise ValueError(f"history is stored through level {state.j}, requested step at {j}")
@@ -391,27 +527,37 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     b = compact_average(nodal)
     b += (0.5 - problem.mu / tau) * second_difference(state.levels[j], grid.h)
     if load_parts is None:
-        load_parts = assemble_load_columns(state, problem, t_half)
+        columns, rows = assemble_load_columns(state, problem, t_half)
+        load_parts = columns, _dense_rows(rows, columns.shape[0])
     columns, rows = load_parts
-    if rows:
-        interior = state.levels[j][1:-1]
-        ell = np.array([row.dot(interior) for row in rows])
-        b -= columns @ ell
+    b -= columns @ (rows @ state.levels[j][1:-1])
     return b
 
 
 def step(state: SolverState, problem: ProblemSpec) -> SolverState:
-    """Advance the state by one time level."""
+    """Advance the state by one time level.
+
+    The step's load algebra comes from ``state.block``, which is built at the
+    first step and again at every step whose index is a multiple of
+    LOAD_BLOCK (see :func:`_load_block`).  The load evaluators are therefore
+    called up to LOAD_BLOCK - 1 half layers ahead of the step: one that
+    raises at a later half layer of a block raises while the block is built,
+    before that block's earlier steps are taken.  A non-finite level, from a
+    NaN coefficient among other causes, and a singular capacitance matrix are
+    both reported at the step they belong to.
+    """
     grid = state.grid
     j = state.j
     if j >= grid.nt:
         raise ValueError(f"already at the final level {j}")
-    t_half = (j + 0.5) * grid.tau
-    parts = assemble_load_columns(state, problem, t_half)
-    b = assemble_rhs(state, problem, j, load_parts=parts)
-    interior = woodbury_solve(
-        state.factor, *parts, b, row_solves=state.row_solves, column_solves=state.column_solves
-    )
+    block = state.block
+    if block is None or not block.start <= j < block.stop:
+        # drop the finished block first, so that two are never held at once
+        state.block = None
+        block = state.block = _load_block(state, problem, j)
+    i = j - block.start
+    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i]))
+    interior = block.close(state.factor, i, b)
     if not np.isfinite(interior).all():
         raise FloatingPointError(
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "

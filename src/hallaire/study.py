@@ -101,7 +101,10 @@ class _ErrorTracker:
 
     def __init__(self, problem, grid):
         self._exact = problem.exact
-        self._x = grid.x
+        # the nodes are taken at the first level, after the solve has checked
+        # that its grid fits in memory
+        self._grid = grid
+        self._x = None
         self._h = grid.h
         self.max_c = 0.0
         self.max_l2 = 0.0
@@ -111,6 +114,8 @@ class _ErrorTracker:
         self.final_grad = 0.0
 
     def __call__(self, j, t, level):
+        if self._x is None:
+            self._x = self._grid.x
         z = level - np.asarray(self._exact(self._x, t), dtype=float)
         c = norm_max(z)
         l2 = norm_l2(z[1:-1], self._h)

@@ -1,7 +1,11 @@
-"""The top-level API is exactly the list the README documents."""
+"""The top-level API is exactly the list the README documents, and the
+package needs nothing beyond numpy."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hallaire
@@ -31,3 +35,20 @@ def test_every_name_resolves_to_its_module():
         mod = importlib.import_module(module)
         for name in names:
             assert getattr(hallaire, name) is getattr(mod, name), (module, name)
+
+
+def test_solve_does_not_import_scipy():
+    # scipy is a test-only dependency; a solve across a load-block boundary
+    # must run without it
+    code = (
+        "import sys, hallaire\n"
+        "from hallaire import Grid1D, benchmark_problem, make_problem, solve\n"
+        "solve(benchmark_problem(0.5), Grid1D(1.0, 1.0, 12, 40))\n"
+        "solve(make_problem('integral-load', 0.5), Grid1D(1.0, 1.0, 12, 40))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(hallaire.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -23,6 +23,7 @@ from hallaire.caputo import CaputoKernel, HistoryModes
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
+    LOAD_BLOCK,
     LoadRow,
     SolverState,
     _history_sum,
@@ -668,6 +669,156 @@ class TestStepAndSolve:
             times.append(time.perf_counter() - t0)
         exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         assert exponent <= 2.2
+
+
+def woodbury_march(problem, grid):
+    """Levels of a march that assembles every step on its own and closes it
+    with a fresh ``woodbury_solve``, solving the load rows against T^T anew."""
+    state = SolverState(problem, grid)
+    for j in range(grid.nt):
+        columns, rows = assemble_load_columns(state, problem, (j + 0.5) * grid.tau)
+        b = assemble_rhs(state, problem, j)
+        state.levels[j + 1, 1:-1] = woodbury_solve(state.factor, columns, rows, b)
+        state.j = j + 1
+    return state.levels
+
+
+def _spiked_problem(at, value, grid, initial=None):
+    """One point load at x = 0.4 whose coefficient is ``value`` at the nodes
+    of half layer ``at`` (zero at all others); ``value`` may be a callable
+    of x.  Forcing is zero, so only the load samples the coefficient."""
+    base = _zeros_problem(initial=initial)
+    t_at = (at + 0.5) * grid.tau
+
+    def coefficient(x, t):
+        x = np.asarray(x, dtype=float)
+        if abs(t - t_at) > 0.25 * grid.tau:
+            return np.zeros_like(x)
+        return value(x) if callable(value) else np.full_like(x, value)
+
+    return ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, coefficient),), base.forcing, base.initial)
+
+
+class TestLoadBlocks:
+    @given(
+        mix=st.sampled_from(["none", "points", "distributed", "both"]),
+        points=st.sets(st.integers(0, 3), min_size=1),
+        nt=st.sampled_from([1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 2 * LOAD_BLOCK + 1, 70]),
+        alpha=st.floats(0.05, 0.95),
+        mode=st.integers(1, 3),
+        nx=st.integers(3, 8).map(lambda k: 2 * k),
+    )
+    @settings(deadline=None, max_examples=30)
+    @pytest.mark.filterwarnings("ignore:time step .* exceeds")
+    def test_blocked_march_matches_dense_and_stepwise_woodbury(self, mix, points, nt, alpha, mode, nx):
+        loads = sorted(points) if mix in ("points", "both") else []
+        problem = _loaded_problem(alpha, loads, mix in ("distributed", "both"), mode=mode)
+        grid = Grid1D(1.0, 1.0, nx, nt)
+        got = solve(problem, grid).levels
+        dense = dense_march(problem, grid)
+        assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+        stepwise = woodbury_march(problem, grid)
+        assert np.max(np.abs(got - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
+
+    @pytest.mark.parametrize("per", [None, 1, 3])
+    def test_block_sides_are_the_per_step_sides(self, monkeypatch, per):
+        # the march uses bit for bit the columns and rows of each half layer,
+        # whether the block's samples are averaged at once or ``per`` half
+        # layers at a time
+        p = _loaded_problem(0.5, (0, 2), True)
+        grid = Grid1D(1.0, 1.0, 10, 40)
+        if per is not None:
+            monkeypatch.setattr(stepper_mod, "SAMPLE_BYTES", per * 8 * 2 * 11)
+        state = SolverState(p, grid)
+        block = stepper_mod._load_block(state, p, LOAD_BLOCK)
+        assert (block.start, block.stop) == (LOAD_BLOCK, 40)
+        for i, j in enumerate(range(block.start, block.stop)):
+            columns, rows = assemble_load_columns(state, p, (j + 0.5) * grid.tau)
+            assert np.array_equal(block.columns[i], columns)
+            assert np.array_equal(block.rows[i], np.array([row.dense(9) for row in rows]))
+
+    @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
+    def test_each_evaluator_called_once_per_step_up_to_the_last(self, nt):
+        calls = {"coefficient": [], "integral": []}
+
+        def coefficient(x, t):
+            calls["coefficient"].append(t)
+            return 1.0 + np.asarray(x, dtype=float) * t
+
+        def integral(x, t):
+            calls["integral"].append(t)
+            return np.exp(np.asarray(x, dtype=float) - t)
+
+        base = _zeros_problem(initial=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)))
+        problem = ProblemSpec(
+            1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, coefficient),), base.forcing, base.initial,
+            integral_load=integral,
+        )
+        grid = Grid1D(1.0, 1.0, 8, nt)
+        solve(problem, grid)
+        half_layers = [(j + 0.5) * grid.tau for j in range(nt)]
+        assert calls["coefficient"] == half_layers
+        assert calls["integral"] == half_layers
+
+    def test_blocks_start_at_multiples_of_the_block_length(self):
+        p = benchmark_problem(0.5)
+        state = SolverState(p, Grid1D(1.0, 1.0, 8, 70))
+        spans = set()
+        for _ in range(70):
+            step(state, p)
+            spans.add((state.block.start, state.block.stop))
+        assert sorted(spans) == [(0, 32), (32, 64), (64, 70)]
+
+    @pytest.mark.parametrize("load", ["point", "distributed"])
+    def test_nan_coefficient_mid_block_names_its_level(self, load):
+        grid = Grid1D(1.0, 1.0, 8, 70)
+        initial = lambda x: np.sin(math.pi * np.asarray(x, dtype=float))
+        bad = 40  # half layer 40.5 lies inside the block of steps 32..63
+        if load == "point":
+            problem = _spiked_problem(bad, np.nan, grid, initial=initial)
+        else:
+            base = _zeros_problem(initial=initial)
+            t_bad = (bad + 0.5) * grid.tau
+            q = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan if abs(t - t_bad) < 1e-9 else 1.0)
+            problem = ProblemSpec(1.0, 1.0, 0.5, 1.0, (), base.forcing, base.initial, integral_load=q)
+        seen = []
+        with pytest.raises(FloatingPointError, match=rf"time level {bad + 1} \(t = {(bad + 1) / 70:g}\)"):
+            solve(problem, grid, observers=(lambda j, t, level: seen.append(j),))
+        assert seen[-1] == bad
+
+    def test_raising_evaluator_surfaces_when_its_block_is_built(self):
+        grid = Grid1D(1.0, 1.0, 8, 70)
+
+        def boom(x):
+            raise RuntimeError("coefficient failed")
+
+        problem = _spiked_problem(40, boom, grid)
+        seen = []
+        with pytest.raises(RuntimeError, match="coefficient failed"):
+            solve(problem, grid, observers=(lambda j, t, level: seen.append(j),))
+        # the block of steps 32..63 is built at step 32, before level 33
+        assert seen[-1] == LOAD_BLOCK
+
+    def test_singular_capacitance_mid_block_names_its_step(self):
+        # as in test_singular_capacitance_in_step_names_loads, but the spike
+        # is only at half layer 40.5, so the other steps of its block run
+        grid = Grid1D(1.0, 1.0, 10, 70)
+        spike = lambda c: (lambda x: np.where(x == 0.0, c, 0.0))
+        v0 = SolverState(_spiked_problem(40, 0.0, grid), grid).row_solves[0][0]
+        candidates = (24.0 / v0 * (1.0 + k * 2.0**-52) for k in range(-64, 65))
+        c = next(c for c in candidates if 1.0 + v0 * (-0.5 * (c / 12.0)) == 0.0)
+        seen = []
+        with pytest.raises(np.linalg.LinAlgError, match=rf"singular capacitance .*x=0\.4.* time level 41 \(t = {41 / 70:g}\)"):
+            solve(_spiked_problem(40, spike(c), grid), grid, observers=(lambda j, t, level: seen.append(j),))
+        assert seen[-1] == 40
+
+    def test_solver_state_refuses_a_grid_beyond_memory(self, monkeypatch):
+        # the size is checked against the machine's memory before anything
+        # is allocated; a small reported memory stands in for a huge grid
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 1024 if name == "SC_PHYS_PAGES" else 4096)
+        with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 4\.19e\+06 bytes"):
+            SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 1000, 1000))
+        SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10))
 
 
 def _load_term(problem, x, t):

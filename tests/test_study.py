@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -374,6 +379,37 @@ class TestCli:
         assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "nan" in err and len(err.strip().splitlines()) == 1
+
+    def test_grid_beyond_memory_exits_two(self):
+        # The solver state's size is checked before anything is allocated.
+        # The child's address space is capped at 1 GiB, so a regression ends
+        # in a MemoryError instead of asking the machine for the memory.
+        resource = pytest.importorskip("resource")
+        import hallaire
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(hallaire.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallaire.cli", "run", "--mode", "temporal", "--nx", "1000000000000", "--nt", "10"],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "needs" in proc.stderr and "bytes" in proc.stderr and "out of memory" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_memory_error_exits_two(self, monkeypatch, capsys):
+        import hallaire.cli as cli_mod
+
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, "run_study", exhausted)
+        assert main(["run", "--mode", "temporal", "--nx", "8", "--nt", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("name", ["alpha-x", "co_C-nan"])
     def test_bad_reference_cell_exits_two(self, tmp_path, capsys, name):
