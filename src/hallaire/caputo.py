@@ -1,9 +1,9 @@
 """Half-layer L1 discretization of the Caputo time derivative.
 
 The discrete operator evaluated at t_{j+1/2} is a convolution of level
-differences with slowly decaying weights; this module provides the weights,
+increments with slowly decaying weights; this module provides the weights,
 the convolution, the sum-of-exponentials tail that lets a long march carry
-its old differences as a few modes, the transformed split used by the energy
+its old increments as a few modes, the transformed split used by the energy
 estimates, and the closed-form power-function derivative used as a test
 oracle.
 """
@@ -21,8 +21,8 @@ ALPHA_MIN = 0.01
 ALPHA_MAX = 0.99
 
 # Windowed history (after Jiang, Zhang, Zhang & Zhang, CiCP 21(3), 2017):
-# lags below HISTORY_WINDOW are summed exactly, older differences are carried
-# as exponential modes that advance HISTORY_CHUNK levels at a time.  The fit
+# lags below HISTORY_WINDOW are summed exactly, older increments are carried
+# as exponential modes that advance HISTORY_CHUNK increments at a time.  The fit
 # uses SOE_POINTS Gauss points per interval and drops e^(-ks) below
 # e^(-SOE_REACH).
 HISTORY_WINDOW = 32
@@ -95,9 +95,10 @@ def _soe_edges(nsteps: int) -> np.ndarray:
 def windowed_reads(nsteps: int) -> int:
     """Stored vectors the windowed history reads over a march of ``nsteps`` >= 1 steps.
 
-    Step j reads its levels from the checkpoint S on, plus the modes once
-    S > 0; each advance of S reads HISTORY_CHUNK + 1 levels and reads and
-    writes the modes.  The exact sum reads nsteps (nsteps + 1) / 2 levels.
+    Counted in levels, as the switch was timed: step j reads j - S + 1 from the
+    checkpoint S on, plus the modes once S > 0; each advance of S reads
+    HISTORY_CHUNK + 1 and reads and writes the modes; the exact sum reads
+    nsteps (nsteps + 1) / 2.  The increments are one fewer per step and advance.
     """
     modes = SOE_POINTS * _soe_edges(nsteps).size
     j = np.arange(nsteps)
@@ -116,11 +117,10 @@ class ExponentialTail:
     intervals up to SOE_REACH / HISTORY_WINDOW, where e^(-ks) is below
     e^(-SOE_REACH) for every lag the tail serves.  ``error`` is the measured
     maximum relative error on c_W..c_M.  The chunked update of :class:`HistoryModes`
-    uses three derived constants, with C = HISTORY_CHUNK and E_m = exp(-m nodes):
+    uses two derived constants, with C = HISTORY_CHUNK and E_m = exp(-m nodes):
 
-    * ``decay`` is E_C, which moves the modes C levels on;
-    * ``fold[:, i]`` is the weight of level S + i in the differences of levels
-      S..S+C folded into the modes: -E_C, then E_{C-i+1} - E_{C-i}, then E_1;
+    * ``fold[:, i]`` is E_{C-i}, the weight of increment S + i, i < C, in the
+      modes moved on to S + C; its first column E_C moves the modes C steps on;
     * ``lagged[i]`` is minus ``weights`` times E_d at the lag d = W - 1 + i
       between the checkpoint and the step.
     """
@@ -128,7 +128,6 @@ class ExponentialTail:
     nodes: np.ndarray
     weights: np.ndarray
     error: float
-    decay: np.ndarray
     fold: np.ndarray
     lagged: np.ndarray
 
@@ -155,29 +154,23 @@ def fit_exponential_tail(alpha: float, weights: np.ndarray) -> ExponentialTail:
         k = np.arange(lo, min(lo + 128, nsteps + 1), dtype=float)
         exact = weights[lo : lo + k.size]
         error = max(error, float(np.max(np.abs(np.exp(-np.outer(k, nodes)) @ coefs - exact) / exact)))
-    powers = np.exp(-np.outer(np.arange(HISTORY_CHUNK + 1), nodes))
-    fold = np.empty((nodes.size, HISTORY_CHUNK + 1))
-    fold[:, 0] = -powers[HISTORY_CHUNK]
-    fold[:, 1:-1] = (powers[HISTORY_CHUNK - 1 : 0 : -1] * np.expm1(-nodes)).T
-    fold[:, -1] = powers[1]
     lags = np.arange(HISTORY_WINDOW - 1, HISTORY_WINDOW + HISTORY_CHUNK - 1)
     return ExponentialTail(
         nodes=nodes,
         weights=coefs,
         error=error,
-        decay=powers[HISTORY_CHUNK].copy(),
-        fold=fold,
+        fold=np.exp(-np.outer(nodes, np.arange(HISTORY_CHUNK, 0, -1))),
         lagged=-coefs * np.exp(-np.outer(lags, nodes)),
     )
 
 
 class HistoryModes:
-    """Level differences before a checkpoint, folded into exponential modes.
+    """Increments before a checkpoint, carried as exponential modes.
 
-    ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) (y^{s+1} - y^s)``
-    for the nodes of an :class:`ExponentialTail`.  The checkpoint ``start``
-    moves HISTORY_CHUNK levels at a time and stays at least
-    HISTORY_WINDOW - 1 levels behind the step, so every lag the modes serve
+    ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) delta^s`` with
+    delta^s = y^{s+1} - y^s, for the nodes of an :class:`ExponentialTail`.
+    The checkpoint ``start`` moves HISTORY_CHUNK steps at a time and stays at
+    least HISTORY_WINDOW - 1 steps behind the step, so every lag the modes serve
     is one the tail was fitted on.
     """
 
@@ -186,7 +179,7 @@ class HistoryModes:
         self.start = 0
         self.values = np.zeros((fit.nodes.size, width))
 
-    def catch_up(self, levels: np.ndarray, j: int) -> int:
+    def catch_up(self, increments: np.ndarray, j: int) -> int:
         """Advance the checkpoint for the step at j; the checkpoint, or 0 if j is behind it."""
         target = max(j - HISTORY_WINDOW + 1, 0) // HISTORY_CHUNK * HISTORY_CHUNK
         if target < self.start:
@@ -194,23 +187,23 @@ class HistoryModes:
         fit = self.fit
         while self.start < target:
             s = self.start
-            self.values *= fit.decay[:, None]
-            self.values += fit.fold @ levels[s : s + HISTORY_CHUNK + 1]
+            self.values *= fit.fold[:, :1]
+            self.values += fit.fold @ increments[s : s + HISTORY_CHUNK]
             self.start = s + HISTORY_CHUNK
         return self.start
 
     def tail(self, j: int) -> np.ndarray:
-        """-sum_{s < start} c_{j-s} (y^{s+1} - y^s) for the step at j, once caught up to it."""
+        """-sum_{s < start} c_{j-s} delta^s for the step at j, once caught up to it."""
         return self.fit.lagged[j - self.start - HISTORY_WINDOW + 1] @ self.values
 
 
 class CaputoKernel:
     """Weights and scale factors for one (alpha, tau) pair.
 
-    ``scale`` multiplies raw level differences u^{s+1} - u^s, i.e. it already
-    absorbs the 1/tau of the divided difference.  Weights c_0..c_nsteps and
-    their differences c_k - c_{k+1} are computed once; a longer prefix is
-    computed on each request.  ``soe`` is the exponential tail of the
+    ``scale`` multiplies raw level increments u^{s+1} - u^s, i.e. it already
+    absorbs the 1/tau of the divided difference.  Weights c_0..c_nsteps, and
+    c_nsteps..c_1 as one contiguous reversed copy, are computed once; a longer
+    prefix is computed on each request.  ``soe`` is the exponential tail of the
     windowed history (see :class:`ExponentialTail`), fitted when a march of
     ``nsteps`` steps reads at most half as many stored vectors with it as
     with the exact sum (:func:`windowed_reads`), and ``None`` otherwise.
@@ -226,8 +219,8 @@ class CaputoKernel:
         self.gamma = gamma_const(alpha)
         nsteps = max(int(nsteps), 0)
         self._c = l1_weight_array(nsteps, alpha)
-        # c_k - c_{k+1} in reverse order, k = nsteps-1 .. 0
-        self._dc = (self._c[:-1] - self._c[1:])[::-1].copy()
+        # a copy: matmul skips BLAS for the negative strides of a reversed view
+        self._lags = self._c[:0:-1].copy()
         # The read count leaves out the windowed step's fixed work (a second
         # product, the checkpoint), which costs about as much as the reads it
         # saves until the count is about halved (measured at nx = 200), so
@@ -236,19 +229,13 @@ class CaputoKernel:
         if nsteps and 2 * windowed_reads(nsteps) <= nsteps * (nsteps + 1) // 2:
             self.soe = fit_exponential_tail(self.alpha, self._c)
 
-    def folded(self, j: int) -> np.ndarray:
-        """Weights g_0..g_j with c_0 y^j - sum_{s<j} c_{j-s} (y^{s+1} - y^s) = sum_k g_k y^k.
-
-        g_0 = c_j and g_k = c_{j-k} - c_{j-k+1}.
-        """
+    def increment_weights(self, j: int) -> np.ndarray:
+        """c_j..c_1, the weights of the increments y^{s+1} - y^s, s = 0..j-1, at t_{j+1/2} (treat as read-only)."""
         if j < 0:
             raise ValueError(f"weight index must be nonnegative, got {j}")
-        if j > self._dc.size:
-            return np.diff(self.weights(j)[::-1], prepend=0.0)
-        g = np.empty(j + 1)
-        g[0] = self._c[j]
-        g[1:] = self._dc[self._dc.size - j :]
-        return g
+        if j <= self._lags.size:
+            return self._lags[self._lags.size - j :]
+        return self.weights(j)[:0:-1].copy()
 
     def weights(self, j: int) -> np.ndarray:
         """Array of c_0..c_j (treat as read-only)."""

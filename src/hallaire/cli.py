@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .study import (
-    TABLE2_DEFAULT_NT,
+    TABLE2_ORDER_ONLY_NT,
     ConvergenceReport,
     StudyConfig,
     build_config,
@@ -106,10 +106,10 @@ def _cmd_self_check(args) -> int:
     report = run_study(config)
     deep_line = None
     if args.table == "2" and args.deep and not args.config:
-        # strict cell comparison covers the default rungs; the deep rungs are
-        # judged by the qualitative order gate instead
-        default_labels = {f"1/{nt}" for nt in TABLE2_DEFAULT_NT}
-        strict_rows = tuple(r for r in report.rows if r.step_label in default_labels)
+        # cells are compared down to 1/1280; the two finest rungs are judged
+        # by the qualitative order gate only
+        order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT}
+        strict_rows = tuple(r for r in report.rows if r.step_label not in order_only)
         strict = ConvergenceReport(report.mode, report.problem, strict_rows)
         result = self_check(config, report=strict)
         deep_ok, detail = deep_order_check(report)

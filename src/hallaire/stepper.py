@@ -1,10 +1,11 @@
 """Per-step assembly and solution of the implicit half-layer scheme.
 
-Each step solves a constant tridiagonal system T plus a low-rank correction
-carrying the load terms, by the Woodbury identity.  T is factored once per
-solve.  Each load has one side that does not change in time (the row of a
-point load, the column of the distributed load); it is solved against T once
-per solve too.  The rest of the correction depends on time but not on the
+Each step solves for the increment y^{j+1} - y^j (the delta form of Beam &
+Warming, AIAA J. 16(4), 1978) a constant tridiagonal system T plus a low-rank
+load correction, by the Woodbury identity.  T is factored once per solve.
+Each load has one side that does not change in time (the row of a point
+load, the column of the distributed load); it is solved against T once per
+solve too.  The rest of the correction depends on time but not on the
 solution, so it is built for LOAD_BLOCK steps at a time (a :class:`LoadBlock`:
 the columns, the rows and the inverted capacitance matrices), and a step
 costs one tridiagonal sweep and a few small products.  The factor keeps the
@@ -432,7 +433,7 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
 
 
 def _check_size(grid: Grid1D) -> None:
-    """Refuse a grid whose stored levels and factor cannot fit in this machine's memory."""
+    """Refuse a grid whose stored increments and factor cannot fit in this machine's memory."""
     n = grid.nx - 1
     need = 8 * ((grid.nt + 1) * (grid.nx + 1) + 3 * n * min(n, BLOCK))
     try:
@@ -442,18 +443,19 @@ def _check_size(grid: Grid1D) -> None:
     if need > have:
         raise ValueError(
             f"a solve on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} bytes for its "
-            f"stored levels and factor, more than the {have:.3g} bytes of memory here"
+            f"stored increments and factor, more than the {have:.3g} bytes of memory here"
         )
 
 
 class SolverState:
-    """Marching state: stored levels, per-solve constants, and the step index.
+    """Marching state: stored increments, per-solve constants, and the step index.
 
-    Every stored level keeps exact zeros at the boundary nodes.  The full
-    history is retained; the fractional convolution reads all of it on short
-    marches, and on long ones only the levels since the checkpoint of
-    ``modes``, the :class:`HistoryModes` that carry the older differences
-    (``None`` when the kernel fitted no exponential tail).  The nodes ``x``,
+    ``increments[s]`` is y^{s+1} - y^s for s < ``j``, ``initial`` the read-only
+    y^0 and ``level`` the current y^j, their running sum; all keep exact zeros
+    at the boundary nodes.  The fractional convolution reads every increment
+    on short marches, and on long ones only those since the checkpoint of
+    ``modes``, the :class:`HistoryModes` that carry the older ones (``None``
+    when the kernel fitted no exponential tail).  The nodes ``x``,
     the factor of the tridiagonal core (the core itself is
     ``factor.matrix``), the interior point-load rows (sparse as
     ``load_rows``, dense as the rows of ``point_rows``) with their solves
@@ -487,50 +489,54 @@ class SolverState:
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
             self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
-        self.levels = np.zeros((grid.nt + 1, grid.nx + 1))
+        self.increments = np.zeros((grid.nt, grid.nx + 1))
         self.modes = None if self.kernel.soe is None else HistoryModes(self.kernel.soe, grid.nx + 1)
         y0 = np.array(_sample(problem.initial(self.x), self.x.shape))
         y0[0] = 0.0
         y0[-1] = 0.0
-        self.levels[0] = y0
+        y0.flags.writeable = False
+        self.initial = self.level = y0
         self.block = None
         self.j = 0
 
+    @property
+    def levels(self) -> np.ndarray:
+        """Levels y^0..y^j as a new array, summed in the order of the march's running sum."""
+        return np.cumsum(np.concatenate((self.initial[None], self.increments[: self.j])), axis=0)
 
-def _history_sum(levels: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes | None = None) -> np.ndarray:
-    # c_0 y^j - sum_{s=0}^{j-1} c_{j-s} (y^{s+1} - y^s).  The levels from
-    # the checkpoint S on carry one folded weight each (all levels when S = 0);
-    # the differences before S come from the modes.
-    start = 0 if modes is None else modes.catch_up(levels, j)
-    out = kernel.folded(j - start) @ levels[start : j + 1]
+
+def _history_sum(increments: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes | None = None) -> np.ndarray:
+    # D = -sum_{s=0}^{j-1} c_{j-s} delta^s.  The increments from the
+    # checkpoint S on are summed exactly (all of them when S = 0); those
+    # before S come from the modes.
+    start = 0 if modes is None else modes.catch_up(increments, j)
+    out = -(kernel.increment_weights(j)[start:] @ increments[start:j])
     if start:
         out += modes.tail(j)
     return out
 
 
 def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=None) -> np.ndarray:
-    """Explicit side of the step from level j to j+1.
+    """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j) of the step's (T + U W^T) delta^j = r.
 
-    The compact average is linear, so it is applied once to the folded
-    history plus the forcing rather than to each stored level.  The load
-    term U (W^T y^j) takes ``load_parts = (U, W^T)``, both dense; by default
-    they are assembled at the step's half layer.
+    D is :func:`_history_sum`; the compact average is linear, so it is applied
+    once.  ``load_parts = (U, W^T)``, both dense, are by default assembled at
+    the step's half layer.  Only the step from level ``state.j`` is assembled.
     """
-    if j < 0 or j > state.j:
-        raise ValueError(f"history is stored through level {state.j}, requested step at {j}")
+    if j != state.j:
+        raise ValueError(f"the state holds level {state.j}, requested step at {j}")
     grid = state.grid
-    tau = grid.tau
-    t_half = (j + 0.5) * tau
+    t_half = (j + 0.5) * grid.tau
     kernel = state.kernel
     f = _sample(problem.forcing(state.x, t_half), state.x.shape)
-    nodal = kernel.scale * _history_sum(state.levels, kernel, j, state.modes) + f
+    nodal = kernel.scale * _history_sum(state.increments, kernel, j, state.modes) + f
     b = compact_average(nodal)
-    b += (0.5 - problem.mu / tau) * second_difference(state.levels[j], grid.h)
+    b += second_difference(state.level, grid.h)
     if load_parts is None:
         columns, rows = assemble_load_columns(state, problem, t_half)
         load_parts = columns, _dense_rows(rows, columns.shape[0])
     columns, rows = load_parts
-    b -= columns @ (rows @ state.levels[j][1:-1])
+    b += columns @ (-2.0 * (rows @ state.level[1:-1]))
     return b
 
 
@@ -557,13 +563,14 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
         block = state.block = _load_block(state, problem, j)
     i = j - block.start
     b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i]))
-    interior = block.close(state.factor, i, b)
-    if not np.isfinite(interior).all():
+    delta = block.close(state.factor, i, b)
+    if not np.isfinite(delta).all():
         raise FloatingPointError(
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
             f"tau / stability_step_limit = {grid.tau / stability_step_limit(problem):.3g}"
         )
-    state.levels[j + 1, 1:-1] = interior
+    state.increments[j, 1:-1] = delta
+    state.level = state.level + state.increments[j]
     state.j = j + 1
     return state
 
@@ -588,7 +595,7 @@ def _notify(observers, j, t, level):
 
 
 def solve(problem: ProblemSpec, grid: Grid1D, observers=()) -> SolverState:
-    """March all time steps; observers see every stored level in order."""
+    """March all time steps; observers see every level in order."""
     if not (
         math.isclose(grid.length, problem.length)
         and math.isclose(grid.final_time, problem.final_time)
@@ -602,8 +609,8 @@ def solve(problem: ProblemSpec, grid: Grid1D, observers=()) -> SolverState:
             stacklevel=2,
         )
     state = SolverState(problem, grid)
-    _notify(observers, 0, 0.0, state.levels[0])
+    _notify(observers, 0, 0.0, state.level)
     for j in range(grid.nt):
         step(state, problem)
-        _notify(observers, j + 1, (j + 1) * grid.tau, state.levels[j + 1])
+        _notify(observers, j + 1, (j + 1) * grid.tau, state.level)
     return state

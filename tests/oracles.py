@@ -2,8 +2,8 @@
 
 Everything here is deliberately written on a different route than the
 package: dense matrices instead of banded solves, scipy Lagrange polynomials
-instead of closed-form weights, direct difference sums instead of folded
-convolution weights.
+instead of closed-form weights, a march over the levels instead of over
+their increments.
 """
 
 import math

@@ -34,6 +34,7 @@ from hallaire import (
     woodbury_solve,
 )
 from hallaire.stepper import LoadRow
+from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
 from test_problems import _benchmark_terms, residual_at
 from test_stepper import march
 
@@ -84,12 +85,37 @@ def test_c2_temporal_table_reproduction(table2_result):
     assert result.passed, result.summary()
 
 
+@pytest.fixture(scope="module")
+def deep_report():
+    return run_study(table2_config(deep=True))
+
+
 @pytest.mark.skipif(not RUN_DEEP, reason="deep temporal rungs are optional; set HALLAIRE_DEEP=1")
-def test_c2_deep_temporal_orders():
-    report = run_study(table2_config(deep=True))
-    ok, detail = deep_order_check(report)
-    _report_line(2, ok, f"deep rungs, {detail}")
+def test_c2_deep_temporal_orders(deep_report):
+    # cells down to 1/1280 at the preset tolerances, the two finest rungs by their orders
+    order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT}
+    rows = tuple(r for r in deep_report.rows if r.step_label not in order_only)
+    result = self_check(table2_config(deep=True), report=ConvergenceReport("temporal", "benchmark", rows))
+    worst_err = max(c.deviation for c in result.cells if c.column.startswith("err"))
+    worst_co = max(c.deviation for c in result.cells if c.column.startswith("co"))
+    ok, detail = deep_order_check(deep_report)
+    _report_line(2, ok and result.passed, f"deep rungs, {len(result.cells)} cells down to 1/1280, worst err dev "
+                 f"{worst_err:.2e}, worst CO dev {worst_co:.2e}; {detail}")
+    assert result.passed, result.summary()
     assert ok, detail
+
+
+@pytest.mark.skipif(not RUN_DEEP, reason="deep temporal rungs are optional; set HALLAIRE_DEEP=1")
+def test_c2_finest_rung_does_not_move_with_nx(deep_report):
+    # At tau = 1/5120 the spatial error is below 1e-10 from nx = 500 on, so
+    # err_C is the temporal error alone and must not change when nx doubles.
+    coarse = {r.alpha: r.err_max for r in deep_report.rows if r.step_label == "1/5120"}
+    fine = run_study(StudyConfig("temporal", tuple(coarse), ((2000, 5120),)))
+    gaps = {r.alpha: abs(r.err_max - coarse[r.alpha]) / coarse[r.alpha] for r in fine.rows}
+    ok = max(gaps.values()) <= 0.005
+    _report_line(2, ok, "err_C at tau=1/5120, nx=1000 against nx=2000: "
+                 + ", ".join(f"alpha={a:g} {g:.2%}" for a, g in gaps.items()))
+    assert ok, gaps
 
 
 @pytest.mark.parametrize(

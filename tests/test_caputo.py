@@ -14,7 +14,7 @@ from hallaire import (
     split_half_layer,
     truncation_bound,
 )
-from hallaire.caputo import HISTORY_WINDOW, gamma_const
+from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, gamma_const
 from oracles import caputo_by_quadrature, l1_weights_direct
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
@@ -293,12 +293,20 @@ class TestExponentialTail:
         # from 397 steps the windowed history reads at most half the levels
         assert CaputoKernel(0.5, 0.01, nsteps=397).soe is not None
 
+    @pytest.mark.parametrize("nsteps", [397, 1280])
+    def test_fold_is_the_power_matrix(self, nsteps):
+        fit = CaputoKernel(0.37, 1.0 / nsteps, nsteps=nsteps).soe
+        assert fit.fold.shape == (fit.nodes.size, HISTORY_CHUNK)
+        for i in range(HISTORY_CHUNK):
+            assert np.array_equal(fit.fold[:, i], np.exp(-(HISTORY_CHUNK - i) * fit.nodes))
+
     @pytest.mark.parametrize("nsteps", [0, 1, 5, 400])
-    def test_folded_weights(self, nsteps):
+    def test_increment_weights(self, nsteps):
         kernel = CaputoKernel(0.37, 0.01, nsteps=nsteps)
         for j in {0, 1, nsteps // 2, nsteps, nsteps + 3}:
-            # g_0 = c_j, g_k = c_{j-k} - c_{j-k+1}: the same operands as differencing c_j..c_0
-            want = np.diff(l1_weight_array(j, 0.37)[::-1], prepend=0.0)
-            assert np.array_equal(kernel.folded(j), want)
+            got = kernel.increment_weights(j)
+            # c_{j-s} for the increments s = 0..j-1
+            assert np.array_equal(got, l1_weight_array(j, 0.37)[:0:-1])
+            assert got.size == 0 or got.strides[0] > 0
         with pytest.raises(ValueError):
-            kernel.folded(-1)
+            kernel.increment_weights(-1)

@@ -379,31 +379,30 @@ class TestWindowedHistory:
         alpha=st.floats(0.011, 0.989),
         nsteps=st.integers(450, 1500),
         width=st.integers(1, 5),
-        shape=st.sampled_from(["walk", "noise", "smooth", "constant"]),
+        shape=st.sampled_from(["walk", "noise", "smooth", "spikes"]),
         size=st.sampled_from([1e-6, 1.0, 1e6]),
     )
     @settings(deadline=None, max_examples=30)
     def test_windowed_sum_matches_exact_sum(self, seed, alpha, nsteps, width, shape, size):
         rng = np.random.default_rng(seed)
         t = np.linspace(0.0, 1.0, nsteps + 1)[:, None]
-        levels = {
-            "walk": np.cumsum(rng.standard_normal((nsteps + 1, width)), axis=0),
-            "noise": rng.standard_normal((nsteps + 1, width)),
-            "smooth": np.sin(rng.uniform(1.0, 9.0, width) * t) + t**3,
-            "constant": np.broadcast_to(rng.standard_normal(width), (nsteps + 1, width)),
+        increments = {
+            "walk": rng.standard_normal((nsteps, width)),
+            "noise": np.diff(rng.standard_normal((nsteps + 1, width)), axis=0),
+            "smooth": np.diff(np.sin(rng.uniform(1.0, 9.0, width) * t) + t**3, axis=0),
+            "spikes": rng.standard_normal((nsteps, width)) * (rng.random((nsteps, 1)) < 0.02),
         }[shape] * size
         kernel = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps)
         fit = kernel.soe
         modes = HistoryModes(fit, width)
         c = kernel.weights(nsteps)
-        delta = np.abs(np.diff(levels, axis=0))
-        mag = np.abs(levels)
+        delta = np.abs(increments)
         for j in range(nsteps):
-            got = _history_sum(levels, kernel, j, modes)
-            want = _history_sum(levels, kernel, j)
+            got = _history_sum(increments, kernel, j, modes)
+            want = _history_sum(increments, kernel, j)
             lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
-            # fit error times sum_s c_{j-s} |y^{s+1} - y^s|, plus round-off on the levels
-            bound = fit.error * (lagged @ delta[:j]) + 1e-12 * (c[0] * mag[j] + lagged @ (mag[:j] + mag[1 : j + 1]))
+            # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
+            bound = (fit.error + 1e-12) * (lagged @ delta[:j])
             assert np.all(np.abs(got - want) <= bound), j
         assert modes.start > 0
 
@@ -417,7 +416,7 @@ class TestWindowedHistory:
     def test_deep_grid_state_is_small(self):
         state = SolverState(benchmark_problem(0.9), Grid1D(1.0, 1.0, 1000, 1280))
         fit = state.kernel.soe
-        held = state.modes.values.nbytes + sum(a.nbytes for a in (fit.nodes, fit.weights, fit.decay, fit.fold, fit.lagged))
+        held = state.modes.values.nbytes + sum(a.nbytes for a in (fit.nodes, fit.weights, fit.fold, fit.lagged))
         assert held < 1_000_000
 
     @pytest.mark.parametrize(
@@ -435,7 +434,16 @@ class TestWindowedHistory:
         state = march(p, Grid1D(1.0, 1.0, 12, 450))
         assert state.modes.start > 100
         for j in (0, 40, 100):
-            assert np.array_equal(_history_sum(state.levels, state.kernel, j, state.modes), _history_sum(state.levels, state.kernel, j))
+            assert np.array_equal(_history_sum(state.increments, state.kernel, j, state.modes), _history_sum(state.increments, state.kernel, j))
+
+    @pytest.mark.parametrize("nt", [40, 450])
+    def test_levels_are_the_observed_levels(self, nt):
+        # the stored increments sum back, bit for bit, to the levels the observers saw
+        seen = []
+        state = solve(benchmark_problem(0.5), Grid1D(1.0, 1.0, 12, nt), observers=(lambda j, t, y: seen.append(y.copy()),))
+        assert (state.modes is not None) == (nt > 396)
+        assert np.array_equal(state.levels, np.array(seen))
+        assert np.array_equal(state.levels[-1], state.level)
 
 
 class TestStepAndSolve:
@@ -473,7 +481,7 @@ class TestStepAndSolve:
             )
             grid = Grid1D(1.0, 1.0, int(rng.integers(3, 7)) * 2, int(rng.integers(3, 9)))
             cases.append((problem, grid))
-        # a history long enough to exercise the folded convolution weights,
+        # a history long enough to exercise the convolution weights,
         # with three point loads, with the distributed load, and with both
         cases.append((benchmark_problem(0.9), Grid1D(1.0, 1.0, 12, 48)))
         cases.append((integral_benchmark_problem(0.7), Grid1D(1.0, 1.0, 12, 48)))
@@ -678,7 +686,8 @@ def woodbury_march(problem, grid):
     for j in range(grid.nt):
         columns, rows = assemble_load_columns(state, problem, (j + 0.5) * grid.tau)
         b = assemble_rhs(state, problem, j)
-        state.levels[j + 1, 1:-1] = woodbury_solve(state.factor, columns, rows, b)
+        state.increments[j, 1:-1] = woodbury_solve(state.factor, columns, rows, b)
+        state.level = state.level + state.increments[j]
         state.j = j + 1
     return state.levels
 

@@ -170,7 +170,7 @@ class TestSelfCheck:
 
         def flattened(j, alpha):
             w = original(j, alpha)
-            w[0] = 1.0  # break the leading convolution weight
+            w[1] = 1.0  # break the weight of the latest increment in the history
             return w
 
         monkeypatch.setattr(caputo_mod, "l1_weight_array", flattened)
@@ -290,7 +290,10 @@ class TestDeepOrderGate:
         assert main(["self-check", "--table", "2", "--deep"]) == 0
         out = capsys.readouterr().out
         assert "deep rungs ok" in out
-        assert "1/5120" not in out.split("deep rungs")[0]  # strict cells stop at 1/160
+        cells = out.split("deep rungs")[0]
+        # cells are compared down to 1/1280; the two finest rungs only by their orders
+        assert "step=1/1280 err_C" in cells
+        assert "1/2560" not in cells and "1/5120" not in cells
 
 
 class TestCli:
