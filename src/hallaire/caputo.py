@@ -30,6 +30,14 @@ HISTORY_CHUNK = 32
 SOE_POINTS = 6
 SOE_REACH = 40.0
 
+# Shortest march that takes the windowed history.  Timed per step, the
+# windowed sum broke even with the exact one at about 480 steps at nx = 200
+# and was ahead from 320 at nx = 1000; from 397 steps it reads at most half
+# as many stored vectors.  Shorter marches, among them Table 2's default
+# ladder (nt <= 160) and the integral-load ladder (nt <= 320), keep the
+# exact sum and its arithmetic.
+SOE_MIN_STEPS = 397
+
 
 def check_alpha(alpha: float) -> None:
     if not ALPHA_MIN < alpha < ALPHA_MAX:
@@ -90,22 +98,6 @@ def _soe_edges(nsteps: int) -> np.ndarray:
     while 2.0 ** (count - 1) < SOE_REACH * nsteps / HISTORY_WINDOW:
         count += 1
     return 2.0 ** np.arange(count) / nsteps
-
-
-def windowed_reads(nsteps: int) -> int:
-    """Stored vectors the windowed history reads over a march of ``nsteps`` >= 1 steps.
-
-    Counted in levels, as the switch was timed: step j reads j - S + 1 from the
-    checkpoint S on, plus the modes once S > 0; each advance of S reads
-    HISTORY_CHUNK + 1 and reads and writes the modes; the exact sum reads
-    nsteps (nsteps + 1) / 2.  The increments are one fewer per step and advance.
-    """
-    modes = SOE_POINTS * _soe_edges(nsteps).size
-    j = np.arange(nsteps)
-    start = np.maximum(j - HISTORY_WINDOW + 1, 0) // HISTORY_CHUNK * HISTORY_CHUNK
-    step_reads = j - start + 1 + np.where(start > 0, modes, 0)
-    advances = int(start[-1]) // HISTORY_CHUNK
-    return int(step_reads.sum()) + advances * (HISTORY_CHUNK + 1 + 2 * modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +196,8 @@ class CaputoKernel:
     absorbs the 1/tau of the divided difference.  Weights c_0..c_nsteps, and
     c_nsteps..c_1 as one contiguous reversed copy, are computed once; a longer
     prefix is computed on each request.  ``soe`` is the exponential tail of the
-    windowed history (see :class:`ExponentialTail`), fitted when a march of
-    ``nsteps`` steps reads at most half as many stored vectors with it as
-    with the exact sum (:func:`windowed_reads`), and ``None`` otherwise.
+    windowed history (see :class:`ExponentialTail`), fitted for a march of
+    at least SOE_MIN_STEPS steps, and ``None`` otherwise.
     """
 
     def __init__(self, alpha: float, tau: float, nsteps: int = 0):
@@ -221,13 +212,7 @@ class CaputoKernel:
         self._c = l1_weight_array(nsteps, alpha)
         # a copy: matmul skips BLAS for the negative strides of a reversed view
         self._lags = self._c[:0:-1].copy()
-        # The read count leaves out the windowed step's fixed work (a second
-        # product, the checkpoint), which costs about as much as the reads it
-        # saves until the count is about halved (measured at nx = 200), so
-        # every march of fewer than 397 steps keeps the exact sum.
-        self.soe = None
-        if nsteps and 2 * windowed_reads(nsteps) <= nsteps * (nsteps + 1) // 2:
-            self.soe = fit_exponential_tail(self.alpha, self._c)
+        self.soe = fit_exponential_tail(self.alpha, self._c) if nsteps >= SOE_MIN_STEPS else None
 
     def increment_weights(self, j: int) -> np.ndarray:
         """c_j..c_1, the weights of the increments y^{s+1} - y^s, s = 0..j-1, at t_{j+1/2} (treat as read-only)."""

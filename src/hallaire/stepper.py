@@ -58,13 +58,6 @@ class Tridiagonal:
     def n(self) -> int:
         return self.diag.size
 
-    def matvec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = self.diag * v
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class LoadRow:
@@ -108,18 +101,10 @@ class ThomasFactor:
     forward: np.ndarray
     backward: np.ndarray
     gain: list
-    symmetric: bool
 
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    def transpose(self) -> ThomasFactor:
-        """Factor of the transposed matrix; this one when the matrix is symmetric."""
-        if self.symmetric:
-            return self
-        tri = self.matrix
-        return thomas_factor(Tridiagonal(tri.upper, tri.diag, tri.lower))
 
 
 def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
@@ -168,7 +153,6 @@ def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
         forward=-low[:, :1] * inverse[:, :, 0],
         backward=-up[:, -1:] * uinv[:, :, -1],
         gain=(-low[:, 0] * linv[:, -1, 0]).tolist(),
-        symmetric=bool(np.array_equal(tri.lower, tri.upper)),
     )
 
 
@@ -232,9 +216,12 @@ class LoadBlock:
     ``columns[i]`` = U_j (n x m), the dense rows ``rows[i]`` = W_j^T (m x n)
     and ``inverses[i]``, the inverse of the capacitance matrix
     I + W_j^T T^{-1} U_j.  The correction is closed from the row solves
-    ``row_solves[i]`` = W_j^T T^{-1}, or, when ``row_solves`` is ``None``,
-    from the column solves ``column_solves`` = T^{-1} U, which must then be
-    the same at every step.  None of it depends on the solution.
+    ``row_solves[i]`` = W_j^T T^{-1}, the rows solved against the symmetric
+    core (point loads, with or without the distributed load), or, when
+    ``row_solves`` is ``None``, from the column solves ``column_solves`` =
+    T^{-1} U, which must then be the same at every step (the distributed load
+    alone, or the one step of :func:`woodbury_solve`).  None of it depends on
+    the solution.
     """
 
     start: int
@@ -282,23 +269,15 @@ def _closing_block(start: int, columns, rows, row_solves=None, column_solves=Non
     return LoadBlock(start, start + len(inverses), columns, rows, inverses, row_solves, column_solves)
 
 
-def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None) -> np.ndarray:
+def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
     """Solve (T + sum_k U_k W_k^T) x = b.
 
-    ``tri`` is T or its :class:`ThomasFactor`.  A load may come with one side
-    already solved against T: ``row_solves[k] = T^{-T} W_k`` or
-    ``column_solves[k] = T^{-1} U_k`` (``None`` where not known); an m x n
-    array of ``row_solves`` is used as V^T without restacking.  The
-    correction is closed through the capacitance matrix I + W^T T^{-1} U:
-
-    * from the columns when every column solve is given: y = T^{-1} b,
-      cap = I + W^T Z, x = y - Z cap^{-1} W^T y;
-    * otherwise from the rows, solving the missing ones against T^T:
-      cap = I + V^T U, q = cap^{-1} V^T b, x = T^{-1}(b - U q).
-
-    Either way a call costs one tridiagonal sweep plus one per missing row
-    solve.  The call is a one-step :class:`LoadBlock`: the capacitance is
-    inverted and the correction closed as in every step of the march.
+    ``tri`` is T or its :class:`ThomasFactor`, which need not be symmetric.
+    The correction is closed from the column solves Z = T^{-1} U, one sweep
+    per load, through the capacitance matrix cap = I + W^T Z: y = T^{-1} b,
+    x = y - Z cap^{-1} W^T y.  The call is a one-step :class:`LoadBlock`: the
+    capacitance is inverted and the correction closed as in every step of
+    the march.
     """
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     m = 0 if columns is None else np.asarray(columns).shape[1]
@@ -310,15 +289,8 @@ def woodbury_solve(tri, columns, rows, b, *, row_solves=None, column_solves=None
     b = np.asarray(b, dtype=float)
     if b.size != factor.n:
         raise ValueError(f"right-hand side has length {b.size}, expected {factor.n}")
-    wt = _dense_rows(rows, factor.n)
-    if column_solves is not None and all(z is not None for z in column_solves):
-        block = _closing_block(0, columns[None], wt[None], column_solves=np.column_stack(column_solves))
-    else:
-        vt = [None] * m if row_solves is None else row_solves
-        if any(v is None for v in vt):
-            factor_t = factor.transpose()
-            vt = [thomas_solve(factor_t, w) if v is None else v for v, w in zip(vt, wt)]
-        block = _closing_block(0, columns[None], wt[None], row_solves=np.asarray(vt)[None])
+    z = np.column_stack([thomas_solve(factor, u) for u in columns.T])
+    block = _closing_block(0, columns[None], _dense_rows(rows, factor.n)[None], column_solves=z)
     if block.stop == 0:
         raise _singular([row.label for row in rows])
     return block.close(factor, 0, b)
@@ -405,7 +377,7 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
     The block ends at the last step, ``nt - 1``, so no load is evaluated past
     the final level.  Point-load rows and their row solves are the state's
     constants; a distributed load's rows are its samples, and with point
-    loads beside it each of its rows is solved against T^T here, one sweep
+    loads beside it each of its rows is solved against T here, one sweep
     per step.  A capacitance matrix that is singular at the first step
     raises; one that is singular at a later step ends the block before it.
     """
@@ -419,9 +391,8 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
     if weights is not None:
         rows = np.concatenate((rows, weights[:, None]), axis=1)
         if len(state.load_rows):
-            factor_t = state.factor.transpose()
             row_solves = np.concatenate(
-                (row_solves, np.array([thomas_solve(factor_t, w) for w in weights])[:, None]), axis=1
+                (row_solves, np.array([thomas_solve(state.factor, w) for w in weights])[:, None]), axis=1
             )
         else:
             row_solves, column_solves = None, state.integral_solve[:, None]
@@ -459,7 +430,7 @@ class SolverState:
     the factor of the tridiagonal core (the core itself is
     ``factor.matrix``), the interior point-load rows (sparse as
     ``load_rows``, dense as the rows of ``point_rows``) with their solves
-    against the transposed core (``row_solves``), and the distributed load's
+    against the core (``row_solves``), and the distributed load's
     Simpson node weights and constant column solved against the core
     (``integral_solve``) do not change in time and are built here once.
     ``block`` is the :class:`LoadBlock` of the current steps, ``None`` until
@@ -481,10 +452,11 @@ class SolverState:
         )
         n = grid.nx - 1
         self.point_rows = _dense_rows(self.load_rows, n)
-        factor_t = self.factor.transpose()
+        # assemble_tridiagonal builds T with lower == upper, so T^{-T} W = T^{-1} W:
+        # the load rows here and in _load_block are solved with the factor of T
         self.row_solves = np.zeros((len(self.load_rows), n))
         for k, row in enumerate(self.point_rows):
-            self.row_solves[k] = thomas_solve(factor_t, row)
+            self.row_solves[k] = thomas_solve(self.factor, row)
         self.simpson = self.integral_solve = None
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)

@@ -290,8 +290,9 @@ class TestExponentialTail:
         assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe is None
 
     def test_first_windowed_march(self):
-        # from 397 steps the windowed history reads at most half the levels
-        assert CaputoKernel(0.5, 0.01, nsteps=397).soe is not None
+        # every march from SOE_MIN_STEPS = 397 steps on is windowed, 410..422 among them
+        for nsteps in (397, 415):
+            assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe is not None
 
     @pytest.mark.parametrize("nsteps", [397, 1280])
     def test_fold_is_the_power_matrix(self, nsteps):
