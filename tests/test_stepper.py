@@ -268,9 +268,10 @@ class TestWoodbury:
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
-    def test_non_symmetric_core_matches_dense(self, rng):
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_non_symmetric_core_matches_dense(self, rng, m):
         # closed from the column solves, which need no transposed factor
-        n, m = 9, 3
+        n = 9
         tri = _random_dominant(rng, n)
         columns = rng.standard_normal((n, m))
         rows = [LoadRow(f"x={k}", np.arange(k, k + 4), rng.standard_normal(4)) for k in range(m)]
@@ -278,6 +279,29 @@ class TestWoodbury:
         got = woodbury_solve(tri, columns, rows, b)
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+    def test_factor_of_a_non_symmetric_core(self, rng):
+        # a ThomasFactor in place of T is the same solve, bit for bit
+        n, m = 11, 2
+        tri = _random_dominant(rng, n)
+        columns = rng.standard_normal((n, m))
+        rows = [LoadRow(f"x={k}", np.arange(2 * k, 2 * k + 4), rng.standard_normal(4)) for k in range(m)]
+        b = rng.standard_normal(n)
+        got = woodbury_solve(thomas_factor(tri), columns, rows, b)
+        assert np.array_equal(got, woodbury_solve(tri, columns, rows, b))
+        want = np.linalg.solve(_dense_from(tri, columns, rows), b)
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+    def test_load_row_solves_are_solves_against_the_transpose(self):
+        # SolverState solves W with the factor of T; for the symmetric core
+        # that is T^{-T} W, the row side of the capacitance
+        p = _loaded_problem(0.6, (0, 1, 3), False)
+        state = SolverState(p, Grid1D(1.0, 1.0, 16, 4))
+        dense = _dense_from(state.factor.matrix, np.zeros((15, 0)), [])
+        assert state.row_solves.shape == (3, 15)
+        for row, solved in zip(state.point_rows, state.row_solves):
+            want = np.linalg.solve(dense.T, row)
+            assert np.max(np.abs(solved - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_singular_capacitance_names_loads(self):
         tri = Tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
@@ -402,6 +426,16 @@ class TestWindowedHistory:
         state = march(problem, grid)
         assert state.modes is not None and state.modes.start > 0
         assert np.max(np.abs(state.levels - dense_march(problem, grid))) <= 1e-10
+
+    def test_march_of_415_steps_is_windowed(self):
+        # 410..422 steps once summed the whole history; from SOE_MIN_STEPS on
+        # every march is windowed and stays within the windowed-vs-exact gate
+        p = benchmark_problem(0.5)
+        grid = Grid1D(1.0, 1.0, 12, 415)
+        windowed = march(p, grid)
+        assert windowed.modes is not None and windowed.modes.start > 0
+        exact = march(p, grid, windowed=False)
+        assert np.max(np.abs(windowed.levels - exact.levels)) <= 1e-10
 
     def test_step_behind_the_checkpoint_sums_exactly(self):
         p = benchmark_problem(0.5)
