@@ -39,6 +39,11 @@ SOE_REACH = 40.0
 SOE_MIN_STEPS = 397
 
 
+def history_rows(nsteps: int) -> int:
+    """Increments a march of ``nsteps`` steps stores: all of them, or the most a windowed step reads and writes."""
+    return nsteps if nsteps < SOE_MIN_STEPS else HISTORY_WINDOW + HISTORY_CHUNK - 1
+
+
 def check_alpha(alpha: float) -> None:
     if not ALPHA_MIN < alpha < ALPHA_MAX:
         raise ValueError(
@@ -161,9 +166,10 @@ class HistoryModes:
 
     ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) delta^s`` with
     delta^s = y^{s+1} - y^s, for the nodes of an :class:`ExponentialTail`.
-    The checkpoint ``start`` moves HISTORY_CHUNK steps at a time and stays at
-    least HISTORY_WINDOW - 1 steps behind the step, so every lag the modes serve
-    is one the tail was fitted on.
+    The checkpoint ``start`` moves HISTORY_CHUNK steps at a time and stays
+    HISTORY_WINDOW - 1 to HISTORY_WINDOW + HISTORY_CHUNK - 2 steps behind the
+    step, so the tail was fitted on every lag the modes serve.  Row i of the
+    increments handed to :meth:`catch_up` is delta^{start + i}.
     """
 
     def __init__(self, fit: ExponentialTail, width: int):
@@ -172,16 +178,13 @@ class HistoryModes:
         self.values = np.zeros((fit.nodes.size, width))
 
     def catch_up(self, increments: np.ndarray, j: int) -> int:
-        """Advance the checkpoint for the step at j; the checkpoint, or 0 if j is behind it."""
+        """Advance the checkpoint for the step at j, folding in and shifting out each chunk it passes; the checkpoint."""
         target = max(j - HISTORY_WINDOW + 1, 0) // HISTORY_CHUNK * HISTORY_CHUNK
-        if target < self.start:
-            return 0
-        fit = self.fit
         while self.start < target:
-            s = self.start
-            self.values *= fit.fold[:, :1]
-            self.values += fit.fold @ increments[s : s + HISTORY_CHUNK]
-            self.start = s + HISTORY_CHUNK
+            self.values *= self.fit.fold[:, :1]
+            self.values += self.fit.fold @ increments[:HISTORY_CHUNK]
+            increments[:-HISTORY_CHUNK] = increments[HISTORY_CHUNK:]
+            self.start += HISTORY_CHUNK
         return self.start
 
     def tail(self, j: int) -> np.ndarray:

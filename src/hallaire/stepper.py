@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import CaputoKernel, HistoryModes, check_alpha, gamma_const
+from .caputo import CaputoKernel, HistoryModes, check_alpha, gamma_const, history_rows
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
@@ -280,15 +280,15 @@ def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
     the march.
     """
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
-    m = 0 if columns is None else np.asarray(columns).shape[1]
-    if m == 0:
-        return thomas_solve(factor, b)
+    n = factor.n
     columns = np.asarray(columns, dtype=float)
-    if len(rows) != m:
-        raise ValueError(f"{m} columns need {m} rows, got {len(rows)}")
-    b = np.asarray(b, dtype=float)
-    if b.size != factor.n:
-        raise ValueError(f"right-hand side has length {b.size}, expected {factor.n}")
+    if columns.shape != (n, len(rows)):
+        raise ValueError(f"load columns have shape {columns.shape}, expected ({n}, {len(rows)}): one per row")
+    for row in rows:
+        if not np.all((np.asarray(row.cols) >= 0) & (np.asarray(row.cols) < n)):
+            raise ValueError(f"load row {row.label} has columns outside 0..{n - 1}")
+    if not rows:
+        return thomas_solve(factor, b)
     z = np.column_stack([thomas_solve(factor, u) for u in columns.T])
     block = _closing_block(0, columns[None], _dense_rows(rows, factor.n)[None], column_solves=z)
     if block.stop == 0:
@@ -404,9 +404,9 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
 
 
 def _check_size(grid: Grid1D) -> None:
-    """Refuse a grid whose stored increments and factor cannot fit in this machine's memory."""
+    """Refuse a grid whose stored increments, weights and factor cannot fit in this machine's memory."""
     n = grid.nx - 1
-    need = 8 * ((grid.nt + 1) * (grid.nx + 1) + 3 * n * min(n, BLOCK))
+    need = 8 * (history_rows(grid.nt) * (grid.nx + 1) + 2 * (grid.nt + 1) + 3 * n * min(n, BLOCK))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -414,19 +414,19 @@ def _check_size(grid: Grid1D) -> None:
     if need > have:
         raise ValueError(
             f"a solve on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} bytes for its "
-            f"stored increments and factor, more than the {have:.3g} bytes of memory here"
+            f"stored increments, weights and factor, more than the {have:.3g} bytes of memory here"
         )
 
 
 class SolverState:
-    """Marching state: stored increments, per-solve constants, and the step index.
+    """Marching state: the increments a step reads, per-solve constants, and the step index.
 
-    ``increments[s]`` is y^{s+1} - y^s for s < ``j``, ``initial`` the read-only
-    y^0 and ``level`` the current y^j, their running sum; all keep exact zeros
-    at the boundary nodes.  The fractional convolution reads every increment
-    on short marches, and on long ones only those since the checkpoint of
-    ``modes``, the :class:`HistoryModes` that carry the older ones (``None``
-    when the kernel fitted no exponential tail).  The nodes ``x``,
+    ``level`` is y^j, the running sum of y^0 and the increments y^{s+1} - y^s;
+    row i of ``increments`` holds the one at s = start + i, in
+    :func:`~hallaire.caputo.history_rows` rows.  ``start`` is 0 on short
+    marches, and on long ones the checkpoint of ``modes``, the
+    :class:`HistoryModes` that carry the older increments (``None`` when the
+    kernel fitted no exponential tail).  The nodes ``x``,
     the factor of the tridiagonal core (the core itself is
     ``factor.matrix``), the interior point-load rows (sparse as
     ``load_rows``, dense as the rows of ``point_rows``) with their solves
@@ -461,28 +461,21 @@ class SolverState:
         if problem.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
             self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
-        self.increments = np.zeros((grid.nt, grid.nx + 1))
+        self.increments = np.zeros((history_rows(grid.nt), grid.nx + 1))
         self.modes = None if self.kernel.soe is None else HistoryModes(self.kernel.soe, grid.nx + 1)
-        y0 = np.array(_sample(problem.initial(self.x), self.x.shape))
-        y0[0] = 0.0
-        y0[-1] = 0.0
-        y0.flags.writeable = False
-        self.initial = self.level = y0
+        self.level = np.array(_sample(problem.initial(self.x), self.x.shape))
+        self.level[[0, -1]] = 0.0
+        self.level.flags.writeable = False
         self.block = None
         self.j = 0
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Levels y^0..y^j as a new array, summed in the order of the march's running sum."""
-        return np.cumsum(np.concatenate((self.initial[None], self.increments[: self.j])), axis=0)
 
 
 def _history_sum(increments: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes | None = None) -> np.ndarray:
     # D = -sum_{s=0}^{j-1} c_{j-s} delta^s.  The increments from the
-    # checkpoint S on are summed exactly (all of them when S = 0); those
-    # before S come from the modes.
+    # checkpoint S on, rows 0..j-S-1, are summed exactly (all of them when
+    # S = 0); those before S come from the modes.
     start = 0 if modes is None else modes.catch_up(increments, j)
-    out = -(kernel.increment_weights(j)[start:] @ increments[start:j])
+    out = -(kernel.increment_weights(j)[start:] @ increments[: j - start])
     if start:
         out += modes.tail(j)
     return out
@@ -541,8 +534,9 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
             f"tau / stability_step_limit = {grid.tau / stability_step_limit(problem):.3g}"
         )
-    state.increments[j, 1:-1] = delta
-    state.level = state.level + state.increments[j]
+    row = state.increments[j - (0 if state.modes is None else state.modes.start)]
+    row[1:-1] = delta
+    state.level = state.level + row
     state.j = j + 1
     return state
 
@@ -555,7 +549,10 @@ def stability_step_limit(problem: ProblemSpec) -> float:
     """
     g = gamma_const(problem.alpha)
     base = 2.0 * problem.mu / (g * problem.length**2)
-    return base ** (1.0 / (1.0 - problem.alpha))
+    try:
+        return base ** (1.0 / (1.0 - problem.alpha))
+    except OverflowError:
+        return math.inf
 
 
 def _notify(observers, j, t, level):
@@ -567,7 +564,7 @@ def _notify(observers, j, t, level):
 
 
 def solve(problem: ProblemSpec, grid: Grid1D, observers=()) -> SolverState:
-    """March all time steps; observers see every level in order."""
+    """March all time steps; observers see every level in order, the only place past levels can be read."""
     if not (
         math.isclose(grid.length, problem.length)
         and math.isclose(grid.final_time, problem.final_time)

@@ -26,7 +26,6 @@ from hallaire import (
     run_study,
     second_difference,
     self_check,
-    solve,
     split_half_layer,
     table1_config,
     table2_config,
@@ -36,7 +35,7 @@ from hallaire import (
 from hallaire.stepper import LoadRow
 from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
 from test_problems import _benchmark_terms, residual_at
-from test_stepper import march
+from test_stepper import march, solved_levels
 
 RUN_DEEP = os.environ.get("HALLAIRE_DEEP", "") == "1"
 
@@ -126,9 +125,9 @@ def test_c2_windowed_history_on_deep_grid(nt):
     # round-off floor of merely reordering the exact sum is about 3.5e-12 here.
     problem = make_problem("benchmark", 0.9)
     grid = Grid1D(1.0, 1.0, 1000, nt)
-    windowed = march(problem, grid)
-    exact = march(problem, grid, windowed=False)
-    gap = float(np.max(np.abs(windowed.levels - exact.levels)))
+    windowed, levels = march(problem, grid)
+    _, exact = march(problem, grid, windowed=False)
+    gap = float(np.max(np.abs(levels - exact)))
     ok = windowed.modes is not None and gap <= 1e-10
     _report_line(2, ok, f"windowed history at nt={nt}: {windowed.kernel.soe.nodes.size} modes, "
                  f"fit error {windowed.kernel.soe.error:.2e}, levels within {gap:.2e} of the exact history")
@@ -280,9 +279,9 @@ def test_c8_homogeneous_stability(alpha):
         initial=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
     )
     grid = Grid1D(1.0, 1.0, 50, 200)
-    state = solve(problem, grid)
-    sup = float(np.max(np.abs(state.levels)))
-    cap = 10.0 * float(np.max(np.abs(state.levels[0])))
+    levels = solved_levels(problem, grid)
+    sup = float(np.max(np.abs(levels)))
+    cap = 10.0 * float(np.max(np.abs(levels[0])))
     ok = sup <= cap
     _report_line(8, ok, f"alpha={alpha}: sup over levels {sup:.4f} <= {cap:.1f}")
     assert ok

@@ -52,3 +52,12 @@ def test_solve_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text()
+    section = text.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names = {}
+    exec(compile(code, str(README), "exec"), names)
+    assert len(names["errors"]) == names["grid"].nt + 1

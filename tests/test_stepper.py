@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from hallaire import (
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.caputo import CaputoKernel, HistoryModes
+from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, history_rows
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
@@ -303,6 +304,21 @@ class TestWoodbury:
             want = np.linalg.solve(dense.T, row)
             assert np.max(np.abs(solved - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("cols", [[-1], [7], [2, 9]])
+    def test_load_row_outside_the_unknowns_is_refused(self, rng, cols):
+        # -1 would wrap to the last unknown, 7 and 9 would index past it
+        tri = _random_dominant(rng, 7)
+        row = LoadRow("x=0.4", cols, np.ones(len(cols)))
+        with pytest.raises(ValueError, match=r"load row x=0\.4 has columns outside 0\.\.6"):
+            woodbury_solve(tri, np.ones((7, 1)), [row], np.ones(7))
+
+    @pytest.mark.parametrize("shape", [(8, 1), (6, 1), (7, 2), (7,)])
+    def test_load_columns_of_the_wrong_shape_are_refused(self, rng, shape):
+        tri = _random_dominant(rng, 7)
+        row = LoadRow("x=0.4", np.array([2, 3]), np.ones(2))
+        with pytest.raises(ValueError, match=rf"load columns have shape {re.escape(str(shape))}, expected \(7, 1\)"):
+            woodbury_solve(tri, np.ones(shape), [row], np.ones(7))
+
     def test_singular_capacitance_names_loads(self):
         tri = Tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
         w = np.array([1.0, 2.0])
@@ -362,13 +378,27 @@ class TestRhs:
 
 
 def march(problem, grid, windowed=True):
-    """Levels of a full march; ``windowed=False`` sums the whole history exactly."""
+    """The state after a full march and the levels it passed through, stacked.
+
+    ``windowed=False`` is the exact-history reference: every increment is
+    stored and summed, with no modes.
+    """
     state = SolverState(problem, grid)
     if not windowed:
         state.modes = None
+        state.increments = np.zeros((grid.nt, grid.nx + 1))
+    levels = [state.level]
     for _ in range(grid.nt):
         step(state, problem)
-    return state
+        levels.append(state.level)
+    return state, np.array(levels)
+
+
+def solved_levels(problem, grid):
+    """Every level the observers of ``solve`` see, stacked."""
+    seen = []
+    solve(problem, grid, observers=(lambda j, t, level: seen.append(level.copy()),))
+    return np.array(seen)
 
 
 class TestWindowedHistory:
@@ -393,15 +423,19 @@ class TestWindowedHistory:
         kernel = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps)
         fit = kernel.soe
         modes = HistoryModes(fit, width)
+        # the march's buffer: row i holds the increment at modes.start + i
+        buffer = np.zeros((history_rows(nsteps), width))
+        assert buffer.shape[0] == 63
         c = kernel.weights(nsteps)
         delta = np.abs(increments)
         for j in range(nsteps):
-            got = _history_sum(increments, kernel, j, modes)
+            got = _history_sum(buffer, kernel, j, modes)
             want = _history_sum(increments, kernel, j)
             lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
             # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
             bound = (fit.error + 1e-12) * (lagged @ delta[:j])
             assert np.all(np.abs(got - want) <= bound), j
+            buffer[j - modes.start] = increments[j]
         assert modes.start > 0
 
     @pytest.mark.parametrize("nt", [1, 10, 160, 320])
@@ -410,6 +444,15 @@ class TestWindowedHistory:
         state = SolverState(make_problem(name, 0.5), Grid1D(1.0, 1.0, nx, nt))
         assert state.kernel.soe is None
         assert state.modes is None
+
+    @pytest.mark.parametrize("nt", [1, 40, SOE_MIN_STEPS - 1, SOE_MIN_STEPS, 1280, 100000])
+    def test_increment_buffer_rows(self, nt):
+        # every increment on exact marches; on windowed ones the 31..62 since
+        # the checkpoint and the one the step writes
+        state = SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 8, nt))
+        rows = nt if nt < SOE_MIN_STEPS else 63
+        assert state.increments.shape == (rows, 9)
+        assert (state.modes is None) == (nt < SOE_MIN_STEPS)
 
     def test_deep_grid_state_is_small(self):
         state = SolverState(benchmark_problem(0.9), Grid1D(1.0, 1.0, 1000, 1280))
@@ -423,43 +466,26 @@ class TestWindowedHistory:
     )
     def test_windowed_march_matches_dense_oracle(self, problem, nx):
         grid = Grid1D(1.0, 1.0, nx, 450)
-        state = march(problem, grid)
+        state, levels = march(problem, grid)
         assert state.modes is not None and state.modes.start > 0
-        assert np.max(np.abs(state.levels - dense_march(problem, grid))) <= 1e-10
+        assert np.max(np.abs(levels - dense_march(problem, grid))) <= 1e-10
 
     def test_march_of_415_steps_is_windowed(self):
         # 410..422 steps once summed the whole history; from SOE_MIN_STEPS on
         # every march is windowed and stays within the windowed-vs-exact gate
         p = benchmark_problem(0.5)
         grid = Grid1D(1.0, 1.0, 12, 415)
-        windowed = march(p, grid)
+        windowed, levels = march(p, grid)
         assert windowed.modes is not None and windowed.modes.start > 0
-        exact = march(p, grid, windowed=False)
-        assert np.max(np.abs(windowed.levels - exact.levels)) <= 1e-10
-
-    def test_step_behind_the_checkpoint_sums_exactly(self):
-        p = benchmark_problem(0.5)
-        state = march(p, Grid1D(1.0, 1.0, 12, 450))
-        assert state.modes.start > 100
-        for j in (0, 40, 100):
-            assert np.array_equal(_history_sum(state.increments, state.kernel, j, state.modes), _history_sum(state.increments, state.kernel, j))
-
-    @pytest.mark.parametrize("nt", [40, 450])
-    def test_levels_are_the_observed_levels(self, nt):
-        # the stored increments sum back, bit for bit, to the levels the observers saw
-        seen = []
-        state = solve(benchmark_problem(0.5), Grid1D(1.0, 1.0, 12, nt), observers=(lambda j, t, y: seen.append(y.copy()),))
-        assert (state.modes is not None) == (nt > 396)
-        assert np.array_equal(state.levels, np.array(seen))
-        assert np.array_equal(state.levels[-1], state.level)
+        _, exact = march(p, grid, windowed=False)
+        assert np.max(np.abs(levels - exact)) <= 1e-10
 
 
 class TestStepAndSolve:
     def test_zero_dynamics(self):
         p = _zeros_problem()
         g = Grid1D(1.0, 1.0, 8, 3)
-        state = solve(p, g)
-        assert np.array_equal(state.levels, np.zeros((4, 9)))
+        assert np.array_equal(solved_levels(p, g), np.zeros((4, 9)))
 
     def test_single_step_matches_dense(self):
         p = benchmark_problem(0.3)
@@ -468,7 +494,7 @@ class TestStepAndSolve:
         step(state, p)
         ref = dense_march(p, g, nsteps=1)
         scale = np.max(np.abs(ref[1]))
-        assert np.max(np.abs(state.levels[1] - ref[1])) <= 1e-11 * scale
+        assert np.max(np.abs(state.level - ref[1])) <= 1e-11 * scale
 
     @pytest.mark.filterwarnings("ignore:time step .* exceeds")
     def test_marched_equivalence_with_dense_oracle(self, rng):
@@ -497,7 +523,7 @@ class TestStepAndSolve:
         for problem, grid in cases:
             ref = dense_march(problem, grid)
             scale = np.max(np.abs(ref))
-            got = solve(problem, grid).levels
+            got = solved_levels(problem, grid)
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
     @given(
@@ -514,7 +540,7 @@ class TestStepAndSolve:
         problem = _loaded_problem(alpha, sorted(loads), distributed, mode=mode)
         grid = Grid1D(1.0, 1.0, nx, nt)
         want = dense_march(problem, grid)
-        got = solve(problem, grid).levels
+        got = solved_levels(problem, grid)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -557,13 +583,13 @@ class TestStepAndSolve:
         p = integral_benchmark_problem(0.4)
         g = Grid1D(1.0, 1.0, 12, 6)
         ref = dense_march(p, g)
-        got = solve(p, g).levels
+        got = solved_levels(p, g)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_boundary_entries_exactly_zero(self):
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 12, 6)
-        levels = solve(p, g).levels
+        levels = solved_levels(p, g)
         assert np.all(levels[:, 0] == 0.0)
         assert np.all(levels[:, -1] == 0.0)
 
@@ -589,8 +615,8 @@ class TestStepAndSolve:
             lambda x: base.initial(x),
         )
         g = Grid1D(1.0, 1.0, 10, 5)
-        got = solve(scaled, g).levels
-        want = lam * solve(unscaled, g).levels
+        got = solved_levels(scaled, g)
+        want = lam * solved_levels(unscaled, g)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_additive_in_forcing_and_initial_data(self, rng):
@@ -600,19 +626,17 @@ class TestStepAndSolve:
         u1 = lambda x: np.sin(math.pi * np.asarray(x, dtype=float))
         u2 = lambda x: np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
         mk = lambda f, u: _zeros_problem(alpha=0.4, forcing=f, initial=u)
-        combined = solve(
-            mk(lambda x, t: f1(x, t) + f2(x, t), lambda x: u1(x) + u2(x)), g
-        ).levels
-        separate = solve(mk(f1, u1), g).levels + solve(mk(f2, u2), g).levels
+        combined = solved_levels(mk(lambda x, t: f1(x, t) + f2(x, t), lambda x: u1(x) + u2(x)), g)
+        separate = solved_levels(mk(f1, u1), g) + solved_levels(mk(f2, u2), g)
         assert np.max(np.abs(combined - separate)) <= 1e-11 * np.max(np.abs(separate))
 
     def test_single_step_grid_reduces_to_step(self):
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 8, 1)
-        via_solve = solve(p, g).levels[1]
+        via_solve = solved_levels(p, g)[1]
         state = SolverState(p, g)
         step(state, p)
-        assert np.array_equal(via_solve, state.levels[1])
+        assert np.array_equal(via_solve, state.level)
 
     def test_step_past_end_rejected(self):
         p = _zeros_problem()
@@ -653,13 +677,20 @@ class TestStepAndSolve:
         with pytest.warns(RuntimeWarning, match="stability threshold"):
             solve(p, g)
 
+    def test_step_limit_that_overflows_is_infinite(self):
+        # (2 mu / (gamma l^2))^(1/(1-alpha)) is past the largest float here
+        p = manufactured_problem(1, ((1.0, 2.0),), 0.989, mu=10.0)
+        assert stability_step_limit(p) == math.inf
+        levels = solved_levels(p, Grid1D(1, 1, 8, 4))
+        assert levels.shape == (5, 9) and np.isfinite(levels).all()
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_homogeneous_stability(self, alpha):
         p = _zeros_problem(alpha=alpha, initial=lambda x: np.sin(math.pi * np.asarray(x)))
         g = Grid1D(1.0, 1.0, 50, 200)
-        state = solve(p, g)
-        sup = np.max(np.abs(state.levels))
-        assert sup <= 10.0 * np.max(np.abs(state.levels[0]))
+        levels = solved_levels(p, g)
+        sup = np.max(np.abs(levels))
+        assert sup <= 10.0 * np.max(np.abs(levels[0]))
 
     def test_table_row_reproduced(self):
         # cheapest bundled-table cell: temporal ladder start at alpha = 0.5
@@ -691,13 +722,16 @@ def woodbury_march(problem, grid):
     """Levels of a march that assembles every step on its own and closes it
     with a fresh ``woodbury_solve``, solving the load columns against T anew."""
     state = SolverState(problem, grid)
+    levels = [state.level]
     for j in range(grid.nt):
         columns, rows = assemble_load_columns(state, problem, (j + 0.5) * grid.tau)
         b = assemble_rhs(state, problem, j)
-        state.increments[j, 1:-1] = woodbury_solve(state.factor, columns, rows, b)
-        state.level = state.level + state.increments[j]
+        row = state.increments[j - (0 if state.modes is None else state.modes.start)]
+        row[1:-1] = woodbury_solve(state.factor, columns, rows, b)
+        state.level = state.level + row
         state.j = j + 1
-    return state.levels
+        levels.append(state.level)
+    return np.array(levels)
 
 
 def _spiked_problem(at, value, grid, initial=None):
@@ -731,7 +765,7 @@ class TestLoadBlocks:
         loads = sorted(points) if mix in ("points", "both") else []
         problem = _loaded_problem(alpha, loads, mix in ("distributed", "both"), mode=mode)
         grid = Grid1D(1.0, 1.0, nx, nt)
-        got = solve(problem, grid).levels
+        got = solved_levels(problem, grid)
         dense = dense_march(problem, grid)
         assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
         stepwise = woodbury_march(problem, grid)
@@ -832,8 +866,8 @@ class TestLoadBlocks:
     def test_solver_state_refuses_a_grid_beyond_memory(self, monkeypatch):
         # the size is checked against the machine's memory before anything
         # is allocated; a small reported memory stands in for a huge grid
-        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 1024 if name == "SC_PHYS_PAGES" else 4096)
-        with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 4\.19e\+06 bytes"):
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else 4096)
+        with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 1\.05e\+06 bytes"):
             SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 1000, 1000))
         SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10))
 
