@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,17 +31,16 @@ HISTORY_CHUNK = 32
 SOE_POINTS = 6
 SOE_REACH = 40.0
 
-# Shortest march that takes the windowed history.  Timed per step, the
+# Shortest march whose increment buffer is windowed.  Timed per step, the
 # windowed sum broke even with the exact one at about 480 steps at nx = 200
 # and was ahead from 320 at nx = 1000; from 397 steps it reads at most half
-# as many stored vectors.  Shorter marches, among them Table 2's default
-# ladder (nt <= 160) and the integral-load ladder (nt <= 320), keep the
-# exact sum and its arithmetic.
+# as many stored vectors.  Shorter marches (Table 2's default ladder, nt <= 160,
+# and the integral-load ladder, nt <= 320) store every increment and never fold.
 SOE_MIN_STEPS = 397
 
 
 def history_rows(nsteps: int) -> int:
-    """Increments a march of ``nsteps`` steps stores: all of them, or the most a windowed step reads and writes."""
+    """Increments a march of ``nsteps`` steps stores: all of them (an exact march), or the most a windowed step reads and writes."""
     return nsteps if nsteps < SOE_MIN_STEPS else HISTORY_WINDOW + HISTORY_CHUNK - 1
 
 
@@ -58,7 +58,7 @@ def l1_weight(j: int, alpha: float) -> float:
         raise ValueError(f"weight index must be nonnegative, got {j}")
     if j == 0:
         return 2.0 ** (alpha - 1.0)
-    return (j + 0.5) ** (1.0 - alpha) - (j - 0.5) ** (1.0 - alpha)
+    return _lag_weights(j, alpha)
 
 
 def l1_weight_array(j: int, alpha: float) -> np.ndarray:
@@ -68,10 +68,13 @@ def l1_weight_array(j: int, alpha: float) -> np.ndarray:
         raise ValueError(f"weight index must be nonnegative, got {j}")
     out = np.empty(j + 1)
     out[0] = 2.0 ** (alpha - 1.0)
-    if j >= 1:
-        idx = np.arange(1, j + 1, dtype=float)
-        out[1:] = (idx + 0.5) ** (1.0 - alpha) - (idx - 0.5) ** (1.0 - alpha)
+    out[1:] = _lag_weights(np.arange(1, j + 1, dtype=float), alpha)
     return out
+
+
+def _lag_weights(k, alpha: float):
+    """Weights c_k of the lags k >= 1: one integer, or an array of them as floats."""
+    return (k + 0.5) ** (1.0 - alpha) - (k - 0.5) ** (1.0 - alpha)
 
 
 def gamma_const(alpha: float) -> float:
@@ -129,9 +132,10 @@ class ExponentialTail:
     lagged: np.ndarray
 
 
-def fit_exponential_tail(alpha: float, weights: np.ndarray) -> ExponentialTail:
-    """Fit the tail of c_0..c_M (``weights``) and measure the fit on c_W..c_M."""
-    nsteps = weights.size - 1
+def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
+    """Fit the tail of c_k for a march of M = ``nsteps`` steps and measure the fit on c_W..c_M."""
+    if nsteps < HISTORY_WINDOW:
+        raise ValueError(f"the exponential tail serves lags from {HISTORY_WINDOW} on, a march of {nsteps} steps has none")
     edges = _soe_edges(nsteps)
     phi = lambda s: 2.0 * np.sinh(0.5 * s) / s
     lead = (1.0 - alpha) / math.gamma(alpha)
@@ -149,7 +153,7 @@ def fit_exponential_tail(alpha: float, weights: np.ndarray) -> ExponentialTail:
     error = 0.0
     for lo in range(HISTORY_WINDOW, nsteps + 1, 128):
         k = np.arange(lo, min(lo + 128, nsteps + 1), dtype=float)
-        exact = weights[lo : lo + k.size]
+        exact = _lag_weights(k, alpha)
         error = max(error, float(np.max(np.abs(np.exp(-np.outer(k, nodes)) @ coefs - exact) / exact)))
     lags = np.arange(HISTORY_WINDOW - 1, HISTORY_WINDOW + HISTORY_CHUNK - 1)
     return ExponentialTail(
@@ -164,43 +168,41 @@ def fit_exponential_tail(alpha: float, weights: np.ndarray) -> ExponentialTail:
 class HistoryModes:
     """Increments before a checkpoint, carried as exponential modes.
 
-    ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) delta^s`` with
-    delta^s = y^{s+1} - y^s, for the nodes of an :class:`ExponentialTail`.
-    The checkpoint ``start`` moves HISTORY_CHUNK steps at a time and stays
-    HISTORY_WINDOW - 1 to HISTORY_WINDOW + HISTORY_CHUNK - 2 steps behind the
-    step, so the tail was fitted on every lag the modes serve.  Row i of the
-    increments handed to :meth:`catch_up` is delta^{start + i}.
+    ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) delta^s``, 0.0 before
+    the first fold, for delta^s = y^{s+1} - y^s and the nodes of ``kernel.soe``.
+    Row i of the increments handed to :meth:`catch_up` is delta^{start + i}.  A
+    full buffer folds its first HISTORY_CHUNK rows, so a 63-row one keeps the
+    checkpoint 31 to 62 steps behind the step, on lags the tail was fitted on,
+    and one with a row for every step never folds or fits.
     """
 
-    def __init__(self, fit: ExponentialTail, width: int):
-        self.fit = fit
+    def __init__(self, kernel: CaputoKernel):
+        self.kernel = kernel
         self.start = 0
-        self.values = np.zeros((fit.nodes.size, width))
+        self.values = 0.0
 
     def catch_up(self, increments: np.ndarray, j: int) -> int:
-        """Advance the checkpoint for the step at j, folding in and shifting out each chunk it passes; the checkpoint."""
-        target = max(j - HISTORY_WINDOW + 1, 0) // HISTORY_CHUNK * HISTORY_CHUNK
-        while self.start < target:
-            self.values *= self.fit.fold[:, :1]
-            self.values += self.fit.fold @ increments[:HISTORY_CHUNK]
+        """Fold in and shift out a chunk while the step at j has no row left in ``increments``; the checkpoint."""
+        while j - self.start >= increments.shape[0]:
+            fold = self.kernel.soe.fold
+            self.values = fold[:, :1] * self.values + fold @ increments[:HISTORY_CHUNK]
             increments[:-HISTORY_CHUNK] = increments[HISTORY_CHUNK:]
             self.start += HISTORY_CHUNK
         return self.start
 
     def tail(self, j: int) -> np.ndarray:
         """-sum_{s < start} c_{j-s} delta^s for the step at j, once caught up to it."""
-        return self.fit.lagged[j - self.start - HISTORY_WINDOW + 1] @ self.values
+        return self.kernel.soe.lagged[j - self.start - HISTORY_WINDOW + 1] @ self.values
 
 
 class CaputoKernel:
     """Weights and scale factors for one (alpha, tau) pair.
 
-    ``scale`` multiplies raw level increments u^{s+1} - u^s, i.e. it already
-    absorbs the 1/tau of the divided difference.  Weights c_0..c_nsteps, and
-    c_nsteps..c_1 as one contiguous reversed copy, are computed once; a longer
-    prefix is computed on each request.  ``soe`` is the exponential tail of the
-    windowed history (see :class:`ExponentialTail`), fitted for a march of
-    at least SOE_MIN_STEPS steps, and ``None`` otherwise.
+    ``scale`` multiplies raw level increments u^{s+1} - u^s: it absorbs the
+    1/tau of the divided difference.  Weights c_0..c_R, and c_R..c_1 as one
+    contiguous reversed copy, are computed once for the R = history_rows(nsteps)
+    increments a march stores, a longer prefix on each request.  ``soe`` is
+    the :class:`ExponentialTail` of an ``nsteps``-step march, fitted on first use.
     """
 
     def __init__(self, alpha: float, tau: float, nsteps: int = 0):
@@ -211,11 +213,14 @@ class CaputoKernel:
         self.tau = float(tau)
         self.scale = tau ** (-alpha) / math.gamma(2.0 - alpha)
         self.gamma = gamma_const(alpha)
-        nsteps = max(int(nsteps), 0)
-        self._c = l1_weight_array(nsteps, alpha)
+        self.nsteps = max(int(nsteps), 0)
+        self._c = l1_weight_array(history_rows(self.nsteps), alpha)
         # a copy: matmul skips BLAS for the negative strides of a reversed view
         self._lags = self._c[:0:-1].copy()
-        self.soe = fit_exponential_tail(self.alpha, self._c) if nsteps >= SOE_MIN_STEPS else None
+
+    @cached_property
+    def soe(self) -> ExponentialTail:
+        return fit_exponential_tail(self.alpha, self.nsteps)
 
     def increment_weights(self, j: int) -> np.ndarray:
         """c_j..c_1, the weights of the increments y^{s+1} - y^s, s = 0..j-1, at t_{j+1/2} (treat as read-only)."""

@@ -404,9 +404,9 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
 
 
 def _check_size(grid: Grid1D) -> None:
-    """Refuse a grid whose stored increments, weights and factor cannot fit in this machine's memory."""
+    """Refuse a grid whose stored increments and factor cannot fit in this machine's memory."""
     n = grid.nx - 1
-    need = 8 * (history_rows(grid.nt) * (grid.nx + 1) + 2 * (grid.nt + 1) + 3 * n * min(n, BLOCK))
+    need = 8 * (history_rows(grid.nt) * (grid.nx + 1) + 3 * n * min(n, BLOCK))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -414,7 +414,7 @@ def _check_size(grid: Grid1D) -> None:
     if need > have:
         raise ValueError(
             f"a solve on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} bytes for its "
-            f"stored increments, weights and factor, more than the {have:.3g} bytes of memory here"
+            f"stored increments and factor, more than the {have:.3g} bytes of memory here"
         )
 
 
@@ -423,16 +423,14 @@ class SolverState:
 
     ``level`` is y^j, the running sum of y^0 and the increments y^{s+1} - y^s;
     row i of ``increments`` holds the one at s = start + i, in
-    :func:`~hallaire.caputo.history_rows` rows.  ``start`` is 0 on short
-    marches, and on long ones the checkpoint of ``modes``, the
-    :class:`HistoryModes` that carry the older increments (``None`` when the
-    kernel fitted no exponential tail).  The nodes ``x``,
-    the factor of the tridiagonal core (the core itself is
-    ``factor.matrix``), the interior point-load rows (sparse as
-    ``load_rows``, dense as the rows of ``point_rows``) with their solves
-    against the core (``row_solves``), and the distributed load's
-    Simpson node weights and constant column solved against the core
-    (``integral_solve``) do not change in time and are built here once.
+    :func:`~hallaire.caputo.history_rows` rows, and ``start`` is the checkpoint
+    of ``modes``, the :class:`HistoryModes` that carry the older increments.
+    The nodes ``x``, the factor of the tridiagonal core (the core itself is
+    ``factor.matrix``), the interior point-load rows (sparse as ``load_rows``,
+    dense as the rows of ``point_rows``) with their solves against the core
+    (``row_solves``), and the distributed load's Simpson node weights and
+    constant column solved against the core (``integral_solve``) do not change
+    in time and are built here once.
     ``block`` is the :class:`LoadBlock` of the current steps, ``None`` until
     the first step.  A grid too large for this machine's memory is refused
     with a ``ValueError`` before anything is allocated.
@@ -462,7 +460,7 @@ class SolverState:
             self.simpson = simpson_weights(grid.nx, grid.h)
             self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
         self.increments = np.zeros((history_rows(grid.nt), grid.nx + 1))
-        self.modes = None if self.kernel.soe is None else HistoryModes(self.kernel.soe, grid.nx + 1)
+        self.modes = HistoryModes(self.kernel)
         self.level = np.array(_sample(problem.initial(self.x), self.x.shape))
         self.level[[0, -1]] = 0.0
         self.level.flags.writeable = False
@@ -470,15 +468,11 @@ class SolverState:
         self.j = 0
 
 
-def _history_sum(increments: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes | None = None) -> np.ndarray:
-    # D = -sum_{s=0}^{j-1} c_{j-s} delta^s.  The increments from the
-    # checkpoint S on, rows 0..j-S-1, are summed exactly (all of them when
-    # S = 0); those before S come from the modes.
-    start = 0 if modes is None else modes.catch_up(increments, j)
-    out = -(kernel.increment_weights(j)[start:] @ increments[: j - start])
-    if start:
-        out += modes.tail(j)
-    return out
+def _history_sum(increments: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes) -> np.ndarray:
+    # D = -sum_{s<j} c_{j-s} delta^s: rows 0..j-S-1, from the checkpoint S on, exactly; older ones from the modes.
+    start = modes.catch_up(increments, j)
+    out = -(kernel.increment_weights(j - start) @ increments[: j - start])
+    return out + modes.tail(j) if start else out
 
 
 def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=None) -> np.ndarray:
@@ -534,9 +528,10 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
             f"tau / stability_step_limit = {grid.tau / stability_step_limit(problem):.3g}"
         )
-    row = state.increments[j - (0 if state.modes is None else state.modes.start)]
+    row = state.increments[j - state.modes.start]
     row[1:-1] = delta
     state.level = state.level + row
+    state.level.flags.writeable = False
     state.j = j + 1
     return state
 

@@ -2,6 +2,7 @@
 package needs nothing beyond numpy."""
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -11,6 +12,28 @@ from pathlib import Path
 import hallaire
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The module attributes the traced benchmark run (perfbench/tracing.py)
+# replaces by name, with their parameters; it reads the third argument of
+# _history_sum as the step index.  A name that moves or changes shape
+# leaves that run's layer metrics empty.
+TRACED = {
+    "hallaire.stepper": {
+        "step": ["state", "problem"],
+        "assemble_load_columns": ["state", "problem", "t_half"],
+        "assemble_rhs": ["state", "problem", "j", "load_parts"],
+        "_history_sum": ["increments", "kernel", "j", "modes"],
+        "woodbury_solve": ["tri", "columns", "rows", "b"],
+        "thomas_solve": ["tri", "b"],
+        "compact_average": ["v"],
+        "solve": ["problem", "grid", "observers"],
+    },
+    "hallaire.study": {
+        "solve": ["problem", "grid", "observers"],
+        "_ErrorTracker.__call__": ["self", "j", "t", "level"],
+        "make_problem": ["name", "alpha"],
+    },
+}
 
 
 def _readme_api() -> dict:
@@ -35,6 +58,16 @@ def test_every_name_resolves_to_its_module():
         mod = importlib.import_module(module)
         for name in names:
             assert getattr(hallaire, name) is getattr(mod, name), (module, name)
+
+
+def test_traced_names_keep_their_call_shapes():
+    for module, names in TRACED.items():
+        for dotted, params in names.items():
+            obj = importlib.import_module(module)
+            for part in dotted.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (module, dotted)
+            assert list(inspect.signature(obj).parameters) == params, (module, dotted)
 
 
 def test_solve_does_not_import_scipy():

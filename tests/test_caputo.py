@@ -14,7 +14,7 @@ from hallaire import (
     split_half_layer,
     truncation_bound,
 )
-from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, gamma_const
+from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, gamma_const, history_rows
 from oracles import caputo_by_quadrature, l1_weights_direct
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
@@ -285,14 +285,18 @@ class TestExponentialTail:
         got = np.array([math.fsum(fit.weights * np.exp(-kk * fit.nodes)) for kk in k])
         assert np.max(np.abs(got / want - 1.0)) == pytest.approx(fit.error, rel=1e-2)
 
-    @pytest.mark.parametrize("nsteps", [0, 1, 32, 160, 320, 396])
-    def test_short_marches_fit_nothing(self, nsteps):
-        assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe is None
+    @pytest.mark.parametrize("nsteps", [0, 1, HISTORY_WINDOW - 1])
+    def test_no_tail_without_its_lags(self, nsteps):
+        with pytest.raises(ValueError, match="lags from 32 on"):
+            CaputoKernel(0.5, 0.01, nsteps=nsteps).soe
 
     def test_first_windowed_march(self):
-        # every march from SOE_MIN_STEPS = 397 steps on is windowed, 410..422 among them
+        # every march from SOE_MIN_STEPS = 397 steps on stores a window of
+        # increments, 410..422 among them; a shorter one stores them all
+        assert history_rows(396) == 396
         for nsteps in (397, 415):
-            assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe is not None
+            assert history_rows(nsteps) == HISTORY_WINDOW + HISTORY_CHUNK - 1
+            assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe.error <= 1e-8
 
     @pytest.mark.parametrize("nsteps", [397, 1280])
     def test_fold_is_the_power_matrix(self, nsteps):

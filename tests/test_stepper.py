@@ -380,18 +380,29 @@ class TestRhs:
 def march(problem, grid, windowed=True):
     """The state after a full march and the levels it passed through, stacked.
 
-    ``windowed=False`` is the exact-history reference: every increment is
-    stored and summed, with no modes.
+    ``windowed=False`` is the exact-history reference: a buffer of ``nt``
+    rows stores every increment, so the modes never fold and every increment
+    is summed.
     """
     state = SolverState(problem, grid)
     if not windowed:
-        state.modes = None
         state.increments = np.zeros((grid.nt, grid.nx + 1))
     levels = [state.level]
     for _ in range(grid.nt):
         step(state, problem)
         levels.append(state.level)
     return state, np.array(levels)
+
+
+def _array_bytes(obj, depth=3) -> int:
+    """Bytes of the numpy arrays an object holds, ``depth`` attribute levels deep."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if depth == 0:
+        return 0
+    if isinstance(obj, (tuple, list)):
+        return sum(_array_bytes(item, depth - 1) for item in obj)
+    return sum(_array_bytes(value, depth - 1) for value in getattr(obj, "__dict__", {}).values())
 
 
 def solved_levels(problem, grid):
@@ -422,43 +433,64 @@ class TestWindowedHistory:
         }[shape] * size
         kernel = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps)
         fit = kernel.soe
-        modes = HistoryModes(fit, width)
+        modes = HistoryModes(kernel)
         # the march's buffer: row i holds the increment at modes.start + i
         buffer = np.zeros((history_rows(nsteps), width))
         assert buffer.shape[0] == 63
+        # the exact sum: a buffer with a row for every increment never folds
+        exact = HistoryModes(kernel)
         c = kernel.weights(nsteps)
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
-            want = _history_sum(increments, kernel, j)
+            want = _history_sum(increments, kernel, j, exact)
             lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
             # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
             bound = (fit.error + 1e-12) * (lagged @ delta[:j])
             assert np.all(np.abs(got - want) <= bound), j
             buffer[j - modes.start] = increments[j]
-        assert modes.start > 0
+        assert modes.start > 0 and exact.start == 0
 
-    @pytest.mark.parametrize("nt", [1, 10, 160, 320])
+    @pytest.mark.parametrize("nt", [1, 10, 32, 160, 320, SOE_MIN_STEPS - 1])
     @pytest.mark.parametrize("name, nx", [("benchmark", 1000), ("integral-load", 200), ("benchmark", 24)])
     def test_short_marches_carry_no_exponential_state(self, name, nx, nt):
-        state = SolverState(make_problem(name, 0.5), Grid1D(1.0, 1.0, nx, nt))
-        assert state.kernel.soe is None
-        assert state.modes is None
+        # a march that never folds neither fits the tail nor stores modes
+        state = solve(make_problem(name, 0.5), Grid1D(1.0, 1.0, nx, nt))
+        assert "soe" not in vars(state.kernel)
+        assert state.modes.start == 0 and np.ndim(state.modes.values) == 0
 
     @pytest.mark.parametrize("nt", [1, 40, SOE_MIN_STEPS - 1, SOE_MIN_STEPS, 1280, 100000])
     def test_increment_buffer_rows(self, nt):
         # every increment on exact marches; on windowed ones the 31..62 since
-        # the checkpoint and the one the step writes
+        # the checkpoint and the one the step writes.  The kernel stores the
+        # weights c_0..c_rows and c_rows..c_1 those rows take.
         state = SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 8, nt))
         rows = nt if nt < SOE_MIN_STEPS else 63
         assert state.increments.shape == (rows, 9)
-        assert (state.modes is None) == (nt < SOE_MIN_STEPS)
+        assert _array_bytes(state.kernel, depth=1) == 8 * (2 * rows + 1)
 
     def test_deep_grid_state_is_small(self):
-        state = SolverState(benchmark_problem(0.9), Grid1D(1.0, 1.0, 1000, 1280))
+        p = benchmark_problem(0.9)
+        state = SolverState(p, Grid1D(1.0, 1.0, 1000, 1280))
+        for _ in range(64):
+            step(state, p)
+        assert state.modes.start == 32
         fit = state.kernel.soe
         held = state.modes.values.nbytes + sum(a.nbytes for a in (fit.nodes, fit.weights, fit.fold, fit.lagged))
         assert held < 1_000_000
+
+    def test_marched_state_does_not_grow_with_nt(self):
+        # past the first fold a state holds the same arrays at any nt, but
+        # for the modes, whose count grows with log(nt)
+        p = benchmark_problem(0.5)
+        held = []
+        for nt in (1000, 100_000):
+            state = SolverState(p, Grid1D(1.0, 1.0, 24, nt))
+            for _ in range(100):
+                step(state, p)
+            assert state.modes.start == 64
+            held.append(_array_bytes(state))
+        assert held[1] - held[0] < 32_000
 
     @pytest.mark.parametrize(
         "problem, nx",
@@ -467,7 +499,7 @@ class TestWindowedHistory:
     def test_windowed_march_matches_dense_oracle(self, problem, nx):
         grid = Grid1D(1.0, 1.0, nx, 450)
         state, levels = march(problem, grid)
-        assert state.modes is not None and state.modes.start > 0
+        assert state.modes.start > 0
         assert np.max(np.abs(levels - dense_march(problem, grid))) <= 1e-10
 
     def test_march_of_415_steps_is_windowed(self):
@@ -476,7 +508,7 @@ class TestWindowedHistory:
         p = benchmark_problem(0.5)
         grid = Grid1D(1.0, 1.0, 12, 415)
         windowed, levels = march(p, grid)
-        assert windowed.modes is not None and windowed.modes.start > 0
+        assert windowed.modes.start > 0
         _, exact = march(p, grid, windowed=False)
         assert np.max(np.abs(levels - exact)) <= 1e-10
 
@@ -664,6 +696,15 @@ class TestStepAndSolve:
         with pytest.raises(RuntimeError, match="level 2"):
             solve(p, g, observers=(bomb,))
 
+    def test_observers_see_read_only_levels(self):
+        # an observer that writes to a level must not move the march
+        def scale(j, t, level):
+            if j == 5:
+                level *= 1.001
+
+        with pytest.raises(RuntimeError, match="observer failed at time level 5"):
+            solve(benchmark_problem(0.5), Grid1D(1.0, 1.0, 12, 20), observers=(scale,))
+
     def test_mismatched_grid_rejected(self):
         p = benchmark_problem(0.5)
         g = Grid1D(2.0, 1.0, 8, 2)
@@ -726,7 +767,7 @@ def woodbury_march(problem, grid):
     for j in range(grid.nt):
         columns, rows = assemble_load_columns(state, problem, (j + 0.5) * grid.tau)
         b = assemble_rhs(state, problem, j)
-        row = state.increments[j - (0 if state.modes is None else state.modes.start)]
+        row = state.increments[j - state.modes.start]
         row[1:-1] = woodbury_solve(state.factor, columns, rows, b)
         state.level = state.level + row
         state.j = j + 1
@@ -870,6 +911,8 @@ class TestLoadBlocks:
         with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 1\.05e\+06 bytes"):
             SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 1000, 1000))
         SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10))
+        # the kernel's weights do not grow with nt
+        SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10**5))
 
 
 def _load_term(problem, x, t):
