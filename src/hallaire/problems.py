@@ -11,9 +11,24 @@ import numpy as np
 
 from .caputo import check_alpha
 
-# Evaluators are vectorized over x (accept an ndarray of nodes) with scalar t.
-Evaluator = Callable[[np.ndarray, float], np.ndarray]
+# Evaluators broadcast over x and t: called with nodes and times of
+# broadcastable shapes, such as x[None, :] and times[:, None] for a block of
+# half layers, they return values of the broadcast shape (or one that
+# broadcasts to it).  A 1-D x with a scalar t is one half layer.
+Evaluator = Callable[[np.ndarray, np.ndarray | float], np.ndarray]
 SpaceFunc = Callable[[np.ndarray], np.ndarray]
+
+
+def _per_time(fn, t) -> np.ndarray:
+    """``fn`` of each time in ``t``, taken in Python floats, with the shape of ``t``.
+
+    numpy's array ``pow`` and ``exp`` may round differently from the C
+    library's, which Python's floats use.  Taken one time at a time, the
+    time factors of a block of half layers are bit-identical to those of
+    single half layers.
+    """
+    t = np.asarray(t, dtype=float)
+    return np.array([fn(s) for s in t.ravel().tolist()]).reshape(t.shape)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -39,7 +54,10 @@ class ProblemSpec:
     load integrating the solution against ``integral_load``.  Boundary values
     are homogeneous; ``initial`` must be compatible with them.  Load
     coefficients are assumed bounded on the domain (documented contract, not
-    scanned at runtime).
+    scanned at runtime).  ``forcing``, ``exact``, the load coefficients and
+    ``integral_load`` broadcast over x and t (see ``Evaluator``): the solver
+    samples many half layers in one call, and rejects a result that does not
+    broadcast to the samples' shape with a ``ValueError``.
     """
 
     length: float
@@ -81,7 +99,10 @@ def manufactured_problem(
     (exact, forcing) satisfies the equation identically.  ``integral_load``
     is a pair ``(q, projection)`` where ``projection(t)`` equals the integral
     of q(x, t) against the spatial profile over the domain; it is required in
-    closed form to keep the forcing exact.
+    closed form to keep the forcing exact.  The load coefficients and q must
+    broadcast over x and t as the evaluators do (see ``Evaluator``);
+    ``projection`` is called with one time at a time, a float, as are the
+    other time factors of the forcing and the exact solution.
     """
     check_alpha(alpha)
     if not (math.isfinite(mode) and mode == int(mode) and mode >= 1):
@@ -105,9 +126,11 @@ def manufactured_problem(
         return sum(a * p * t ** (p - 1.0) for a, p in terms)
 
     def caputo_tpart(t: float) -> float:
-        if t == 0.0:
-            return 0.0
+        # every exponent p - alpha is positive, so t = 0 gives 0
         return sum(c * t**q for c, q in caputo_coefs)
+
+    def profile_factor(t: float) -> float:
+        return caputo_tpart(t) + kk * (tpart(t) + mu * dtpart(t))
 
     loads = tuple(loads)
     load_profiles = tuple(math.sin(k * ld.position) for ld in loads)
@@ -117,7 +140,7 @@ def manufactured_problem(
         q_int = projection = None
 
     def exact(x, t):
-        return tpart(t) * np.sin(k * np.asarray(x, dtype=float))
+        return _per_time(tpart, t) * np.sin(k * np.asarray(x, dtype=float))
 
     def initial(x):
         return np.sin(k * np.asarray(x, dtype=float))
@@ -125,12 +148,12 @@ def manufactured_problem(
     def forcing(x, t):
         x = np.asarray(x, dtype=float)
         profile = np.sin(k * x)
-        tt = tpart(t)
-        out = (caputo_tpart(t) + kk * (tt + mu * dtpart(t))) * profile
+        tt = _per_time(tpart, t)
+        out = _per_time(profile_factor, t) * profile
         for ld, s in zip(loads, load_profiles):
             out = out - ld.coefficient(x, t) * (tt * s)
         if projection is not None:
-            out = out - tt * projection(t)
+            out = out - tt * _per_time(projection, t)
         return out
 
     return ProblemSpec(

@@ -7,12 +7,12 @@ Each load has one side that does not change in time (the row of a point
 load, the column of the distributed load); it is solved against T once per
 solve too.  The rest of the correction depends on time but not on the
 solution, so it is built for LOAD_BLOCK steps at a time (a :class:`LoadBlock`:
-the columns, the rows and the inverted capacitance matrices), and a step
-costs one tridiagonal sweep and a few small products.  The factor keeps the
-Thomas elimination as block inverses with scalar carries between blocks (a
-partitioned solver in the manner of H. H. Wang, ACM TOMS 7(2), 1981), so a
-sweep is a batched numpy matvec and a chain over the blocks, not a loop over
-the unknowns.
+the columns, the rows and the inverted capacitance matrices, with the
+forcing sampled alongside), and a step costs one tridiagonal sweep and a few
+small products.  The factor keeps the Thomas elimination as block inverses
+with scalar carries between blocks (a partitioned solver in the manner of
+H. H. Wang, ACM TOMS 7(2), 1981), so a sweep is a batched numpy matvec and a
+chain over the blocks, not a loop over the unknowns.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ BLOCK = 32
 LOAD_BLOCK = 32
 
 # Bytes of point-load samples stacked for one compact average while a block
-# is built.  A small grid averages its whole block in one call (three loads
-# at nx = 24), where the per-call cost matters; a wide one fewer half layers
-# at a time (one at nx = 1000), so that the block's samples and their
+# is built; the coefficients are called once per chunk of half layers this
+# size.  A small grid samples and averages its whole block in one call (three
+# loads at nx = 24), where the per-call cost matters; a wide one fewer half
+# layers at a time (one at nx = 1000), so that the block's samples and their
 # averages, 0.77 MB each there, are never held at once.
 SAMPLE_BYTES = 1 << 15
 
@@ -220,8 +221,9 @@ class LoadBlock:
     core (point loads, with or without the distributed load), or, when
     ``row_solves`` is ``None``, from the column solves ``column_solves`` =
     T^{-1} U, which must then be the same at every step (the distributed load
-    alone, or the one step of :func:`woodbury_solve`).  None of it depends on
-    the solution.
+    alone, or the one step of :func:`woodbury_solve`).  ``forcing[i]`` is the
+    forcing at every node at the step's half layer (``None`` in
+    :func:`woodbury_solve`).  None of it depends on the solution.
     """
 
     start: int
@@ -231,6 +233,7 @@ class LoadBlock:
     inverses: np.ndarray
     row_solves: np.ndarray | None
     column_solves: np.ndarray | None
+    forcing: np.ndarray | None = None
 
     def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
         """Solve step ``start + i``'s system, in one tridiagonal sweep.
@@ -244,7 +247,7 @@ class LoadBlock:
         return y - self.column_solves @ (self.inverses[i] @ (self.rows[i] @ y))
 
 
-def _closing_block(start: int, columns, rows, row_solves=None, column_solves=None) -> LoadBlock:
+def _closing_block(start: int, columns, rows, row_solves=None, column_solves=None, forcing=None) -> LoadBlock:
     """A :class:`LoadBlock` over the stacked sides, with its capacitance inverses.
 
     The capacitance matrices are formed with one batched product and
@@ -266,7 +269,7 @@ def _closing_block(start: int, columns, rows, row_solves=None, column_solves=Non
             except np.linalg.LinAlgError:
                 break
         inverses = np.array(kept).reshape(len(kept), *cap.shape[1:])
-    return LoadBlock(start, start + len(inverses), columns, rows, inverses, row_solves, column_solves)
+    return LoadBlock(start, start + len(inverses), columns, rows, inverses, row_solves, column_solves, forcing)
 
 
 def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
@@ -324,36 +327,55 @@ def interior_load_row(stencil: LoadStencil, nx: int) -> LoadRow:
     )
 
 
-def _sample(values, shape) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarray) -> None:
+    """Write ``evaluator(x, t)``, for the nodes as a row and times as a column, into ``out``."""
+    try:
+        out[...] = evaluator(x, t)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} failed on {len(t)} half layer(s) from t = {t[0, 0]:g}: "
+            f"evaluators must broadcast over x and t, here to the shape {out.shape} ({exc})"
+        ) from exc
 
 
-def _load_samples(state: SolverState, problem: ProblemSpec, times):
-    """Load columns and distributed-load row weights at the given half layers.
+def _load_samples(state: SolverState, problem: ProblemSpec, times: np.ndarray):
+    """Load columns, distributed-load row weights and forcing at the given half layers.
 
     Returns the columns as one ``(len(times), n, m)`` array, the point loads
     first (minus half the compact average of each coefficient) and then the
-    distributed load's constant column, and the distributed load's interior
-    Simpson-weighted samples as a ``(len(times), n)`` array, or ``None``.
-    Each evaluator is called once per half layer, with a scalar time.  The
-    point loads' samples are stacked and averaged in one call per
-    SAMPLE_BYTES of samples, straight into the columns.
+    distributed load's constant column; the distributed load's interior
+    Simpson-weighted samples as a ``(len(times), n)`` array, or ``None``; and
+    the forcing at every node as a ``(len(times), nx + 1)`` array.  Each
+    evaluator is called with the nodes as a row and times as a column; a
+    result that does not broadcast to the shape of its samples is a
+    ``ValueError`` naming the evaluator.  The forcing and the distributed
+    load, whose samples are all kept, are called once for all the times.  The
+    point-load coefficients are called once per SAMPLE_BYTES of their
+    samples, which are averaged in one call per chunk, straight into the
+    columns.
     """
     x = state.x
+    nodes = x[None, :]
     count = len(times)
-    columns = np.empty((count, len(problem.loads), x.size - 2))
-    if problem.loads:
-        per = max(1, SAMPLE_BYTES // (8 * len(problem.loads) * x.size))
+    loads = problem.loads
+    forcing = np.empty((count, x.size))
+    _evaluate(forcing, "forcing", problem.forcing, nodes, times[:, None])
+    columns = np.empty((count, len(loads), x.size - 2))
+    if loads:
+        per = max(1, SAMPLE_BYTES // (8 * len(loads) * x.size))
         for lo in range(0, count, per):
-            q = np.array([[_sample(ld.coefficient(x, t), x.shape) for ld in problem.loads] for t in times[lo : lo + per]])
+            t = times[lo : lo + per, None]
+            q = np.empty((len(t), len(loads), x.size))
+            for k, ld in enumerate(loads):
+                _evaluate(q[:, k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
             columns[lo : lo + per] = -0.5 * compact_average(q)
     columns = np.swapaxes(columns, 1, 2)
     if state.simpson is None:
-        return columns, None
+        return columns, None, forcing
     columns = np.concatenate((columns, np.full((count, x.size - 2, 1), INTEGRAL_COLUMN)), axis=2)
-    q = np.array([_sample(problem.integral_load(x, t), x.shape) for t in times])
-    return columns, (state.simpson * q)[:, 1:-1]
+    q = np.empty((count, x.size))
+    _evaluate(q, "integral_load", problem.integral_load, nodes, times[:, None])
+    return columns, (state.simpson * q)[:, 1:-1], forcing
 
 
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
@@ -364,7 +386,7 @@ def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: floa
     matrix is the tridiagonal core plus sum_k U_k W_k^T.  These are one half
     layer of the samples a :class:`LoadBlock` is built from.
     """
-    columns, weights = _load_samples(state, problem, (t_half,))
+    columns, weights, _ = _load_samples(state, problem, np.array([t_half]))
     rows = list(state.load_rows)
     if weights is not None:
         rows.append(LoadRow("integral", np.arange(weights.shape[1]), weights[0]))
@@ -383,7 +405,7 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
     """
     grid = state.grid
     stop = min((start // LOAD_BLOCK + 1) * LOAD_BLOCK, grid.nt)
-    columns, weights = _load_samples(state, problem, [(j + 0.5) * grid.tau for j in range(start, stop)])
+    columns, weights, forcing = _load_samples(state, problem, (np.arange(start, stop) + 0.5) * grid.tau)
     count = stop - start
     rows = np.broadcast_to(state.point_rows, (count, *state.point_rows.shape))
     row_solves = np.broadcast_to(state.row_solves, rows.shape)
@@ -396,7 +418,7 @@ def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlo
             )
         else:
             row_solves, column_solves = None, state.integral_solve[:, None]
-    block = _closing_block(start, columns, rows, row_solves, column_solves)
+    block = _closing_block(start, columns, rows, row_solves, column_solves, forcing)
     if block.stop == start:
         labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
         raise _singular(labels, f" at time level {start + 1} (t = {(start + 1) * grid.tau:g})")
@@ -461,7 +483,8 @@ class SolverState:
             self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
         self.increments = np.zeros((history_rows(grid.nt), grid.nx + 1))
         self.modes = HistoryModes(self.kernel)
-        self.level = np.array(_sample(problem.initial(self.x), self.x.shape))
+        self.level = np.empty(self.x.shape)
+        self.level[...] = problem.initial(self.x)
         self.level[[0, -1]] = 0.0
         self.level.flags.writeable = False
         self.block = None
@@ -479,22 +502,22 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j) of the step's (T + U W^T) delta^j = r.
 
     D is :func:`_history_sum`; the compact average is linear, so it is applied
-    once.  ``load_parts = (U, W^T)``, both dense, are by default assembled at
-    the step's half layer.  Only the step from level ``state.j`` is assembled.
+    once.  ``load_parts = (U, W^T, f)``, the dense columns and rows and the
+    forcing at every node, are by default sampled at the step's half layer.
+    Only the step from level ``state.j`` is assembled.
     """
     if j != state.j:
         raise ValueError(f"the state holds level {state.j}, requested step at {j}")
     grid = state.grid
-    t_half = (j + 0.5) * grid.tau
+    if load_parts is None:
+        columns, weights, forcing = _load_samples(state, problem, np.array([(j + 0.5) * grid.tau]))
+        rows = state.point_rows if weights is None else np.concatenate((state.point_rows, weights))
+        load_parts = columns[0], rows, forcing[0]
+    columns, rows, f = load_parts
     kernel = state.kernel
-    f = _sample(problem.forcing(state.x, t_half), state.x.shape)
     nodal = kernel.scale * _history_sum(state.increments, kernel, j, state.modes) + f
     b = compact_average(nodal)
     b += second_difference(state.level, grid.h)
-    if load_parts is None:
-        columns, rows = assemble_load_columns(state, problem, t_half)
-        load_parts = columns, _dense_rows(rows, columns.shape[0])
-    columns, rows = load_parts
     b += columns @ (-2.0 * (rows @ state.level[1:-1]))
     return b
 
@@ -502,14 +525,15 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
 def step(state: SolverState, problem: ProblemSpec) -> SolverState:
     """Advance the state by one time level.
 
-    The step's load algebra comes from ``state.block``, which is built at the
-    first step and again at every step whose index is a multiple of
-    LOAD_BLOCK (see :func:`_load_block`).  The load evaluators are therefore
-    called up to LOAD_BLOCK - 1 half layers ahead of the step: one that
-    raises at a later half layer of a block raises while the block is built,
-    before that block's earlier steps are taken.  A non-finite level, from a
-    NaN coefficient among other causes, and a singular capacitance matrix are
-    both reported at the step they belong to.
+    The step's load algebra and forcing come from ``state.block``, which is
+    built at the first step and again at every step whose index is a
+    multiple of LOAD_BLOCK (see :func:`_load_block`).  The load evaluators
+    and the forcing are therefore called up to LOAD_BLOCK - 1 half layers
+    ahead of the step: one that raises at a later half layer of a block
+    raises while the block is built, before that block's earlier steps are
+    taken.  A non-finite level, from a NaN coefficient among other causes,
+    and a singular capacitance matrix are both reported at the step they
+    belong to.
     """
     grid = state.grid
     j = state.j
@@ -521,7 +545,7 @@ def step(state: SolverState, problem: ProblemSpec) -> SolverState:
         state.block = None
         block = state.block = _load_block(state, problem, j)
     i = j - block.start
-    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i]))
+    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i], block.forcing[i]))
     delta = block.close(state.factor, i, b)
     if not np.isfinite(delta).all():
         raise FloatingPointError(

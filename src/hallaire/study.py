@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid1D, convergence_order, norm_grad_forward, norm_l2, norm_max
+from .grids import Grid1D, convergence_order
 from .problems import PROBLEMS, make_problem
-from .stepper import solve
+from .stepper import LOAD_BLOCK, solve
 
 CSV_HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
 
@@ -97,15 +97,26 @@ class ConvergenceReport:
 
 
 class _ErrorTracker:
-    """Observer accumulating error norms of y - exact over the levels."""
+    """Observer accumulating error norms of y - exact over the levels.
+
+    The levels are gathered LOAD_BLOCK at a time and measured together: one
+    call of ``exact`` on the block's times, and row by row the max norm, the
+    L2 norm of the interior (:func:`~hallaire.grids.norm_l2`) and the
+    forward-difference gradient norm (:func:`~hallaire.grids.norm_grad_forward`).
+    The solve hands over a new read-only array for every level, so the
+    levels are kept without a copy.  The norms are complete once the final
+    level, ``j = grid.nt``, has been seen.
+    """
 
     def __init__(self, problem, grid):
         self._exact = problem.exact
-        # the nodes are taken at the first level, after the solve has checked
-        # that its grid fits in memory
+        # the nodes are taken at the first measurement, after the solve has
+        # checked that its grid fits in memory
         self._grid = grid
         self._x = None
         self._h = grid.h
+        self._times = []
+        self._levels = []
         self.max_c = 0.0
         self.max_l2 = 0.0
         self.max_grad = 0.0
@@ -114,16 +125,27 @@ class _ErrorTracker:
         self.final_grad = 0.0
 
     def __call__(self, j, t, level):
+        self._times.append(t)
+        self._levels.append(level)
+        if len(self._levels) == LOAD_BLOCK or j == self._grid.nt:
+            self._measure()
+
+    def _measure(self):
         if self._x is None:
             self._x = self._grid.x
-        z = level - np.asarray(self._exact(self._x, t), dtype=float)
-        c = norm_max(z)
-        l2 = norm_l2(z[1:-1], self._h)
-        grad = norm_grad_forward(z, self._h)
-        self.max_c = max(self.max_c, c)
-        self.max_l2 = max(self.max_l2, l2)
-        self.max_grad = max(self.max_grad, grad)
-        self.final_c, self.final_l2, self.final_grad = c, l2, grad
+        h = self._h
+        times = np.array(self._times)[:, None]
+        z = np.array(self._levels) - np.asarray(self._exact(self._x[None, :], times), dtype=float)
+        self._times, self._levels = [], []
+        inner = z[:, 1:-1]
+        d = np.diff(z, axis=1)[:, 1:] / h
+        c = np.max(np.abs(z), axis=1)
+        l2 = np.sqrt(h * np.einsum("ij,ij->i", inner, inner))
+        grad = np.sqrt(h * np.einsum("ij,ij->i", d, d))
+        self.max_c = max(self.max_c, float(c.max()))
+        self.max_l2 = max(self.max_l2, float(l2.max()))
+        self.max_grad = max(self.max_grad, float(grad.max()))
+        self.final_c, self.final_l2, self.final_grad = float(c[-1]), float(l2[-1]), float(grad[-1])
 
 
 def _step_label(extent: float, count: int) -> str:

@@ -653,7 +653,7 @@ class TestStepAndSolve:
 
     def test_additive_in_forcing_and_initial_data(self, rng):
         g = Grid1D(1.0, 1.0, 10, 5)
-        f1 = lambda x, t: np.exp(np.asarray(x, dtype=float)) * math.sin(t)
+        f1 = lambda x, t: np.exp(np.asarray(x, dtype=float)) * np.sin(t)
         f2 = lambda x, t: np.cos(3.0 * np.asarray(x, dtype=float) - t)
         u1 = lambda x: np.sin(math.pi * np.asarray(x, dtype=float))
         u2 = lambda x: np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
@@ -679,7 +679,7 @@ class TestStepAndSolve:
             step(state, p)
 
     def test_non_finite_level_names_step(self):
-        blowup = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf if t > 0.5 else 0.0)
+        blowup = lambda x, t: np.where(np.asarray(t) > 0.5, np.inf, 0.0) + np.zeros_like(np.asarray(x, dtype=float))
         p = _zeros_problem(forcing=blowup)
         g = Grid1D(1.0, 1.0, 8, 4)
         with pytest.raises(FloatingPointError, match=r"time level 3 \(t = 0.75\).*stability_step_limit"):
@@ -783,10 +783,11 @@ def _spiked_problem(at, value, grid, initial=None):
     t_at = (at + 0.5) * grid.tau
 
     def coefficient(x, t):
-        x = np.asarray(x, dtype=float)
-        if abs(t - t_at) > 0.25 * grid.tau:
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        at_spike = np.abs(t - t_at) <= 0.25 * grid.tau
+        if not at_spike.any():
             return np.zeros_like(x)
-        return value(x) if callable(value) else np.full_like(x, value)
+        return np.where(at_spike, value(x) if callable(value) else value, 0.0)
 
     return ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, coefficient),), base.forcing, base.initial)
 
@@ -830,27 +831,67 @@ class TestLoadBlocks:
             assert np.array_equal(block.rows[i], np.array([row.dense(9) for row in rows]))
 
     @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
-    def test_each_evaluator_called_once_per_step_up_to_the_last(self, nt):
-        calls = {"coefficient": [], "integral": []}
+    def test_each_evaluator_called_once_per_block_up_to_the_last(self, nt):
+        calls = {"coefficient": [], "integral": [], "forcing": []}
 
-        def coefficient(x, t):
-            calls["coefficient"].append(t)
-            return 1.0 + np.asarray(x, dtype=float) * t
+        def recorded(name, fn):
+            def evaluator(x, t):
+                calls[name].append(np.array(t))
+                return fn(np.asarray(x, dtype=float), t)
 
-        def integral(x, t):
-            calls["integral"].append(t)
-            return np.exp(np.asarray(x, dtype=float) - t)
+            return evaluator
 
-        base = _zeros_problem(initial=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)))
         problem = ProblemSpec(
-            1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, coefficient),), base.forcing, base.initial,
-            integral_load=integral,
+            1.0, 1.0, 0.5, 1.0,
+            (PointLoad(0.4, recorded("coefficient", lambda x, t: 1.0 + x * t)),),
+            recorded("forcing", lambda x, t: np.sin(math.pi * x) * t),
+            lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
+            integral_load=recorded("integral", lambda x, t: np.exp(x - t)),
         )
         grid = Grid1D(1.0, 1.0, 8, nt)
         solve(problem, grid)
-        half_layers = [(j + 0.5) * grid.tau for j in range(nt)]
-        assert calls["coefficient"] == half_layers
-        assert calls["integral"] == half_layers
+        # one call per block, with exactly the block's half layers as a
+        # column, the last of them t_{nt - 1/2}
+        blocks = [(np.arange(lo, min(lo + LOAD_BLOCK, nt))[:, None] + 0.5) * grid.tau for lo in range(0, nt, LOAD_BLOCK)]
+        assert blocks[-1][-1, 0] == (nt - 0.5) * grid.tau
+        for name, seen in calls.items():
+            assert len(seen) == len(blocks), name
+            for got, want in zip(seen, blocks):
+                assert got.shape == want.shape and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
+    @pytest.mark.parametrize("nx", [8, 1000])
+    def test_block_forcing_is_the_per_half_layer_forcing(self, make, nx):
+        # a block samples the forcing on a column of times; the bundled
+        # forcing takes its time factors one time at a time, so it equals
+        # the forcing called at each half layer with a scalar time bit for bit
+        p = make(0.5)
+        grid = Grid1D(1.0, 1.0, nx, 40)
+        state = SolverState(p, grid)
+        for start in (0, LOAD_BLOCK):
+            block = stepper_mod._load_block(state, p, start)
+            want = np.array([p.forcing(grid.x, (j + 0.5) * grid.tau) for j in range(block.start, block.stop)])
+            assert block.forcing.shape == want.shape
+            assert np.array_equal(block.forcing, want)
+
+    @pytest.mark.parametrize("name", ["forcing", "load x=0.4", "integral_load"])
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda x, t: np.ones(3), lambda x, t: np.asarray(x, dtype=float) * math.exp(t)],
+        ids=["wrong-shape", "scalar-time"],
+    )
+    def test_evaluator_that_does_not_broadcast_is_named(self, name, bad):
+        good = lambda x, t: np.exp(np.asarray(x, dtype=float) - t)
+        pick = lambda key: bad if key == name else good
+        problem = ProblemSpec(
+            1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, pick("load x=0.4")),), pick("forcing"),
+            lambda x: np.sin(math.pi * np.asarray(x, dtype=float)), integral_load=pick("integral_load"),
+        )
+        seen = []
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} failed .*evaluators must broadcast over x and t"):
+            solve(problem, Grid1D(1.0, 1.0, 8, 40), observers=(lambda j, t, level: seen.append(j),))
+        # refused while the first block is built, before the first step
+        assert seen == [0]
 
     def test_blocks_start_at_multiples_of_the_block_length(self):
         p = benchmark_problem(0.5)
@@ -871,7 +912,7 @@ class TestLoadBlocks:
         else:
             base = _zeros_problem(initial=initial)
             t_bad = (bad + 0.5) * grid.tau
-            q = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan if abs(t - t_bad) < 1e-9 else 1.0)
+            q = lambda x, t: np.where(np.abs(t - t_bad) < 1e-9, np.nan, 1.0) + np.zeros_like(np.asarray(x, dtype=float))
             problem = ProblemSpec(1.0, 1.0, 0.5, 1.0, (), base.forcing, base.initial, integral_load=q)
         seen = []
         with pytest.raises(FloatingPointError, match=rf"time level {bad + 1} \(t = {(bad + 1) / 70:g}\)"):
@@ -920,5 +961,5 @@ def _load_term(problem, x, t):
     exact = problem.exact
     total = np.zeros_like(np.asarray(x, dtype=float))
     for ld in problem.loads:
-        total = total + ld.coefficient(x, t) * float(exact(np.asarray(ld.position), t))
+        total = total + ld.coefficient(x, t) * exact(np.asarray(ld.position), t)
     return total

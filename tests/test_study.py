@@ -9,18 +9,25 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hallaire import (
+    Grid1D,
     StudyConfig,
+    benchmark_problem,
     convergence_order,
     deep_order_check,
     emit_report,
+    norm_grad_forward,
+    norm_l2,
+    norm_max,
     parse_report,
     run_study,
     self_check,
+    solve,
 )
 from hallaire.cli import main
 from hallaire.problems import PROBLEMS, ProblemSpec
 from hallaire.study import (
     ConvergenceReport,
+    _ErrorTracker,
     StudyRow,
     build_config,
     load_reference,
@@ -95,6 +102,26 @@ class TestRunStudy:
         monkeypatch.setitem(PROBLEMS, "blind", blind)
         with pytest.raises(ValueError, match="exact"):
             run_study(tiny_temporal_config(problem="blind"))
+
+    @pytest.mark.parametrize("nt", [1, 31, 32, 33, 70])
+    def test_batched_tracker_matches_a_per_level_observer(self, nt):
+        # the bundled exact solution is bit-identical for a scalar time and
+        # for a column of times, so both observers measure the same errors
+        problem = benchmark_problem(0.5)
+        grid = Grid1D(1.0, 1.0, 24, nt)
+        tracker = _ErrorTracker(problem, grid)
+        per_level = []
+
+        def reference(j, t, level):
+            z = level - problem.exact(grid.x, t)
+            per_level.append((norm_max(z), norm_l2(z[1:-1], grid.h), norm_grad_forward(z, grid.h)))
+
+        solve(problem, grid, observers=(tracker, reference))
+        c, l2, grad = np.array(per_level).T
+        assert len(c) == nt + 1
+        assert (tracker.max_c, tracker.final_c) == (c.max(), c[-1])
+        got = (tracker.max_l2, tracker.final_l2, tracker.max_grad, tracker.final_grad)
+        assert got == pytest.approx((l2.max(), l2[-1], grad.max(), grad[-1]), rel=1e-14, abs=0.0)
 
     def test_reference_table_cell_reproduced(self):
         report = run_study(
