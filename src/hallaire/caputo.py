@@ -166,43 +166,44 @@ def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
 
 
 class HistoryModes:
-    """Increments before a checkpoint, carried as exponential modes.
+    """Increments before a checkpoint, carried as exponential modes, for every order of a :class:`KernelStack`.
 
-    ``values[l] = sum_{s < start} exp(-(start - s) nodes[l]) delta^s``, 0.0 before
-    the first fold, for delta^s = y^{s+1} - y^s and the nodes of ``kernel.soe``.
-    Row i of the increments handed to :meth:`catch_up` is delta^{start + i}.  A
+    ``values[b, l] = sum_{s < start} exp(-(start - s) nodes[b, l]) delta_b^s``,
+    0.0 before the first fold, for order b's increments delta_b^s = y^{s+1} - y^s
+    and the nodes of ``kernel.soe``.  The increments handed to :meth:`catch_up`
+    are (B, rows, N): row i of ``increments[b]`` is delta_b^{start + i}.  A
     full buffer folds its first HISTORY_CHUNK rows, so a 63-row one keeps the
     checkpoint 31 to 62 steps behind the step, on lags the tail was fitted on,
     and one with a row for every step never folds or fits.
     """
 
-    def __init__(self, kernel: CaputoKernel):
+    def __init__(self, kernel: KernelStack):
         self.kernel = kernel
         self.start = 0
         self.values = 0.0
 
     def catch_up(self, increments: np.ndarray, j: int) -> int:
         """Fold in and shift out a chunk while the step at j has no row left in ``increments``; the checkpoint."""
-        while j - self.start >= increments.shape[0]:
+        while j - self.start >= increments.shape[1]:
             fold = self.kernel.soe.fold
-            self.values = fold[:, :1] * self.values + fold @ increments[:HISTORY_CHUNK]
-            increments[:-HISTORY_CHUNK] = increments[HISTORY_CHUNK:]
+            self.values = fold[:, :, :1] * self.values + fold @ increments[:, :HISTORY_CHUNK]
+            increments[:, :-HISTORY_CHUNK] = increments[:, HISTORY_CHUNK:]
             self.start += HISTORY_CHUNK
         return self.start
 
     def tail(self, j: int) -> np.ndarray:
         """-sum_{s < start} c_{j-s} delta^s for the step at j, once caught up to it."""
-        return self.kernel.soe.lagged[j - self.start - HISTORY_WINDOW + 1] @ self.values
+        return np.vecmat(self.kernel.soe.lagged[j - self.start - HISTORY_WINDOW + 1], self.values)
 
 
 class CaputoKernel:
     """Weights and scale factors for one (alpha, tau) pair.
 
     ``scale`` multiplies raw level increments u^{s+1} - u^s: it absorbs the
-    1/tau of the divided difference.  Weights c_0..c_R, and c_R..c_1 as one
-    contiguous reversed copy, are computed once for the R = history_rows(nsteps)
-    increments a march stores, a longer prefix on each request.  ``soe`` is
-    the :class:`ExponentialTail` of an ``nsteps``-step march, fitted on first use.
+    1/tau of the divided difference.  Weights c_0..c_R are computed once for
+    the R = history_rows(nsteps) increments a march stores, a longer prefix
+    on each request.  ``soe`` is the :class:`ExponentialTail` of an
+    ``nsteps``-step march, fitted on first use.
     """
 
     def __init__(self, alpha: float, tau: float, nsteps: int = 0):
@@ -215,20 +216,10 @@ class CaputoKernel:
         self.gamma = gamma_const(alpha)
         self.nsteps = max(int(nsteps), 0)
         self._c = l1_weight_array(history_rows(self.nsteps), alpha)
-        # a copy: matmul skips BLAS for the negative strides of a reversed view
-        self._lags = self._c[:0:-1].copy()
 
     @cached_property
     def soe(self) -> ExponentialTail:
         return fit_exponential_tail(self.alpha, self.nsteps)
-
-    def increment_weights(self, j: int) -> np.ndarray:
-        """c_j..c_1, the weights of the increments y^{s+1} - y^s, s = 0..j-1, at t_{j+1/2} (treat as read-only)."""
-        if j < 0:
-            raise ValueError(f"weight index must be nonnegative, got {j}")
-        if j <= self._lags.size:
-            return self._lags[self._lags.size - j :]
-        return self.weights(j)[:0:-1].copy()
 
     def weights(self, j: int) -> np.ndarray:
         """Array of c_0..c_j (treat as read-only)."""
@@ -243,6 +234,43 @@ class CaputoKernel:
         w = np.array(self.weights(j))
         w[0] = 1.0
         return w
+
+
+class KernelStack:
+    """The kernels of a batch of fractional orders on one time grid, stacked on a leading axis.
+
+    A march over B problems at once reads its weights from here: ``scale`` is
+    the (B, 1) column of the :class:`CaputoKernel` scales, and
+    :meth:`history_weights` the (B, j) stack of their -c_j..-c_1.  ``soe``
+    stacks the orders' :class:`ExponentialTail` fits, fitted on first use:
+    ``nodes`` and ``weights`` are (B, N_exp), ``fold`` (B, N_exp, C),
+    ``lagged`` (C, B, N_exp), lag first as in a single fit, and ``error`` is
+    the largest fit error.  N_exp depends only on the step count, so the fits
+    stack.
+    """
+
+    def __init__(self, alphas, tau: float, nsteps: int):
+        kernels = [CaputoKernel(alpha, tau, nsteps=nsteps) for alpha in alphas]
+        self.alphas = tuple(k.alpha for k in kernels)
+        self.nsteps = kernels[0].nsteps
+        self.scale = np.array([[k.scale] for k in kernels])
+        self._lags = -np.stack([k.weights(history_rows(self.nsteps))[:0:-1] for k in kernels])
+
+    def history_weights(self, j: int) -> np.ndarray:
+        """-c_j..-c_1 of every order, the weights of the increments y^{s+1} - y^s, s = 0..j-1, in D at t_{j+1/2} (treat as read-only)."""
+        if j < 0:
+            raise ValueError(f"weight index must be nonnegative, got {j}")
+        stored = self._lags.shape[1]
+        if j <= stored:
+            return self._lags[:, stored - j :]
+        return -np.stack([l1_weight_array(j, alpha)[:0:-1] for alpha in self.alphas])
+
+    @cached_property
+    def soe(self) -> ExponentialTail:
+        fits = [fit_exponential_tail(alpha, self.nsteps) for alpha in self.alphas]
+        stacked = {name: np.stack([getattr(fit, name) for fit in fits]) for name in ("nodes", "weights", "fold")}
+        lagged = np.stack([fit.lagged for fit in fits], axis=1)
+        return ExponentialTail(error=max(fit.error for fit in fits), lagged=lagged, **stacked)
 
 
 def _history_diffs(history, j):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def _build_parser():
     return parser
 
 
+def _check_writable(out: str) -> None:
+    """Refuse a report path that cannot be written, before any solve is run."""
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"cannot write report to {path}: it is a directory")
+    folder = path.parent
+    if not folder.is_dir():
+        raise ValueError(f"cannot write report to {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
+        raise ValueError(f"cannot write report to {path}: permission denied")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -84,6 +97,8 @@ def _config_from_args(args) -> StudyConfig:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    if config.out is not None:
+        _check_writable(config.out)
     report = run_study(config)
     _write_or_print(emit_report(report, args.format), config.out)
     return 0
@@ -103,6 +118,8 @@ def _cmd_self_check(args) -> int:
         config = table1_config()
     else:
         config = table2_config(deep=args.deep)
+    if args.out:
+        _check_writable(args.out)
     report = run_study(config)
     deep_line = None
     if args.table == "2" and args.deep and not args.config:

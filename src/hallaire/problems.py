@@ -20,7 +20,8 @@ SpaceFunc = Callable[[np.ndarray], np.ndarray]
 
 
 def _per_time(fn, t) -> np.ndarray:
-    """``fn`` of each time in ``t``, taken in Python floats, with the shape of ``t``.
+    """``fn`` of each time in ``t``, taken in Python floats, with the shape of ``t``
+    (and a last axis for each of the values, if ``fn`` returns several).
 
     numpy's array ``pow`` and ``exp`` may round differently from the C
     library's, which Python's floats use.  Taken one time at a time, the
@@ -28,7 +29,8 @@ def _per_time(fn, t) -> np.ndarray:
     single half layers.
     """
     t = np.asarray(t, dtype=float)
-    return np.array([fn(s) for s in t.ravel().tolist()]).reshape(t.shape)
+    values = np.array([fn(s) for s in t.ravel().tolist()])
+    return values.reshape(t.shape + values.shape[1:])
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -120,17 +122,23 @@ def manufactured_problem(
     )
 
     def tpart(t: float) -> float:
-        return 1.0 + sum(a * t**p for a, p in terms)
+        part = 0
+        for a, p in terms:
+            part += a * t**p
+        return 1.0 + part
 
-    def dtpart(t: float) -> float:
-        return sum(a * p * t ** (p - 1.0) for a, p in terms)
-
-    def caputo_tpart(t: float) -> float:
-        # every exponent p - alpha is positive, so t = 0 gives 0
-        return sum(c * t**q for c, q in caputo_coefs)
-
-    def profile_factor(t: float) -> float:
-        return caputo_tpart(t) + kk * (tpart(t) + mu * dtpart(t))
+    def factors(t: float) -> tuple[float, float]:
+        # The time part, and the forcing's profile factor: the Caputo
+        # derivative of the time part plus kk (part + mu part').  Every
+        # exponent p - alpha is positive, so t = 0 gives a derivative of 0.
+        # One pass over the terms adds each sum in the order sum() would.
+        part = slope = caputo = 0
+        for (a, p), (c, q) in zip(terms, caputo_coefs):
+            part += a * t**p
+            slope += a * p * t ** (p - 1.0)
+            caputo += c * t**q
+        part = 1.0 + part
+        return part, caputo + kk * (part + mu * slope)
 
     loads = tuple(loads)
     load_profiles = tuple(math.sin(k * ld.position) for ld in loads)
@@ -148,8 +156,9 @@ def manufactured_problem(
     def forcing(x, t):
         x = np.asarray(x, dtype=float)
         profile = np.sin(k * x)
-        tt = _per_time(tpart, t)
-        out = _per_time(profile_factor, t) * profile
+        both = _per_time(factors, t)
+        tt = both[..., 0]
+        out = both[..., 1] * profile
         for ld, s in zip(loads, load_profiles):
             out = out - ld.coefficient(x, t) * (tt * s)
         if projection is not None:

@@ -15,11 +15,14 @@ NODE_SNAP_REL = 1e-12
 
 
 def second_difference(v, h: float) -> np.ndarray:
-    """(v_{i+1} - 2 v_i + v_{i-1}) / h^2 at the interior nodes."""
+    """(v_{i+1} - 2 v_i + v_{i-1}) / h^2 at the interior nodes.
+
+    A stack of nodal vectors is differenced along its last axis.
+    """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 3:
+    if v.ndim == 0 or v.shape[-1] < 3:
         raise ValueError("second_difference expects a full nodal vector (length >= 3)")
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    return (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (h * h)
 
 
 def compact_average(v) -> np.ndarray:

@@ -10,9 +10,15 @@ solution, so it is built for LOAD_BLOCK steps at a time (a :class:`LoadBlock`:
 the columns, the rows and the inverted capacitance matrices, with the
 forcing sampled alongside), and a step costs one tridiagonal sweep and a few
 small products.  The factor keeps the Thomas elimination as block inverses
-with scalar carries between blocks (a partitioned solver in the manner of
-H. H. Wang, ACM TOMS 7(2), 1981), so a sweep is a batched numpy matvec and a
-chain over the blocks, not a loop over the unknowns.
+with carries between blocks (a partitioned solver in the manner of
+H. H. Wang, ACM TOMS 7(2), 1981).  The carries obey a first-order linear
+recurrence over the blocks, so they are applied as two precomputed K x K
+maps, as in Stone's recursive doubling (J. ACM 20(1), 1973): a sweep is a
+batched matvec and two small products, with no loop.
+
+A march is over a batch of B problems on one grid, one per fractional order
+of a study rung, stepped in lockstep: every array of the state has a leading
+batch axis, and a single solve is the batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import CaputoKernel, HistoryModes, check_alpha, gamma_const, history_rows
+from .caputo import HistoryModes, KernelStack, check_alpha, gamma_const, history_rows
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
@@ -38,6 +44,12 @@ BLOCK = 32
 # Steps per load block: their time-only load algebra is built together (see LoadBlock).
 LOAD_BLOCK = 32
 
+# Bytes of load columns and forcing rows one load block holds for the whole
+# batch.  A block covers LOAD_BLOCK steps, or fewer where that would be more:
+# one problem at nx = 1000 with three point loads fills 32 steps (0.98 MiB),
+# the three orders of a Table 2 rung 10 steps, where 32 held 3 MiB.
+BLOCK_BYTES = 1 << 20
+
 # Bytes of point-load samples stacked for one compact average while a block
 # is built; the coefficients are called once per chunk of half layers this
 # size.  A small grid samples and averages its whole block in one call (three
@@ -49,7 +61,10 @@ SAMPLE_BYTES = 1 << 15
 
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
-    """Three-banded matrix stored as lower/main/upper diagonals."""
+    """Three-banded matrix stored as lower/main/upper diagonals.
+
+    The diagonals may carry leading batch axes: a stack of matrices of one size.
+    """
 
     lower: np.ndarray
     diag: np.ndarray
@@ -57,7 +72,7 @@ class Tridiagonal:
 
     @property
     def n(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +91,7 @@ class LoadRow:
 
 @dataclass(frozen=True, eq=False)
 class ThomasFactor:
-    """Thomas elimination of a tridiagonal matrix, kept as a blocked inverse.
+    """Thomas elimination of a tridiagonal matrix of ``n`` rows, kept as a blocked inverse.
 
     The matrix is L U with L lower bidiagonal (the pivots on the diagonal)
     and U unit upper bidiagonal (the multipliers above it).  The unknowns are
@@ -84,38 +99,38 @@ class ThomasFactor:
     identity rows; block k owns the bidiagonal pieces L_k and U_k and couples
     to its neighbours through one sub-diagonal and one multiplier.  Per block:
 
-    * ``inverse[k]`` is the dense s x s product U_k^{-1} L_k^{-1};
-    * ``last_row[k]`` is the last row of L_k^{-1}, which turns the block's
-      right-hand side into its last forward unknown;
+    * ``inverse[k]`` is the dense s x s product U_k^{-1} L_k^{-1}; with more
+      than one block, the last row of L_k^{-1} rides below it as row s, and
+      turns the block's right-hand side into its last forward unknown;
     * ``forward[k]`` and ``backward[k]`` are the block's solution for a unit
       carry entering from the left (the previous block's last forward
-      unknown) and from the right (the next block's first solution entry);
-    * ``gain[k]`` scales the left carry into the block's last forward unknown.
+      unknown) and from the right (the next block's first solution entry).
 
-    That is n * s + 3 n floats, and a solve is a batched matvec plus two
-    scalar chains of length K (see :func:`thomas_solve`).
+    The carries chain over the blocks, each the previous one times a gain
+    plus the block's own part.  ``left`` and ``right`` are those chains as
+    K x K maps: ``left[i, l]`` is the product of the forward gains of blocks
+    l+1..i-1, the weight of block l's last forward unknown in the carry into
+    block i, and ``right[i, l]`` the product of the backward gains of blocks
+    i+1..l-1, the weight of block l's first solution entry in the carry into
+    block i.  Each product is taken in the order the chain would take it.
+
+    A factor of a stacked :class:`Tridiagonal` stacks every array on the
+    same leading axes.  That is about n (s + 3) + 2 K^2 floats per matrix,
+    and a solve is one batched matvec and two K x K products (see
+    :func:`thomas_solve`).
     """
 
-    matrix: Tridiagonal
+    n: int
     inverse: np.ndarray
-    last_row: np.ndarray
     forward: np.ndarray
     backward: np.ndarray
-    gain: list
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
+    left: np.ndarray
+    right: np.ndarray
 
 
-def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
-    """Pivots and multipliers of the tridiagonal matrix, folded into blocks."""
-    lower = tri.lower.tolist()
-    diag = tri.diag.tolist()
-    upper = tri.upper.tolist()
+def _pivots(lower: list, diag: list, upper: list) -> tuple[list, list]:
+    """Pivots and multipliers of one tridiagonal matrix, in Python floats."""
     n = len(diag)
-    if n == 0:
-        raise ValueError("cannot factor an empty tridiagonal matrix")
     piv = [0.0] * n
     cp = [0.0] * (n - 1)
     for i in range(n):
@@ -125,77 +140,82 @@ def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
         piv[i] = p
         if i < n - 1:
             cp[i] = upper[i] / p
+    return piv, cp
+
+
+def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
+    """Pivots and multipliers of the tridiagonal matrix, or of each of a stack, folded into blocks."""
+    lower, diag, upper = (np.asarray(a, dtype=float) for a in (tri.lower, tri.diag, tri.upper))
+    batch, n = diag.shape[:-1], diag.shape[-1]
+    if n == 0:
+        raise ValueError("cannot factor an empty tridiagonal matrix")
     s = min(n, BLOCK)
     k = -(-n // s)
     # Row i of the padded system: pivot, sub-diagonal to row i-1, multiplier
     # to row i+1.  Couplings across a block edge sit in column 0 of ``low``
     # and column s-1 of ``up``.
-    p = np.ones(k * s)
-    p[:n] = piv
-    low = np.zeros(k * s)
-    low[1:n] = lower
-    up = np.zeros(k * s)
-    up[: n - 1] = cp
-    p, low, up = (a.reshape(k, s) for a in (p, low, up))
+    p = np.ones(batch + (k * s,))
+    low = np.zeros(batch + (k * s,))
+    up = np.zeros(batch + (k * s,))
+    low[..., 1:n] = lower
+    for at in np.ndindex(batch):
+        p[at][:n], up[at][: n - 1] = _pivots(lower[at].tolist(), diag[at].tolist(), upper[at].tolist())
+    p, low, up = (a.reshape(batch + (k, s)) for a in (p, low, up))
     eye = np.eye(s)
-    linv = np.empty((k, s, s))
-    linv[:, 0] = eye[0] / p[:, :1]
+    linv = np.empty(batch + (k, s, s))
+    linv[..., 0, :] = eye[0] / p[..., :1]
     for i in range(1, s):
-        linv[:, i] = (eye[i] - low[:, i, None] * linv[:, i - 1]) / p[:, i, None]
-    uinv = np.empty((k, s, s))
-    uinv[:, -1] = eye[-1]
+        linv[..., i, :] = (eye[i] - low[..., i, None] * linv[..., i - 1, :]) / p[..., i, None]
+    uinv = np.empty(batch + (k, s, s))
+    uinv[..., -1, :] = eye[-1]
     for i in range(s - 2, -1, -1):
-        uinv[:, i] = eye[i] - up[:, i, None] * uinv[:, i + 1]
+        uinv[..., i, :] = eye[i] - up[..., i, None] * uinv[..., i + 1, :]
     inverse = uinv @ linv
-    return ThomasFactor(
-        matrix=tri,
-        inverse=inverse,
-        last_row=linv[:, -1].copy(),
-        forward=-low[:, :1] * inverse[:, :, 0],
-        backward=-up[:, -1:] * uinv[:, :, -1],
-        gain=(-low[:, 0] * linv[:, -1, 0]).tolist(),
-    )
+    forward = -low[..., :1] * inverse[..., :, 0]
+    backward = -up[..., -1:] * uinv[..., :, -1]
+    gain = -low[..., 0] * linv[..., -1, 0]
+    back = backward[..., 0]
+    left = np.zeros(batch + (k, k))
+    for i in range(1, k):
+        left[..., i, : i - 1] = left[..., i - 1, : i - 1] * gain[..., i - 1, None]
+        left[..., i, i - 1] = 1.0
+    right = np.zeros(batch + (k, k))
+    for i in range(k - 2, -1, -1):
+        right[..., i, i + 2 :] = back[..., i + 1, None] * right[..., i + 1, i + 2 :]
+        right[..., i, i + 1] = 1.0
+    if k > 1:
+        inverse = np.concatenate((inverse, linv[..., -1:, :]), axis=-2)
+    return ThomasFactor(n, inverse, forward, backward, left, right)
 
 
 def thomas_solve(tri, b) -> np.ndarray:
     """Solve the tridiagonal system with the blocked inverse of its factor.
 
     ``tri`` is the matrix, factored on the spot, or its :class:`ThomasFactor`.
-    Each block is solved on its own in one batched matvec; the forward carries
-    (each block's last forward unknown) and then the backward carries (each
-    block's first solution entry) are chained over the K blocks, and both are
-    added back as multiples of the blocks' carry responses.  With one block
-    this is a single matvec with the exact inverse.
+    ``b`` holds right-hand sides along its last axis; its leading axes
+    broadcast against those of a stacked factor.  Each block is solved on
+    its own in one batched matvec, which also gives each block's last
+    forward unknown; ``left`` turns those into the forward carries, and
+    ``right`` the blocks' first solution entries into the backward carries,
+    both added back as multiples of the blocks' carry responses.  With one
+    block this is a single matvec with the exact inverse.
     """
-    b = np.asarray(b, dtype=float)
-    if b.size != tri.n:
-        raise ValueError(f"right-hand side has length {b.size}, expected {tri.n}")
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
+    b = np.asarray(b, dtype=float)
+    if b.shape[-1:] != (factor.n,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected length {factor.n} along its last axis")
     inverse = factor.inverse
-    k, s, _ = inverse.shape
+    k, s = inverse.shape[-3], inverse.shape[-1]
     if k == 1:
-        return inverse[0] @ b
-    n = b.size
-    blocks = np.zeros(k * s)
-    blocks[:n] = b
-    blocks = blocks.reshape(k, s)
-    y = np.matmul(inverse, blocks[:, :, None])[:, :, 0]
-    ends = np.einsum("ks,ks->k", factor.last_row, blocks).tolist()
-    left = [0.0] * k
-    carry = 0.0
-    for i, (end, gain) in enumerate(zip(ends, factor.gain)):
-        left[i] = carry
-        carry = end + gain * carry
-    left = np.array(left)
-    first = (y[:, 0] + factor.forward[:, 0] * left).tolist()
-    back = factor.backward[:, 0].tolist()
-    right = [0.0] * k
-    carry = 0.0
-    for i in range(k - 1, -1, -1):
-        right[i] = carry
-        carry = first[i] + back[i] * carry
-    x = y + factor.forward * left[:, None] + factor.backward * np.array(right)[:, None]
-    return x.reshape(-1)[:n]
+        return np.matvec(inverse[..., 0, :, :], b)
+    n = b.shape[-1]
+    blocks = np.zeros(b.shape[:-1] + (k * s,))
+    blocks[..., :n] = b
+    y = np.matvec(inverse, blocks.reshape(b.shape[:-1] + (k, s)))
+    left = np.matvec(factor.left, y[..., s])
+    right = np.matvec(factor.right, y[..., 0] + factor.forward[..., 0] * left)
+    x = y[..., :s] + factor.forward * left[..., None] + factor.backward * right[..., None]
+    return x.reshape(x.shape[:-2] + (k * s,))[..., :n]
 
 
 def _dense_rows(rows, n: int) -> np.ndarray:
@@ -223,7 +243,10 @@ class LoadBlock:
     T^{-1} U, which must then be the same at every step (the distributed load
     alone, or the one step of :func:`woodbury_solve`).  ``forcing[i]`` is the
     forcing at every node at the step's half layer (``None`` in
-    :func:`woodbury_solve`).  None of it depends on the solution.
+    :func:`woodbury_solve`).  None of it depends on the solution.  In a
+    march each step's arrays carry the batch axis after the step axis, one
+    entry per problem, and ``singular`` is the problem whose capacitance
+    matrix at step ``stop`` is singular, if that ended the block early.
     """
 
     start: int
@@ -234,6 +257,7 @@ class LoadBlock:
     row_solves: np.ndarray | None
     column_solves: np.ndarray | None
     forcing: np.ndarray | None = None
+    singular: int | None = None
 
     def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
         """Solve step ``start + i``'s system, in one tridiagonal sweep.
@@ -242,34 +266,42 @@ class LoadBlock:
         columns: y = T^{-1} b, then x = y - Z cap^{-1} W^T y.
         """
         if self.row_solves is not None:
-            return thomas_solve(factor, b - self.columns[i] @ (self.inverses[i] @ (self.row_solves[i] @ b)))
+            q = np.matvec(self.inverses[i], np.matvec(self.row_solves[i], b))
+            return thomas_solve(factor, b - np.matvec(self.columns[i], q))
         y = thomas_solve(factor, b)
-        return y - self.column_solves @ (self.inverses[i] @ (self.rows[i] @ y))
+        return y - np.matvec(self.column_solves, np.matvec(self.inverses[i], np.matvec(self.rows[i], y)))
+
+
+def _invertible(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _closing_block(start: int, columns, rows, row_solves=None, column_solves=None, forcing=None) -> LoadBlock:
     """A :class:`LoadBlock` over the stacked sides, with its capacitance inverses.
 
-    The capacitance matrices are formed with one batched product and
-    inverted with one batched inverse.  The block stops before the first
-    singular one, so it is empty when the first is.  A matrix with
-    non-finite entries is not singular here: its inverse is non-finite, and
-    the step's finite check reports it.
+    The capacitance matrices of every step and problem are formed with one
+    batched product and inverted with one batched inverse.  The block stops
+    before the first step at which any problem's is singular, so it is empty
+    when one of the first is.  A matrix with non-finite entries is not
+    singular here: its inverse is non-finite, and the step's finite check
+    reports it.
     """
     cap = row_solves @ columns if column_solves is None else rows @ column_solves
     diag = np.arange(cap.shape[-1])
-    cap[:, diag, diag] += 1.0
+    cap[..., diag, diag] += 1.0
     try:
-        inverses = np.linalg.inv(cap)
+        inverses, stop, singular = np.linalg.inv(cap), len(cap), None
     except np.linalg.LinAlgError:
-        kept = []
-        for one in cap:
-            try:
-                kept.append(np.linalg.inv(one))
-            except np.linalg.LinAlgError:
-                break
-        inverses = np.array(kept).reshape(len(kept), *cap.shape[1:])
-    return LoadBlock(start, start + len(inverses), columns, rows, inverses, row_solves, column_solves, forcing)
+        members = cap.reshape(len(cap), -1, *cap.shape[-2:])
+        stop, singular = next(
+            (i, b) for i, one in enumerate(members) for b, matrix in enumerate(one) if not _invertible(matrix)
+        )
+        inverses = np.linalg.inv(cap[:stop])
+    return LoadBlock(start, start + stop, columns, rows, inverses, row_solves, column_solves, forcing, singular)
 
 
 def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
@@ -338,170 +370,215 @@ def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarra
         ) from exc
 
 
-def _load_samples(state: SolverState, problem: ProblemSpec, times: np.ndarray):
+def _members(problem) -> tuple:
+    """The problems of a batch: a :class:`ProblemSpec` alone is a batch of one."""
+    return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
+
+
+def _load_samples(state: SolverState, problem, times: np.ndarray):
     """Load columns, distributed-load row weights and forcing at the given half layers.
 
-    Returns the columns as one ``(len(times), n, m)`` array, the point loads
-    first (minus half the compact average of each coefficient) and then the
-    distributed load's constant column; the distributed load's interior
-    Simpson-weighted samples as a ``(len(times), n)`` array, or ``None``; and
-    the forcing at every node as a ``(len(times), nx + 1)`` array.  Each
-    evaluator is called with the nodes as a row and times as a column; a
-    result that does not broadcast to the shape of its samples is a
-    ``ValueError`` naming the evaluator.  The forcing and the distributed
-    load, whose samples are all kept, are called once for all the times.  The
-    point-load coefficients are called once per SAMPLE_BYTES of their
-    samples, which are averaged in one call per chunk, straight into the
-    columns.
+    ``problem`` is a problem or a batch of them.  Returns the columns as one
+    ``(len(times), B, n, m)`` array, the point loads first (minus half the
+    compact average of each coefficient) and then the distributed load's
+    constant column; the distributed load's interior Simpson-weighted
+    samples as a ``(len(times), B, n)`` array, or ``None``; and the forcing
+    at every node as a ``(len(times), B, nx + 1)`` array.  Each evaluator is
+    called with the nodes as a row and times as a column; a result that does
+    not broadcast to the shape of its samples is a ``ValueError`` naming the
+    evaluator.  The forcing and the distributed load, whose samples are all
+    kept, are called once for all the times.  The point-load coefficients
+    are called once per SAMPLE_BYTES of their samples, which are averaged in
+    one call per chunk, straight into the columns.  Every sample is written
+    into its place in the batch, so no per-problem copy is held.
     """
+    problems = _members(problem)
     x = state.x
     nodes = x[None, :]
     count = len(times)
-    loads = problem.loads
-    forcing = np.empty((count, x.size))
-    _evaluate(forcing, "forcing", problem.forcing, nodes, times[:, None])
-    columns = np.empty((count, len(loads), x.size - 2))
-    if loads:
-        per = max(1, SAMPLE_BYTES // (8 * len(loads) * x.size))
-        for lo in range(0, count, per):
-            t = times[lo : lo + per, None]
-            q = np.empty((len(t), len(loads), x.size))
-            for k, ld in enumerate(loads):
-                _evaluate(q[:, k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
-            columns[lo : lo + per] = -0.5 * compact_average(q)
-    columns = np.swapaxes(columns, 1, 2)
-    if state.simpson is None:
+    points = len(state.load_rows)
+    distributed = state.simpson is not None
+    forcing = np.empty((count, len(problems), x.size))
+    columns = np.empty((count, len(problems), points + distributed, x.size - 2))
+    weights = np.empty((count, len(problems), x.size)) if distributed else None
+    per = max(1, SAMPLE_BYTES // (8 * max(points, 1) * x.size))
+    for b, member in enumerate(problems):
+        _evaluate(forcing[:, b], "forcing", member.forcing, nodes, times[:, None])
+        if points:
+            for lo in range(0, count, per):
+                t = times[lo : lo + per, None]
+                q = np.empty((len(t), points, x.size))
+                for k, ld in enumerate(member.loads):
+                    _evaluate(q[:, k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
+                columns[lo : lo + per, b, :points] = -0.5 * compact_average(q)
+        if distributed:
+            _evaluate(weights[:, b], "integral_load", member.integral_load, nodes, times[:, None])
+    columns = np.swapaxes(columns, -1, -2)
+    if not distributed:
         return columns, None, forcing
-    columns = np.concatenate((columns, np.full((count, x.size - 2, 1), INTEGRAL_COLUMN)), axis=2)
-    q = np.empty((count, x.size))
-    _evaluate(q, "integral_load", problem.integral_load, nodes, times[:, None])
-    return columns, (state.simpson * q)[:, 1:-1], forcing
+    columns[..., points] = INTEGRAL_COLUMN
+    weights *= state.simpson
+    return columns, weights[..., 1:-1], forcing
 
 
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
-    """Low-rank pieces of the implicit matrix at one half layer.
+    """Low-rank pieces of the implicit matrix of one problem at one half layer.
 
     Returns dense columns ``U`` (one per load, minus half the compact average
     of the coefficient) and matching sparse rows ``W`` such that the full
     matrix is the tridiagonal core plus sum_k U_k W_k^T.  These are one half
-    layer of the samples a :class:`LoadBlock` is built from.
+    layer of the samples a :class:`LoadBlock` is built from; ``problem`` may
+    be any member of the state's batch.
     """
     columns, weights, _ = _load_samples(state, problem, np.array([t_half]))
     rows = list(state.load_rows)
     if weights is not None:
-        rows.append(LoadRow("integral", np.arange(weights.shape[1]), weights[0]))
-    return columns[0], rows
+        rows.append(LoadRow("integral", np.arange(weights.shape[-1]), weights[0, 0]))
+    return columns[0, 0], rows
 
 
-def _load_block(state: SolverState, problem: ProblemSpec, start: int) -> LoadBlock:
-    """Load algebra of the steps from ``start`` up to the next multiple of LOAD_BLOCK.
+def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
+    """Load algebra of the steps from ``start`` up to the next multiple of ``state.block_steps``.
 
     The block ends at the last step, ``nt - 1``, so no load is evaluated past
     the final level.  Point-load rows and their row solves are the state's
     constants; a distributed load's rows are its samples, and with point
-    loads beside it each of its rows is solved against T here, one sweep
-    per step.  A capacitance matrix that is singular at the first step
-    raises; one that is singular at a later step ends the block before it.
+    loads beside it they are solved against T here, in one sweep over the
+    whole block.  A capacitance matrix that is singular at the first step
+    raises, naming the problem's order; one that is singular at a later
+    step ends the block before it, for every problem of the batch.
     """
     grid = state.grid
-    stop = min((start // LOAD_BLOCK + 1) * LOAD_BLOCK, grid.nt)
+    stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
     columns, weights, forcing = _load_samples(state, problem, (np.arange(start, stop) + 0.5) * grid.tau)
-    count = stop - start
-    rows = np.broadcast_to(state.point_rows, (count, *state.point_rows.shape))
-    row_solves = np.broadcast_to(state.row_solves, rows.shape)
+    shape = columns.shape[:2]
+    rows = np.broadcast_to(state.point_rows, shape + state.point_rows.shape)
+    row_solves = np.broadcast_to(state.row_solves, shape[:1] + state.row_solves.shape)
     column_solves = None
     if weights is not None:
-        rows = np.concatenate((rows, weights[:, None]), axis=1)
+        rows = np.concatenate((rows, weights[:, :, None]), axis=2)
         if len(state.load_rows):
-            row_solves = np.concatenate(
-                (row_solves, np.array([thomas_solve(state.factor, w) for w in weights])[:, None]), axis=1
-            )
+            row_solves = np.concatenate((row_solves, thomas_solve(state.factor, weights)[:, :, None]), axis=2)
         else:
-            row_solves, column_solves = None, state.integral_solve[:, None]
+            row_solves, column_solves = None, state.integral_solve[:, :, None]
     block = _closing_block(start, columns, rows, row_solves, column_solves, forcing)
     if block.stop == start:
         labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
-        raise _singular(labels, f" at time level {start + 1} (t = {(start + 1) * grid.tau:g})")
+        raise _singular(
+            labels,
+            f" at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
+            f"for alpha = {state.kernel.alphas[block.singular]:g}",
+        )
     return block
 
 
-def _check_size(grid: Grid1D) -> None:
-    """Refuse a grid whose stored increments and factor cannot fit in this machine's memory."""
+def _check_size(grid: Grid1D, count: int = 1) -> None:
+    """Refuse a batch whose stored increments and factors cannot fit in this machine's memory.
+
+    The need is counted, never allocated: per problem, the increment buffer
+    and the factor of the core, whose carry maps grow as the square of the
+    block count.
+    """
     n = grid.nx - 1
-    need = 8 * (history_rows(grid.nt) * (grid.nx + 1) + 3 * n * min(n, BLOCK))
+    s = min(n, BLOCK)
+    k = -(-n // s)
+    need = 8 * count * (history_rows(grid.nt) * (grid.nx + 1) + k * s * (s + 3) + 2 * k * k)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
         raise ValueError(
-            f"a solve on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} bytes for its "
-            f"stored increments and factor, more than the {have:.3g} bytes of memory here"
+            f"a solve of {count} problem(s) on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} "
+            f"bytes for its stored increments and factors, more than the {have:.3g} bytes of memory here"
         )
 
 
 class SolverState:
-    """Marching state: the increments a step reads, per-solve constants, and the step index.
+    """Marching state of a batch: the increments a step reads, per-solve constants, and the step index.
 
-    ``level`` is y^j, the running sum of y^0 and the increments y^{s+1} - y^s;
-    row i of ``increments`` holds the one at s = start + i, in
-    :func:`~hallaire.caputo.history_rows` rows, and ``start`` is the checkpoint
-    of ``modes``, the :class:`HistoryModes` that carry the older increments.
-    The nodes ``x``, the factor of the tridiagonal core (the core itself is
-    ``factor.matrix``), the interior point-load rows (sparse as ``load_rows``,
-    dense as the rows of ``point_rows``) with their solves against the core
-    (``row_solves``), and the distributed load's Simpson node weights and
-    constant column solved against the core (``integral_solve``) do not change
-    in time and are built here once.
-    ``block`` is the :class:`LoadBlock` of the current steps, ``None`` until
-    the first step.  A grid too large for this machine's memory is refused
-    with a ``ValueError`` before anything is allocated.
+    ``problem`` is one :class:`ProblemSpec` or a sequence of them, B in all,
+    that share the domain, the load points and whether there is a
+    distributed load; they may differ in ``alpha``, ``mu`` and every
+    evaluator.  Every per-problem array has a leading batch axis of length B.
+    ``level`` (B x (nx + 1)) is y^j, the running sum of y^0 and the increments
+    y^{s+1} - y^s; row i of ``increments[b]`` holds problem b's at s =
+    start + i, in :func:`~hallaire.caputo.history_rows` rows, and ``start`` is
+    the checkpoint of ``modes``, the :class:`HistoryModes` that carry the
+    older increments.  ``kernel`` is the :class:`~hallaire.caputo.KernelStack`
+    of the batch's orders.  The nodes ``x``, the stacked factor of the
+    tridiagonal cores, the interior point-load rows (sparse as
+    ``load_rows``, dense as the rows of ``point_rows``, both shared) with
+    their solves against each core (``row_solves``), and the distributed
+    load's Simpson node weights and constant column solved against each core
+    (``integral_solve``) do not change in time and are built here once.  ``block`` is the
+    :class:`LoadBlock` of the current steps, ``None`` until the first step.
+    ``block_steps`` is the length of a load block: LOAD_BLOCK steps, fewer
+    if their columns and forcing would take more than BLOCK_BYTES.  A batch
+    too large for this machine's memory is refused with a ``ValueError``
+    before anything is allocated.
     """
 
-    def __init__(self, problem: ProblemSpec, grid: Grid1D):
-        if problem.integral_load is not None and grid.nx % 2 != 0:
+    def __init__(self, problem, grid: Grid1D):
+        problems = _members(problem)
+        if not problems:
+            raise ValueError("a solve needs at least one problem")
+        first = problems[0]
+        if len({(tuple(ld.position for ld in p.loads), p.integral_load is None) for p in problems}) > 1:
+            raise ValueError("the problems of a batch must share their load points and whether they have a distributed load")
+        if first.integral_load is not None and grid.nx % 2 != 0:
             raise ValueError("the distributed load needs an even number of spatial intervals")
-        _check_size(grid)
+        _check_size(grid, len(problems))
         self.grid = grid
         self.x = grid.x
         self.x.flags.writeable = False
-        self.kernel = CaputoKernel(problem.alpha, grid.tau, nsteps=grid.nt)
-        self.factor = thomas_factor(assemble_tridiagonal(grid, problem.alpha, problem.mu))
+        self.kernel = KernelStack([p.alpha for p in problems], grid.tau, grid.nt)
+        cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
+        self.factor = thomas_factor(
+            Tridiagonal(*(np.stack([getattr(t, side) for t in cores]) for side in ("lower", "diag", "upper")))
+        )
         self.load_rows = tuple(
-            interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in problem.loads
+            interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in first.loads
         )
         n = grid.nx - 1
         self.point_rows = _dense_rows(self.load_rows, n)
         # assemble_tridiagonal builds T with lower == upper, so T^{-T} W = T^{-1} W:
         # the load rows here and in _load_block are solved with the factor of T
-        self.row_solves = np.zeros((len(self.load_rows), n))
+        self.row_solves = np.zeros((len(problems), len(self.load_rows), n))
         for k, row in enumerate(self.point_rows):
-            self.row_solves[k] = thomas_solve(self.factor, row)
+            self.row_solves[:, k] = thomas_solve(self.factor, row)
         self.simpson = self.integral_solve = None
-        if problem.integral_load is not None:
+        if first.integral_load is not None:
             self.simpson = simpson_weights(grid.nx, grid.h)
             self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
-        self.increments = np.zeros((history_rows(grid.nt), grid.nx + 1))
+        self.increments = np.zeros((len(problems), history_rows(grid.nt), grid.nx + 1))
         self.modes = HistoryModes(self.kernel)
-        self.level = np.empty(self.x.shape)
-        self.level[...] = problem.initial(self.x)
-        self.level[[0, -1]] = 0.0
+        self.level = np.empty((len(problems), self.x.size))
+        for b, p in enumerate(problems):
+            self.level[b] = p.initial(self.x)
+        self.level[:, [0, -1]] = 0.0
         self.level.flags.writeable = False
+        loads = len(self.load_rows) + (self.simpson is not None)
+        per_step = 8 * len(problems) * (loads * n + grid.nx + 1)
+        self.block_steps = max(1, min(LOAD_BLOCK, BLOCK_BYTES // per_step))
         self.block = None
         self.j = 0
 
 
-def _history_sum(increments: np.ndarray, kernel: CaputoKernel, j: int, modes: HistoryModes) -> np.ndarray:
+def _history_sum(increments: np.ndarray, kernel: KernelStack, j: int, modes: HistoryModes) -> np.ndarray:
     # D = -sum_{s<j} c_{j-s} delta^s: rows 0..j-S-1, from the checkpoint S on, exactly; older ones from the modes.
     start = modes.catch_up(increments, j)
-    out = -(kernel.increment_weights(j - start) @ increments[: j - start])
-    return out + modes.tail(j) if start else out
+    out = np.vecmat(kernel.history_weights(j - start), increments[:, : j - start])
+    if start:
+        out += modes.tail(j)
+    return out
 
 
-def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=None) -> np.ndarray:
+def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.ndarray:
     """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j) of the step's (T + U W^T) delta^j = r.
 
-    D is :func:`_history_sum`; the compact average is linear, so it is applied
+    One right-hand side per problem of the batch, stacked.  D is
+    :func:`_history_sum`; the compact average is linear, so it is applied
     once.  ``load_parts = (U, W^T, f)``, the dense columns and rows and the
     forcing at every node, are by default sampled at the step's half layer.
     Only the step from level ``state.j`` is assembled.
@@ -511,49 +588,56 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, j: int, load_parts=No
     grid = state.grid
     if load_parts is None:
         columns, weights, forcing = _load_samples(state, problem, np.array([(j + 0.5) * grid.tau]))
-        rows = state.point_rows if weights is None else np.concatenate((state.point_rows, weights))
+        rows = np.broadcast_to(state.point_rows, columns.shape[1:2] + state.point_rows.shape)
+        if weights is not None:
+            rows = np.concatenate((rows, weights[0][:, None]), axis=1)
         load_parts = columns[0], rows, forcing[0]
     columns, rows, f = load_parts
     kernel = state.kernel
-    nodal = kernel.scale * _history_sum(state.increments, kernel, j, state.modes) + f
+    nodal = _history_sum(state.increments, kernel, j, state.modes)
+    nodal *= kernel.scale
+    nodal += f
     b = compact_average(nodal)
     b += second_difference(state.level, grid.h)
-    b += columns @ (-2.0 * (rows @ state.level[1:-1]))
+    b += np.matvec(columns, -2.0 * np.matvec(rows, state.level[:, 1:-1]))
     return b
 
 
-def step(state: SolverState, problem: ProblemSpec) -> SolverState:
-    """Advance the state by one time level.
+def step(state: SolverState, problem) -> SolverState:
+    """Advance every problem of the batch by one time level.
 
-    The step's load algebra and forcing come from ``state.block``, which is
-    built at the first step and again at every step whose index is a
-    multiple of LOAD_BLOCK (see :func:`_load_block`).  The load evaluators
-    and the forcing are therefore called up to LOAD_BLOCK - 1 half layers
-    ahead of the step: one that raises at a later half layer of a block
-    raises while the block is built, before that block's earlier steps are
-    taken.  A non-finite level, from a NaN coefficient among other causes,
-    and a singular capacitance matrix are both reported at the step they
-    belong to.
+    ``problem`` is the state's problem or batch of problems.  The step's
+    load algebra and forcing come from ``state.block``, which is built at
+    the first step and again at every step whose index is a multiple of
+    ``state.block_steps``, at most LOAD_BLOCK (see :func:`_load_block`).
+    The load evaluators and the forcing are therefore called up to
+    LOAD_BLOCK - 1 half layers ahead of the step: one that raises at a later
+    half layer of a block raises while the block is built, before that
+    block's earlier steps are taken.  A non-finite level, from a NaN
+    coefficient among other causes, and a singular capacitance matrix are
+    both reported at the step they belong to, with the order of the problem
+    they belong to.
     """
     grid = state.grid
     j = state.j
     if j >= grid.nt:
         raise ValueError(f"already at the final level {j}")
-    block = state.block
-    if block is None or not block.start <= j < block.stop:
+    if state.block is None or not state.block.start <= j < state.block.stop:
         # drop the finished block first, so that two are never held at once
         state.block = None
-        block = state.block = _load_block(state, problem, j)
+        state.block = _load_block(state, problem, j)
+    block = state.block
     i = j - block.start
     b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i], block.forcing[i]))
     delta = block.close(state.factor, i, b)
     if not np.isfinite(delta).all():
+        bad = _members(problem)[int(np.argmin(np.isfinite(delta).all(axis=-1)))]
         raise FloatingPointError(
-            f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}); "
-            f"tau / stability_step_limit = {grid.tau / stability_step_limit(problem):.3g}"
+            f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}) for alpha = {bad.alpha:g}; "
+            f"tau / stability_step_limit = {grid.tau / stability_step_limit(bad):.3g}"
         )
-    row = state.increments[j - state.modes.start]
-    row[1:-1] = delta
+    row = state.increments[:, j - state.modes.start]
+    row[:, 1:-1] = delta
     state.level = state.level + row
     state.level.flags.writeable = False
     state.j = j + 1
@@ -574,31 +658,54 @@ def stability_step_limit(problem: ProblemSpec) -> float:
         return math.inf
 
 
-def _notify(observers, j, t, level):
-    for observer in observers:
-        try:
-            observer(j, t, level)
-        except Exception as exc:
-            raise RuntimeError(f"observer failed at time level {j}") from exc
+def _notify(observers, j, t, level, alphas):
+    for b, seen in enumerate(observers):
+        for observer in seen:
+            try:
+                observer(j, t, level[b])
+            except Exception as exc:
+                raise RuntimeError(f"observer failed at time level {j} for alpha = {alphas[b]:g}") from exc
 
 
-def solve(problem: ProblemSpec, grid: Grid1D, observers=()) -> SolverState:
-    """March all time steps; observers see every level in order, the only place past levels can be read."""
-    if not (
-        math.isclose(grid.length, problem.length)
-        and math.isclose(grid.final_time, problem.final_time)
-    ):
-        raise ValueError("grid extents do not match the problem domain")
-    limit = stability_step_limit(problem)
-    if grid.tau > limit:
-        warnings.warn(
-            f"time step {grid.tau:g} exceeds the a priori stability threshold {limit:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    state = SolverState(problem, grid)
-    _notify(observers, 0, 0.0, state.level)
+def solve(problem, grid: Grid1D, observers=()) -> SolverState:
+    """March all time steps of one problem, or of a batch of them in lockstep.
+
+    ``problem`` is a :class:`ProblemSpec`, whose ``observers`` are callables
+    ``(j, t, level)``, or a sequence of problems (see :class:`SolverState`),
+    whose ``observers`` hold one sequence of such callables per problem.
+    Each problem's observers see its levels in order, the only place past
+    levels can be read; a batch gives every problem the levels, bit for bit,
+    of its own solve alone.  Returns the final state.
+    """
+    problems = _members(problem)
+    if isinstance(problem, ProblemSpec):
+        observers = (tuple(observers),)
+    else:
+        observers = tuple(observers) or ((),) * len(problems)
+        if len(observers) != len(problems) or any(callable(seen) for seen in observers):
+            raise ValueError(
+                f"{len(problems)} problems need as many sequences of observers, "
+                f"got {len(observers)} entries, {sum(map(callable, observers))} of them a bare callable"
+            )
+        observers = tuple(tuple(seen) for seen in observers)
+    for member in problems:
+        if not (
+            math.isclose(grid.length, member.length)
+            and math.isclose(grid.final_time, member.final_time)
+        ):
+            raise ValueError("grid extents do not match the problem domain")
+        limit = stability_step_limit(member)
+        if grid.tau > limit:
+            warnings.warn(
+                f"time step {grid.tau:g} exceeds the a priori stability threshold {limit:g} "
+                f"for alpha = {member.alpha:g}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    state = SolverState(problems, grid)
+    alphas = state.kernel.alphas
+    _notify(observers, 0, 0.0, state.level, alphas)
     for j in range(grid.nt):
-        step(state, problem)
-        _notify(observers, j + 1, (j + 1) * grid.tau, state.level)
+        step(state, problems)
+        _notify(observers, j + 1, (j + 1) * grid.tau, state.level, alphas)
     return state

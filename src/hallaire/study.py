@@ -14,6 +14,11 @@ from .grids import Grid1D, convergence_order
 from .problems import PROBLEMS, make_problem
 from .stepper import LOAD_BLOCK, solve
 
+# Bytes of levels one error tracker gathers before it measures them.  The
+# levels of a batch share one array per time level, so the trackers of a
+# Table 2 rung hold three times this.
+TRACK_BYTES = 1 << 16
+
 CSV_HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
 
 ERR_COLUMNS = ("err_C", "err_L2", "err_grad")
@@ -99,9 +104,10 @@ class ConvergenceReport:
 class _ErrorTracker:
     """Observer accumulating error norms of y - exact over the levels.
 
-    The levels are gathered LOAD_BLOCK at a time and measured together: one
-    call of ``exact`` on the block's times, and row by row the max norm, the
-    L2 norm of the interior (:func:`~hallaire.grids.norm_l2`) and the
+    The levels are gathered LOAD_BLOCK at a time, or fewer where they would
+    take more than TRACK_BYTES (8 at nx = 1000), and measured together: one
+    call of ``exact`` on their times, and row by row the max norm, the L2
+    norm of the interior (:func:`~hallaire.grids.norm_l2`) and the
     forward-difference gradient norm (:func:`~hallaire.grids.norm_grad_forward`).
     The solve hands over a new read-only array for every level, so the
     levels are kept without a copy.  The norms are complete once the final
@@ -115,6 +121,7 @@ class _ErrorTracker:
         self._grid = grid
         self._x = None
         self._h = grid.h
+        self._chunk = max(1, min(LOAD_BLOCK, TRACK_BYTES // (8 * (grid.nx + 1))))
         self._times = []
         self._levels = []
         self.max_c = 0.0
@@ -127,7 +134,7 @@ class _ErrorTracker:
     def __call__(self, j, t, level):
         self._times.append(t)
         self._levels.append(level)
-        if len(self._levels) == LOAD_BLOCK or j == self._grid.nt:
+        if len(self._levels) == self._chunk or j == self._grid.nt:
             self._measure()
 
     def _measure(self):
@@ -135,11 +142,15 @@ class _ErrorTracker:
             self._x = self._grid.x
         h = self._h
         times = np.array(self._times)[:, None]
-        z = np.array(self._levels) - np.asarray(self._exact(self._x[None, :], times), dtype=float)
+        # in place, so that the measurement at the final level, when the
+        # solve holds the most, adds the fewest arrays
+        z = np.array(self._levels)
         self._times, self._levels = [], []
+        z -= self._exact(self._x[None, :], times)
         inner = z[:, 1:-1]
-        d = np.diff(z, axis=1)[:, 1:] / h
-        c = np.max(np.abs(z), axis=1)
+        d = z[:, 2:] - inner
+        d /= h
+        c = np.maximum(z.max(axis=1), -z.min(axis=1))
         l2 = np.sqrt(h * np.einsum("ij,ij->i", inner, inner))
         grad = np.sqrt(h * np.einsum("ij,ij->i", d, d))
         self.max_c = max(self.max_c, float(c.max()))
@@ -156,24 +167,30 @@ def _step_label(extent: float, count: int) -> str:
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
-    """Solve every (alpha, rung) pair in order and collect errors and observed orders.
+    """Solve every rung once, for all the orders in lockstep, and collect errors and observed orders.
 
-    The solves run one after another: the march is pure Python holding the
-    interpreter lock, so a thread pool only made studies slower.
+    Each rung is one :func:`solve` of the batch of problems, one per alpha,
+    each watched by its own error tracker; a batch gives every order the
+    levels of its own solve alone, bit for bit.  The rows come out alpha by
+    alpha, each alpha's rungs in ladder order.
     """
     probe = make_problem(config.problem, config.alphas[0])
     if probe.exact is None:
         raise ValueError("refinement studies need a problem with an exact solution")
 
+    problems = tuple(make_problem(config.problem, alpha) for alpha in config.alphas)
+    rungs = []
+    for nx, nt in config.ladder:
+        grid = Grid1D(probe.length, probe.final_time, nx, nt)
+        trackers = tuple(_ErrorTracker(problem, grid) for problem in problems)
+        solve(problems, grid, observers=tuple((tracker,) for tracker in trackers))
+        rungs.append(trackers)
     rows = []
-    for alpha in config.alphas:
-        problem = make_problem(config.problem, alpha)
+    for b, alpha in enumerate(config.alphas):
         prev = None
         prev_rung = None
-        for nx, nt in config.ladder:
-            grid = Grid1D(problem.length, problem.final_time, nx, nt)
-            tracker = _ErrorTracker(problem, grid)
-            solve(problem, grid, observers=(tracker,))
+        for (nx, nt), trackers in zip(config.ladder, rungs):
+            tracker = trackers[b]
             if config.mode == "spatial":
                 label = _step_label(probe.length, nx)
             else:

@@ -14,7 +14,7 @@ from hallaire import (
     split_half_layer,
     truncation_bound,
 )
-from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, gamma_const, history_rows
+from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, KernelStack, gamma_const, history_rows
 from oracles import caputo_by_quadrature, l1_weights_direct
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
@@ -306,12 +306,25 @@ class TestExponentialTail:
             assert np.array_equal(fit.fold[:, i], np.exp(-(HISTORY_CHUNK - i) * fit.nodes))
 
     @pytest.mark.parametrize("nsteps", [0, 1, 5, 400])
-    def test_increment_weights(self, nsteps):
-        kernel = CaputoKernel(0.37, 0.01, nsteps=nsteps)
+    def test_history_weights(self, nsteps):
+        alphas = (0.37, 0.81)
+        kernel = KernelStack(alphas, 0.01, nsteps)
         for j in {0, 1, nsteps // 2, nsteps, nsteps + 3}:
-            got = kernel.increment_weights(j)
-            # c_{j-s} for the increments s = 0..j-1
-            assert np.array_equal(got, l1_weight_array(j, 0.37)[:0:-1])
-            assert got.size == 0 or got.strides[0] > 0
+            got = kernel.history_weights(j)
+            # -c_{j-s} for the increments s = 0..j-1, one row per order
+            assert got.shape == (2, j)
+            for row, alpha in zip(got, alphas):
+                assert np.array_equal(row, -l1_weight_array(j, alpha)[:0:-1])
+            assert got.size == 0 or got.strides[1] > 0
         with pytest.raises(ValueError):
-            kernel.increment_weights(-1)
+            kernel.history_weights(-1)
+
+    def test_stacked_fits_are_the_fits_of_each_order(self):
+        alphas = (0.2, 0.9)
+        stack = KernelStack(alphas, 1.0 / 1280, 1280).soe
+        fits = [CaputoKernel(alpha, 1.0 / 1280, nsteps=1280).soe for alpha in alphas]
+        for b, fit in enumerate(fits):
+            for name in ("nodes", "weights", "fold"):
+                assert np.array_equal(getattr(stack, name)[b], getattr(fit, name)), name
+            assert np.array_equal(stack.lagged[:, b], fit.lagged)
+        assert stack.error == max(fit.error for fit in fits)

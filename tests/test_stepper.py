@@ -1,6 +1,8 @@
+import hashlib
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hallaire import (
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, history_rows
+from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, KernelStack, history_rows
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
@@ -222,11 +224,13 @@ class TestThomas:
             (1000, 160, 0.9),
             (1000, 1280, 0.9),
             (24, 10000, 0.5),
+            (2000, 5120, 0.9),
         ],
     )
     def test_benchmark_operators_match_banded_lapack(self, rng, nx, nt, alpha):
         # the real cores of the wide, deep and long benchmark solves against
-        # LAPACK's banded solver
+        # LAPACK's banded solver; the last is the nx cross-check grid of the
+        # deep acceptance gate, 63 blocks whose carry gains are near 1
         solve_banded = pytest.importorskip("scipy.linalg").solve_banded
         tri = assemble_tridiagonal(Grid1D(1.0, 1.0, nx, nt), alpha, benchmark_problem(alpha).mu)
         bands = np.zeros((3, tri.n))
@@ -238,6 +242,111 @@ class TestThomas:
             want = solve_banded((1, 1), bands, b)
             got = thomas_solve(factor, b)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _carry_gains(tri, s):
+    """Forward and backward carry gains of each block of s rows, from the
+    pivots and multipliers of a plain Thomas elimination.
+
+    Block k's last forward unknown takes the carry from block k - 1 times
+    -l_k (L_k^{-1})[s-1, 0]; its first solution entry takes the carry from
+    block k + 1 times -c_k (U_k^{-1})[0, s-1], where l_k is the sub-diagonal
+    entry entering the block and c_k the multiplier leaving it.
+    """
+    n = tri.n
+    piv, mult = [float(tri.diag[0])], []
+    for i in range(1, n):
+        mult.append(float(tri.upper[i - 1]) / piv[-1])
+        piv.append(float(tri.diag[i]) - float(tri.lower[i - 1]) * mult[-1])
+    mult.append(0.0)
+    k = -(-n // s)
+    gain, back = [0.0] * k, [0.0] * k
+    for b in range(k):
+        rows = range(b * s, min((b + 1) * s, n))
+        if b > 0 and len(rows) == s:
+            last = 1.0 / piv[rows[0]]
+            for i in rows[1:]:
+                last = -float(tri.lower[i - 1]) * last / piv[i]
+            gain[b] = -float(tri.lower[rows[0] - 1]) * last
+        if b < k - 1:
+            first = 1.0
+            for i in rows[:-1]:
+                first = -mult[i] * first
+            back[b] = -mult[rows[-1]] * first
+    return gain, back
+
+
+def _carry_chains(gain, back, ends, first):
+    """The carries of the blocked sweep, chained block by block."""
+    k = len(gain)
+    left, carry = [0.0] * k, 0.0
+    for i in range(k):
+        left[i] = carry
+        carry = ends[i] + gain[i] * carry
+    right, carry = [0.0] * k, 0.0
+    for i in range(k - 1, -1, -1):
+        right[i] = carry
+        carry = first[i] + back[i] * carry
+    return np.array(left), np.array(right)
+
+
+class TestCarryMaps:
+    @given(
+        blocks=st.integers(1, 70),
+        tail=st.integers(1, BLOCK),
+        near_laplacian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(blocks=63, tail=BLOCK - 2, near_laplacian=True, seed=5)
+    @settings(deadline=None, max_examples=40)
+    def test_maps_are_the_sequential_carry_recurrence(self, blocks, tail, near_laplacian, seed):
+        # random dominant non-symmetric cores, and cores near the Laplacian,
+        # whose carry gains are near 1 and whose products decay slowly
+        rng = np.random.default_rng(seed)
+        n = (blocks - 1) * BLOCK + tail
+        lower = rng.uniform(-1.0, 1.0, size=n - 1)
+        upper = rng.uniform(-1.0, 1.0, size=n - 1)
+        if near_laplacian:
+            lower = -1.0 + 1e-3 * lower
+            upper = -1.0 + 1e-3 * upper
+        diag = 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+        diag[1:] += np.abs(lower)
+        diag[:-1] += np.abs(upper)
+        if not near_laplacian:
+            diag *= rng.choice([-1.0, 1.0], size=n)
+        tri = Tridiagonal(lower, diag, upper)
+        factor = thomas_factor(tri)
+        assert factor.left.shape == factor.right.shape == (blocks, blocks)
+        # the one-link products are the blocks' gains, as a plain elimination gives them
+        gain, back = _carry_gains(tri, min(n, BLOCK))
+        links = np.arange(1, blocks - 1)
+        assert factor.left[links + 1, links - 1] == pytest.approx(gain[1:-1], rel=1e-14, abs=1e-300)
+        assert factor.right[links - 1, links + 1] == pytest.approx(back[1:-1], rel=1e-14, abs=1e-300)
+        gain, back = np.zeros(blocks), np.zeros(blocks)
+        gain[links] = factor.left[links + 1, links - 1]
+        back[links] = factor.right[links - 1, links + 1]
+        # every column, the response to one block's carry, and a random mix,
+        # against the carries chained block by block with those gains
+        for ends, first in [*zip(np.eye(blocks), np.eye(blocks)), rng.standard_normal((2, blocks))]:
+            left, right = _carry_chains(gain, back, ends, first)
+            for maps, carried, want in ((factor.left, ends, left), (factor.right, first, right)):
+                scale = np.abs(maps) @ np.abs(carried)
+                assert np.all(np.abs(maps @ carried - want) <= 1e-14 * scale)
+
+    def test_stacked_factor_solves_each_member_alone(self, rng):
+        # a stack of cores is factored and solved as one; each member's
+        # solution equals its own factor's bit for bit, and right-hand sides
+        # with more leading axes broadcast against the stack
+        n = 3 * BLOCK + 5
+        cores = [_random_dominant(rng, n) for _ in range(3)]
+        stacked = thomas_factor(Tridiagonal(*(np.stack([getattr(c, side) for c in cores]) for side in ("lower", "diag", "upper"))))
+        b = rng.standard_normal((4, 3, n))
+        got = thomas_solve(stacked, b)
+        assert got.shape == (4, 3, n)
+        for k, core in enumerate(cores):
+            alone = thomas_factor(core)
+            for i in range(4):
+                assert np.array_equal(got[i, k], thomas_solve(alone, b[i, k]))
 
 
 class TestWoodbury:
@@ -263,7 +372,7 @@ class TestWoodbury:
         tri = assemble_tridiagonal(g, p.alpha, p.mu)
         state = SolverState(p, g)
         columns, rows = assemble_load_columns(state, p, 0.0625)
-        b = assemble_rhs(state, p, 0)
+        b = assemble_rhs(state, p, 0)[0]
         got = woodbury_solve(tri, columns, rows, b)
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
         scale = np.max(np.abs(want))
@@ -297,10 +406,11 @@ class TestWoodbury:
         # SolverState solves W with the factor of T; for the symmetric core
         # that is T^{-T} W, the row side of the capacitance
         p = _loaded_problem(0.6, (0, 1, 3), False)
-        state = SolverState(p, Grid1D(1.0, 1.0, 16, 4))
-        dense = _dense_from(state.factor.matrix, np.zeros((15, 0)), [])
-        assert state.row_solves.shape == (3, 15)
-        for row, solved in zip(state.point_rows, state.row_solves):
+        grid = Grid1D(1.0, 1.0, 16, 4)
+        state = SolverState(p, grid)
+        dense = _dense_from(assemble_tridiagonal(grid, p.alpha, p.mu), np.zeros((15, 0)), [])
+        assert state.row_solves.shape == (1, 3, 15)
+        for row, solved in zip(state.point_rows, state.row_solves[0]):
             want = np.linalg.solve(dense.T, row)
             assert np.max(np.abs(solved - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -360,14 +470,14 @@ class TestRhs:
         p = _zeros_problem()
         g = Grid1D(1.0, 1.0, 8, 4)
         state = SolverState(p, g)
-        assert np.array_equal(assemble_rhs(state, p, 0), np.zeros(7))
+        assert np.array_equal(assemble_rhs(state, p, 0), np.zeros((1, 7)))
 
     def test_unit_forcing(self):
         one = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
         p = _zeros_problem(forcing=one)
         g = Grid1D(1.0, 1.0, 8, 4)
         state = SolverState(p, g)
-        assert assemble_rhs(state, p, 0) == pytest.approx([1.0] * 7, rel=1e-15)
+        assert assemble_rhs(state, p, 0)[0] == pytest.approx([1.0] * 7, rel=1e-15)
 
     def test_future_level_rejected(self):
         p = _zeros_problem()
@@ -386,11 +496,11 @@ def march(problem, grid, windowed=True):
     """
     state = SolverState(problem, grid)
     if not windowed:
-        state.increments = np.zeros((grid.nt, grid.nx + 1))
-    levels = [state.level]
+        state.increments = np.zeros((1, grid.nt, grid.nx + 1))
+    levels = [state.level[0]]
     for _ in range(grid.nt):
         step(state, problem)
-        levels.append(state.level)
+        levels.append(state.level[0])
     return state, np.array(levels)
 
 
@@ -431,24 +541,24 @@ class TestWindowedHistory:
             "smooth": np.diff(np.sin(rng.uniform(1.0, 9.0, width) * t) + t**3, axis=0),
             "spikes": rng.standard_normal((nsteps, width)) * (rng.random((nsteps, 1)) < 0.02),
         }[shape] * size
-        kernel = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps)
+        kernel = KernelStack((alpha,), 1.0 / nsteps, nsteps)
         fit = kernel.soe
         modes = HistoryModes(kernel)
         # the march's buffer: row i holds the increment at modes.start + i
-        buffer = np.zeros((history_rows(nsteps), width))
-        assert buffer.shape[0] == 63
+        buffer = np.zeros((1, history_rows(nsteps), width))
+        assert buffer.shape[1] == 63
         # the exact sum: a buffer with a row for every increment never folds
         exact = HistoryModes(kernel)
-        c = kernel.weights(nsteps)
+        c = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).weights(nsteps)
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
-            want = _history_sum(increments, kernel, j, exact)
+            want = _history_sum(increments[None], kernel, j, exact)
             lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
             # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
             bound = (fit.error + 1e-12) * (lagged @ delta[:j])
-            assert np.all(np.abs(got - want) <= bound), j
-            buffer[j - modes.start] = increments[j]
+            assert np.all(np.abs(got[0] - want[0]) <= bound), j
+            buffer[0, j - modes.start] = increments[j]
         assert modes.start > 0 and exact.start == 0
 
     @pytest.mark.parametrize("nt", [1, 10, 32, 160, 320, SOE_MIN_STEPS - 1])
@@ -463,11 +573,11 @@ class TestWindowedHistory:
     def test_increment_buffer_rows(self, nt):
         # every increment on exact marches; on windowed ones the 31..62 since
         # the checkpoint and the one the step writes.  The kernel stores the
-        # weights c_0..c_rows and c_rows..c_1 those rows take.
+        # weights c_rows..c_1 those rows take, and the order's scale.
         state = SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 8, nt))
         rows = nt if nt < SOE_MIN_STEPS else 63
-        assert state.increments.shape == (rows, 9)
-        assert _array_bytes(state.kernel, depth=1) == 8 * (2 * rows + 1)
+        assert state.increments.shape == (1, rows, 9)
+        assert _array_bytes(state.kernel, depth=1) == 8 * (rows + 1)
 
     def test_deep_grid_state_is_small(self):
         p = benchmark_problem(0.9)
@@ -576,10 +686,10 @@ class TestStepAndSolve:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
-        "loads, distributed, per_step",
-        [((0, 1, 2), False, 1), ((), True, 1), ((0, 3), True, 2), ((1,), True, 2), ((), False, 1)],
+        "loads, distributed, per_block",
+        [((0, 1, 2), False, 0), ((), True, 0), ((0, 3), True, 1), ((1,), True, 1), ((), False, 0)],
     )
-    def test_sweeps_per_step(self, monkeypatch, loads, distributed, per_step):
+    def test_sweeps_per_step(self, monkeypatch, loads, distributed, per_block):
         calls = []
         original = stepper_mod.thomas_solve
 
@@ -589,8 +699,10 @@ class TestStepAndSolve:
 
         monkeypatch.setattr(stepper_mod, "thomas_solve", counted)
         state = solve(_loaded_problem(0.5, loads, distributed), Grid1D(1.0, 1.0, 12, 5))
-        # each load's constant side once per solve, then per_step per step
-        assert len(calls) == len(loads) + distributed + per_step * 5
+        # each load's constant side once per solve, then one sweep per step;
+        # beside point loads, the distributed load's rows are solved in one
+        # more sweep per load block (one block here)
+        assert len(calls) == len(loads) + distributed + 5 + per_block
         assert all(tri is state.factor for tri in calls)
 
     def test_singular_capacitance_in_step_names_loads(self):
@@ -604,7 +716,7 @@ class TestStepAndSolve:
             spike = lambda x, t: np.where(np.asarray(x, dtype=float) == 0.0, c, 0.0)
             return ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, spike),), base.forcing, base.initial)
 
-        v0 = SolverState(with_coefficient(0.0), grid).row_solves[0][0]
+        v0 = SolverState(with_coefficient(0.0), grid).row_solves[0, 0, 0]
         candidates = (24.0 / v0 * (1.0 + k * 2.0**-52) for k in range(-64, 65))
         c = next(c for c in candidates if 1.0 + v0 * (-0.5 * (c / 12.0)) == 0.0)
         problem = with_coefficient(c)
@@ -668,7 +780,7 @@ class TestStepAndSolve:
         via_solve = solved_levels(p, g)[1]
         state = SolverState(p, g)
         step(state, p)
-        assert np.array_equal(via_solve, state.level)
+        assert np.array_equal(via_solve, state.level[0])
 
     def test_step_past_end_rejected(self):
         p = _zeros_problem()
@@ -761,17 +873,19 @@ class TestStepAndSolve:
 
 def woodbury_march(problem, grid):
     """Levels of a march that assembles every step on its own and closes it
-    with a fresh ``woodbury_solve``, solving the load columns against T anew."""
+    with a fresh ``woodbury_solve`` on a factor of its own, solving the load
+    columns against T anew."""
     state = SolverState(problem, grid)
-    levels = [state.level]
+    factor = thomas_factor(assemble_tridiagonal(grid, problem.alpha, problem.mu))
+    levels = [state.level[0]]
     for j in range(grid.nt):
         columns, rows = assemble_load_columns(state, problem, (j + 0.5) * grid.tau)
-        b = assemble_rhs(state, problem, j)
-        row = state.increments[j - state.modes.start]
-        row[1:-1] = woodbury_solve(state.factor, columns, rows, b)
+        b = assemble_rhs(state, problem, j)[0]
+        row = state.increments[:, j - state.modes.start]
+        row[0, 1:-1] = woodbury_solve(factor, columns, rows, b)
         state.level = state.level + row
         state.j = j + 1
-        levels.append(state.level)
+        levels.append(state.level[0])
     return np.array(levels)
 
 
@@ -827,8 +941,8 @@ class TestLoadBlocks:
         assert (block.start, block.stop) == (LOAD_BLOCK, 40)
         for i, j in enumerate(range(block.start, block.stop)):
             columns, rows = assemble_load_columns(state, p, (j + 0.5) * grid.tau)
-            assert np.array_equal(block.columns[i], columns)
-            assert np.array_equal(block.rows[i], np.array([row.dense(9) for row in rows]))
+            assert np.array_equal(block.columns[i, 0], columns)
+            assert np.array_equal(block.rows[i, 0], np.array([row.dense(9) for row in rows]))
 
     @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
     def test_each_evaluator_called_once_per_block_up_to_the_last(self, nt):
@@ -871,8 +985,8 @@ class TestLoadBlocks:
         for start in (0, LOAD_BLOCK):
             block = stepper_mod._load_block(state, p, start)
             want = np.array([p.forcing(grid.x, (j + 0.5) * grid.tau) for j in range(block.start, block.stop)])
-            assert block.forcing.shape == want.shape
-            assert np.array_equal(block.forcing, want)
+            assert block.forcing[:, 0].shape == want.shape
+            assert np.array_equal(block.forcing[:, 0], want)
 
     @pytest.mark.parametrize("name", ["forcing", "load x=0.4", "integral_load"])
     @pytest.mark.parametrize(
@@ -937,7 +1051,7 @@ class TestLoadBlocks:
         # is only at half layer 40.5, so the other steps of its block run
         grid = Grid1D(1.0, 1.0, 10, 70)
         spike = lambda c: (lambda x: np.where(x == 0.0, c, 0.0))
-        v0 = SolverState(_spiked_problem(40, 0.0, grid), grid).row_solves[0][0]
+        v0 = SolverState(_spiked_problem(40, 0.0, grid), grid).row_solves[0, 0, 0]
         candidates = (24.0 / v0 * (1.0 + k * 2.0**-52) for k in range(-64, 65))
         c = next(c for c in candidates if 1.0 + v0 * (-0.5 * (c / 12.0)) == 0.0)
         seen = []
@@ -948,8 +1062,8 @@ class TestLoadBlocks:
     def test_solver_state_refuses_a_grid_beyond_memory(self, monkeypatch):
         # the size is checked against the machine's memory before anything
         # is allocated; a small reported memory stands in for a huge grid
-        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else 4096)
-        with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 1\.05e\+06 bytes"):
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 128 if name == "SC_PHYS_PAGES" else 4096)
+        with pytest.raises(ValueError, match=r"needs \S+ bytes .*more than the 5\.24e\+05 bytes"):
             SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 1000, 1000))
         SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10))
         # the kernel's weights do not grow with nt
@@ -963,3 +1077,123 @@ def _load_term(problem, x, t):
     for ld in problem.loads:
         total = total + ld.coefficient(x, t) * exact(np.asarray(ld.position), t)
     return total
+
+
+def _sha1_of_levels(problems, grid, batched):
+    """SHA-1 of the levels each problem's observer sees, from one batched solve or one solve each."""
+    seen = [[] for _ in problems]
+    observers = tuple((lambda j, t, level, into=into: into.append(level.copy()),) for into in seen)
+    if batched:
+        solve(tuple(problems), grid, observers=observers)
+    else:
+        for problem, watch in zip(problems, observers):
+            solve(problem, grid, observers=watch)
+    return [hashlib.sha1(np.array(levels).tobytes()).hexdigest() for levels in seen]
+
+
+ALPHAS = (0.1, 0.5, 0.9)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "name, nx, nt",
+        # Table 1, Table 2's default ladder, the integral-load ladder, and two
+        # windowed marches
+        [("benchmark", nx, 10000) for nx in (6, 12, 24)]
+        + [("benchmark", 1000, nt) for nt in (10, 20, 40, 80, 160)]
+        + [("integral-load", 200, nt) for nt in (10, 20, 40, 80, 160, 320)]
+        + [("benchmark", 40, 450), ("integral-load", 50, 420)],
+    )
+    def test_batched_levels_are_each_solve_alone(self, name, nx, nt):
+        problems = [make_problem(name, alpha) for alpha in ALPHAS]
+        grid = Grid1D(1.0, 1.0, nx, nt)
+        assert _sha1_of_levels(problems, grid, True) == _sha1_of_levels(problems, grid, False)
+
+    def test_wide_batch_takes_shorter_load_blocks(self):
+        # three orders at nx = 1000 would hold 3 MiB of columns and forcing
+        # in a 32-step block; their blocks stay within BLOCK_BYTES
+        grid = Grid1D(1.0, 1.0, 1000, 40)
+        alone = SolverState(benchmark_problem(0.5), grid)
+        batch = SolverState(tuple(benchmark_problem(a) for a in ALPHAS), grid)
+        assert alone.block_steps == LOAD_BLOCK
+        assert batch.block_steps == 10
+        block = stepper_mod._load_block(batch, tuple(benchmark_problem(a) for a in ALPHAS), 0)
+        assert (block.start, block.stop) == (0, 10)
+        assert block.columns.nbytes + block.forcing.nbytes <= stepper_mod.BLOCK_BYTES
+
+    def test_non_finite_level_names_its_alpha(self):
+        blowup = lambda x, t: np.where(np.asarray(t) > 0.5, np.inf, 0.0) + np.zeros_like(np.asarray(x, dtype=float))
+        problems = (_zeros_problem(alpha=0.3), _zeros_problem(alpha=0.7, forcing=blowup), _zeros_problem(alpha=0.8))
+        seen = ([], [], [])
+        observers = tuple((lambda j, t, level, into=into: into.append(j),) for into in seen)
+        with pytest.raises(FloatingPointError, match=r"time level 3 \(t = 0.75\) for alpha = 0.7;.*stability_step_limit"):
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=observers)
+        # every order saw the levels up to the one before
+        assert seen == ([0, 1, 2], [0, 1, 2], [0, 1, 2])
+
+    def test_observer_failure_names_its_alpha(self):
+        def bomb(j, t, level):
+            if j == 2:
+                raise RuntimeError("boom")
+
+        problems = (_zeros_problem(alpha=0.3), _zeros_problem(alpha=0.7))
+        with pytest.raises(RuntimeError, match="observer failed at time level 2 for alpha = 0.7"):
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=((), (bomb,)))
+
+    def test_singular_capacitance_names_its_alpha(self):
+        # as in test_singular_capacitance_in_step_names_loads, for the second
+        # order of a batch; the first has a zero coefficient at the same point
+        base = _zeros_problem()
+        grid = Grid1D(1.0, 1.0, 10, 4)
+
+        def with_coefficient(alpha, c):
+            spike = lambda x, t: np.where(np.asarray(x, dtype=float) == 0.0, c, 0.0)
+            return ProblemSpec(1.0, 1.0, alpha, 1.0, (PointLoad(0.4, spike),), base.forcing, base.initial)
+
+        v0 = SolverState((with_coefficient(0.3, 0.0), with_coefficient(0.6, 0.0)), grid).row_solves[1, 0, 0]
+        candidates = (24.0 / v0 * (1.0 + k * 2.0**-52) for k in range(-64, 65))
+        c = next(c for c in candidates if 1.0 + v0 * (-0.5 * (c / 12.0)) == 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular capacitance .*x=0\.4.*time level 1 .*for alpha = 0.6"):
+            solve((with_coefficient(0.3, 0.0), with_coefficient(0.6, c)), grid)
+
+    def test_step_limit_warning_names_its_alpha(self):
+        unstable = manufactured_problem(1, ((1.0, 2.5),), 0.9, mu=1e-6)
+        with pytest.warns(RuntimeWarning, match="stability threshold .* for alpha = 0.9"):
+            solve((manufactured_problem(1, ((1.0, 2.5),), 0.5), unstable), Grid1D(1.0, 1.0, 8, 10))
+
+    def test_batch_must_share_its_loads(self):
+        grid = Grid1D(1.0, 1.0, 8, 4)
+        with pytest.raises(ValueError, match="share their load points"):
+            SolverState((benchmark_problem(0.5), _loaded_problem(0.5, (0,), False)), grid)
+        with pytest.raises(ValueError, match="share their load points"):
+            SolverState((integral_benchmark_problem(0.5), _zeros_problem()), grid)
+        with pytest.raises(ValueError, match="at least one problem"):
+            SolverState((), grid)
+
+    def test_observers_come_one_sequence_per_problem(self):
+        problems = (benchmark_problem(0.3), benchmark_problem(0.6))
+        watch = lambda j, t, level: None
+        with pytest.raises(ValueError, match="2 problems need as many sequences of observers, got 1 entries"):
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=((watch,),))
+        # a flat sequence of callables is not one sequence per problem
+        with pytest.raises(ValueError, match="got 2 entries, 2 of them a bare callable"):
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=(watch, watch))
+
+    def test_batch_beyond_memory_is_refused_before_allocation(self, monkeypatch):
+        # one solve fits in 1 MiB of reported memory, a batch of two does
+        # not; the need is counted, so the refusal allocates nothing
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else 4096)
+        grid = Grid1D(1.0, 1.0, 1000, 1000)
+        SolverState(benchmark_problem(0.5), grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"a solve of 2 problem\(s\) .* needs \S+ bytes .*more than the 1\.05e\+06"):
+                SolverState((benchmark_problem(0.5), benchmark_problem(0.9)), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        monkeypatch.undo()
+        # a batch that no machine here holds: 10^5 solves of 0.8 MB each
+        with pytest.raises(ValueError, match=r"a solve of 100000 problem\(s\)"):
+            SolverState((benchmark_problem(0.5),) * 100_000, grid)

@@ -123,6 +123,38 @@ class TestRunStudy:
         got = (tracker.max_l2, tracker.final_l2, tracker.max_grad, tracker.final_grad)
         assert got == pytest.approx((l2.max(), l2[-1], grad.max(), grad[-1]), rel=1e-14, abs=0.0)
 
+    def test_each_rung_is_one_solve_of_every_order(self, monkeypatch):
+        import hallaire.study as study_mod
+
+        calls = []
+        real = study_mod.solve
+
+        def recorded(problem, grid, observers=()):
+            calls.append((tuple(p.alpha for p in problem), grid.nt, len(observers)))
+            return real(problem, grid, observers)
+
+        monkeypatch.setattr(study_mod, "solve", recorded)
+        report = run_study(tiny_temporal_config(alphas=(0.1, 0.5, 0.9)))
+        assert calls == [((0.1, 0.5, 0.9), 4, 3), ((0.1, 0.5, 0.9), 8, 3)]
+        assert [(r.alpha, r.step_label) for r in report.rows] == [
+            (a, step) for a in (0.1, 0.5, 0.9) for step in ("1/4", "1/8")
+        ]
+
+    @pytest.mark.parametrize(
+        "problem, ladder",
+        [("integral-load", ((200, 10), (200, 20), (200, 40))), ("benchmark", ((6, 600), (12, 600)))],
+    )
+    def test_lockstep_report_is_the_one_order_reports(self, problem, ladder):
+        # the rows of a study over three orders are, byte for byte, those of
+        # the three one-order studies in the same order
+        mode = "temporal" if ladder[0][0] == ladder[1][0] else "spatial"
+        together = emit_report(run_study(StudyConfig(mode, (0.1, 0.5, 0.9), ladder, problem=problem)))
+        apart = [
+            emit_report(run_study(StudyConfig(mode, (alpha,), ladder, problem=problem))).splitlines()[1:]
+            for alpha in (0.1, 0.5, 0.9)
+        ]
+        assert together.splitlines()[1:] == [line for lines in apart for line in lines]
+
     def test_reference_table_cell_reproduced(self):
         report = run_study(
             tiny_temporal_config(alphas=(0.9,), ladder=((1000, 10), (1000, 20)))
@@ -409,6 +441,35 @@ class TestCli:
         assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "nan" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        # an empty --out asks self-check for no report file at all
+        "command, where",
+        [("run", "missing-dir"), ("run", "directory"), ("run", "empty"), ("self-check", "missing-dir"), ("self-check", "directory")],
+    )
+    def test_unwritable_report_path_exits_two_before_any_solve(self, tmp_path, monkeypatch, capsys, command, where):
+        import hallaire.cli as cli_mod
+
+        def never(config):
+            raise AssertionError("run_study was called")
+
+        monkeypatch.setattr(cli_mod, "run_study", never)
+        out = {"missing-dir": str(tmp_path / "nonexistent" / "x.csv"), "directory": str(tmp_path), "empty": ""}[where]
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = table2\n")
+        argv = ["run", "--mode", "temporal", "--nx", "8", "--nt", "4"] if command == "run" else ["self-check", "--config", str(cfg)]
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write report" in err and len(err.strip().splitlines()) == 1
+
+    def test_report_path_from_a_config_file_is_checked_first(self, tmp_path, monkeypatch, capsys):
+        import hallaire.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: pytest.fail("run_study was called"))
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nout = {tmp_path / 'gone' / 'r.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "no directory" in capsys.readouterr().err
 
     def test_grid_beyond_memory_exits_two(self):
         # The solver state's size is checked before anything is allocated.
