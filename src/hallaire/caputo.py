@@ -257,13 +257,15 @@ class KernelStack:
         self._lags = -np.stack([k.weights(history_rows(self.nsteps))[:0:-1] for k in kernels])
 
     def history_weights(self, j: int) -> np.ndarray:
-        """-c_j..-c_1 of every order, the weights of the increments y^{s+1} - y^s, s = 0..j-1, in D at t_{j+1/2} (treat as read-only)."""
-        if j < 0:
-            raise ValueError(f"weight index must be nonnegative, got {j}")
+        """-c_j..-c_1 of every order, the weights of the increments y^{s+1} - y^s, s = 0..j-1, in D at t_{j+1/2} (treat as read-only).
+
+        Only the lags a march stores, j up to ``history_rows(nsteps)``, are kept;
+        a longer request is a ``ValueError``.
+        """
         stored = self._lags.shape[1]
-        if j <= stored:
-            return self._lags[:, stored - j :]
-        return -np.stack([l1_weight_array(j, alpha)[:0:-1] for alpha in self.alphas])
+        if not 0 <= j <= stored:
+            raise ValueError(f"weight index must be in 0..{stored}, the lags stored for {self.nsteps} steps, got {j}")
+        return self._lags[:, stored - j :]
 
     @cached_property
     def soe(self) -> ExponentialTail:

@@ -105,12 +105,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_self_check(args) -> int:
+    if args.deep and (args.config or args.table != "2"):
+        raise ValueError(
+            "--deep applies to the bundled --table 2 preset; spell the full "
+            "ladder out in a config file instead"
+        )
     if args.config:
-        if args.deep:
-            raise ValueError(
-                "--deep applies to the bundled --table 2 preset; spell the full "
-                "ladder out in the config file instead"
-            )
         config = build_config(parse_config_file(args.config))
         if config.reference is None:
             raise ValueError("self-check configs need a 'reference' entry")
@@ -118,11 +118,13 @@ def _cmd_self_check(args) -> int:
         config = table1_config()
     else:
         config = table2_config(deep=args.deep)
-    if args.out:
-        _check_writable(args.out)
+    # --out wins over a config file's out; an empty path asks for no report
+    out = args.out if args.out is not None else config.out
+    if out:
+        _check_writable(out)
     report = run_study(config)
     deep_line = None
-    if args.table == "2" and args.deep and not args.config:
+    if args.deep:
         # cells are compared down to 1/1280; the two finest rungs are judged
         # by the qualitative order gate only
         order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT}
@@ -135,8 +137,8 @@ def _cmd_self_check(args) -> int:
     else:
         result = self_check(config, report=report)
         passed = result.passed
-    if args.out:
-        _write_or_print(emit_report(report, "csv"), args.out)
+    if out:
+        _write_or_print(emit_report(report, "csv"), out)
     print(result.summary())
     if deep_line:
         print(deep_line)

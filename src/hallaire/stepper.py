@@ -3,11 +3,12 @@
 Each step solves for the increment y^{j+1} - y^j (the delta form of Beam &
 Warming, AIAA J. 16(4), 1978) a constant tridiagonal system T plus a low-rank
 load correction, by the Woodbury identity.  T is factored once per solve.
-Each load has one side that does not change in time (the row of a point
-load, the column of the distributed load); it is solved against T once per
-solve too.  The rest of the correction depends on time but not on the
-solution, so it is built for LOAD_BLOCK steps at a time (a :class:`LoadBlock`:
-the columns, the rows and the inverted capacitance matrices, with the
+Every step is closed from its load rows solved against T, which is
+symmetric.  A point load's row does not change in time, so it is solved once
+per solve too.  The rest of the correction depends on time but not on the
+solution, so it is built for LOAD_BLOCK steps at a time (a
+:class:`LoadBlock`: the columns, the rows with the distributed load's solved
+in one sweep per block, and the inverted capacitance matrices, with the
 forcing sampled alongside), and a step costs one tridiagonal sweep and a few
 small products.  The factor keeps the Thomas elimination as block inverses
 with carries between blocks (a partitioned solver in the manner of
@@ -236,17 +237,11 @@ class LoadBlock:
     Step j = start + i solves (T + U_j W_j^T) x = b with the dense columns
     ``columns[i]`` = U_j (n x m), the dense rows ``rows[i]`` = W_j^T (m x n)
     and ``inverses[i]``, the inverse of the capacitance matrix
-    I + W_j^T T^{-1} U_j.  The correction is closed from the row solves
-    ``row_solves[i]`` = W_j^T T^{-1}, the rows solved against the symmetric
-    core (point loads, with or without the distributed load), or, when
-    ``row_solves`` is ``None``, from the column solves ``column_solves`` =
-    T^{-1} U, which must then be the same at every step (the distributed load
-    alone, or the one step of :func:`woodbury_solve`).  ``forcing[i]`` is the
-    forcing at every node at the step's half layer (``None`` in
-    :func:`woodbury_solve`).  None of it depends on the solution.  In a
-    march each step's arrays carry the batch axis after the step axis, one
-    entry per problem, and ``singular`` is the problem whose capacitance
-    matrix at step ``stop`` is singular, if that ended the block early.
+    I + W_j^T T^{-1} U_j, closed from the row solves ``row_solves[i]`` =
+    W_j^T T^{-1}, the rows solved against the symmetric core.  ``forcing[i]``
+    is the forcing at every node at the step's half layer.  None of it
+    depends on the solution.  Each step's arrays carry the batch axis after
+    the step axis, one entry per problem.
     """
 
     start: int
@@ -254,22 +249,13 @@ class LoadBlock:
     columns: np.ndarray
     rows: np.ndarray
     inverses: np.ndarray
-    row_solves: np.ndarray | None
-    column_solves: np.ndarray | None
-    forcing: np.ndarray | None = None
-    singular: int | None = None
+    row_solves: np.ndarray
+    forcing: np.ndarray
 
     def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
-        """Solve step ``start + i``'s system, in one tridiagonal sweep.
-
-        From the rows: q = cap^{-1} V^T b, then x = T^{-1}(b - U q).  From the
-        columns: y = T^{-1} b, then x = y - Z cap^{-1} W^T y.
-        """
-        if self.row_solves is not None:
-            q = np.matvec(self.inverses[i], np.matvec(self.row_solves[i], b))
-            return thomas_solve(factor, b - np.matvec(self.columns[i], q))
-        y = thomas_solve(factor, b)
-        return y - np.matvec(self.column_solves, np.matvec(self.inverses[i], np.matvec(self.rows[i], y)))
+        """Solve step ``start + i``'s system in one tridiagonal sweep: q = cap^{-1} V^T b, then x = T^{-1}(b - U q)."""
+        q = np.matvec(self.inverses[i], np.matvec(self.row_solves[i], b))
+        return thomas_solve(factor, b - np.matvec(self.columns[i], q))
 
 
 def _invertible(matrix: np.ndarray) -> bool:
@@ -280,39 +266,14 @@ def _invertible(matrix: np.ndarray) -> bool:
     return True
 
 
-def _closing_block(start: int, columns, rows, row_solves=None, column_solves=None, forcing=None) -> LoadBlock:
-    """A :class:`LoadBlock` over the stacked sides, with its capacitance inverses.
-
-    The capacitance matrices of every step and problem are formed with one
-    batched product and inverted with one batched inverse.  The block stops
-    before the first step at which any problem's is singular, so it is empty
-    when one of the first is.  A matrix with non-finite entries is not
-    singular here: its inverse is non-finite, and the step's finite check
-    reports it.
-    """
-    cap = row_solves @ columns if column_solves is None else rows @ column_solves
-    diag = np.arange(cap.shape[-1])
-    cap[..., diag, diag] += 1.0
-    try:
-        inverses, stop, singular = np.linalg.inv(cap), len(cap), None
-    except np.linalg.LinAlgError:
-        members = cap.reshape(len(cap), -1, *cap.shape[-2:])
-        stop, singular = next(
-            (i, b) for i, one in enumerate(members) for b, matrix in enumerate(one) if not _invertible(matrix)
-        )
-        inverses = np.linalg.inv(cap[:stop])
-    return LoadBlock(start, start + stop, columns, rows, inverses, row_solves, column_solves, forcing, singular)
-
-
 def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
     """Solve (T + sum_k U_k W_k^T) x = b.
 
     ``tri`` is T or its :class:`ThomasFactor`, which need not be symmetric.
-    The correction is closed from the column solves Z = T^{-1} U, one sweep
-    per load, through the capacitance matrix cap = I + W^T Z: y = T^{-1} b,
-    x = y - Z cap^{-1} W^T y.  The call is a one-step :class:`LoadBlock`: the
-    capacitance is inverted and the correction closed as in every step of
-    the march.
+    The correction is closed from the column solves Z = T^{-1} U, all in one
+    sweep, through the capacitance matrix cap = I + W^T Z: y = T^{-1} b,
+    x = y - Z cap^{-1} W^T y.  It shares no load algebra with the march, so
+    it is a reference for it.
     """
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     n = factor.n
@@ -324,11 +285,14 @@ def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
             raise ValueError(f"load row {row.label} has columns outside 0..{n - 1}")
     if not rows:
         return thomas_solve(factor, b)
-    z = np.column_stack([thomas_solve(factor, u) for u in columns.T])
-    block = _closing_block(0, columns[None], _dense_rows(rows, factor.n)[None], column_solves=z)
-    if block.stop == 0:
-        raise _singular([row.label for row in rows])
-    return block.close(factor, 0, b)
+    w = _dense_rows(rows, n)
+    z = thomas_solve(factor, columns.T)
+    y = thomas_solve(factor, b)
+    try:
+        q = np.linalg.solve(np.eye(len(rows)) + w @ z.T, np.matvec(w, y)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise _singular([row.label for row in rows]) from None
+    return y - q @ z
 
 
 def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
@@ -373,6 +337,15 @@ def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarra
 def _members(problem) -> tuple:
     """The problems of a batch: a :class:`ProblemSpec` alone is a batch of one."""
     return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
+
+
+def _check_batch(state: SolverState, problem) -> tuple:
+    """The problems of ``problem``, refused with a ``ValueError`` unless their orders are the state's, as many and in order."""
+    problems = _members(problem)
+    alphas = tuple(float(p.alpha) for p in problems)
+    if alphas != state.kernel.alphas:
+        raise ValueError(f"the state marches the orders alpha = {state.kernel.alphas}, got a batch of alpha = {alphas}")
+    return problems
 
 
 def _load_samples(state: SolverState, problem, times: np.ndarray):
@@ -442,34 +415,41 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
 
     The block ends at the last step, ``nt - 1``, so no load is evaluated past
     the final level.  Point-load rows and their row solves are the state's
-    constants; a distributed load's rows are its samples, and with point
-    loads beside it they are solved against T here, in one sweep over the
-    whole block.  A capacitance matrix that is singular at the first step
-    raises, naming the problem's order; one that is singular at a later
-    step ends the block before it, for every problem of the batch.
+    constants; a distributed load's rows are its samples, solved against T
+    here in one sweep over the whole block.  The capacitance matrices of
+    every step and problem are formed with one batched product and inverted
+    with one batched inverse.  One that is singular at the first step
+    raises, naming the problem's order; one that is singular at a later step
+    ends the block before it, for every problem of the batch.  A matrix with
+    non-finite entries is not singular here: its inverse is non-finite, and
+    the step's finite check reports it.
     """
+    problems = _check_batch(state, problem)
     grid = state.grid
     stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
-    columns, weights, forcing = _load_samples(state, problem, (np.arange(start, stop) + 0.5) * grid.tau)
+    columns, weights, forcing = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
     shape = columns.shape[:2]
     rows = np.broadcast_to(state.point_rows, shape + state.point_rows.shape)
     row_solves = np.broadcast_to(state.row_solves, shape[:1] + state.row_solves.shape)
-    column_solves = None
     if weights is not None:
         rows = np.concatenate((rows, weights[:, :, None]), axis=2)
-        if len(state.load_rows):
-            row_solves = np.concatenate((row_solves, thomas_solve(state.factor, weights)[:, :, None]), axis=2)
-        else:
-            row_solves, column_solves = None, state.integral_solve[:, :, None]
-    block = _closing_block(start, columns, rows, row_solves, column_solves, forcing)
-    if block.stop == start:
-        labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
-        raise _singular(
-            labels,
-            f" at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
-            f"for alpha = {state.kernel.alphas[block.singular]:g}",
-        )
-    return block
+        row_solves = np.concatenate((row_solves, thomas_solve(state.factor, weights)[:, :, None]), axis=2)
+    cap = row_solves @ columns
+    diag = np.arange(cap.shape[-1])
+    cap[..., diag, diag] += 1.0
+    try:
+        inverses = np.linalg.inv(cap)
+    except np.linalg.LinAlgError:
+        i, singular = next((i, b) for i, one in enumerate(cap) for b, matrix in enumerate(one) if not _invertible(matrix))
+        if i == 0:
+            labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
+            raise _singular(
+                labels,
+                f" at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
+                f"for alpha = {state.kernel.alphas[singular]:g}",
+            ) from None
+        inverses, stop = np.linalg.inv(cap[:i]), start + i
+    return LoadBlock(start, stop, columns, rows, inverses, row_solves, forcing)
 
 
 def _check_size(grid: Grid1D, count: int = 1) -> None:
@@ -510,8 +490,8 @@ class SolverState:
     tridiagonal cores, the interior point-load rows (sparse as
     ``load_rows``, dense as the rows of ``point_rows``, both shared) with
     their solves against each core (``row_solves``), and the distributed
-    load's Simpson node weights and constant column solved against each core
-    (``integral_solve``) do not change in time and are built here once.  ``block`` is the
+    load's Simpson node weights (``simpson``, ``None`` without one) do not
+    change in time and are built here once.  ``block`` is the
     :class:`LoadBlock` of the current steps, ``None`` until the first step.
     ``block_steps`` is the length of a load block: LOAD_BLOCK steps, fewer
     if their columns and forcing would take more than BLOCK_BYTES.  A batch
@@ -547,10 +527,7 @@ class SolverState:
         self.row_solves = np.zeros((len(problems), len(self.load_rows), n))
         for k, row in enumerate(self.point_rows):
             self.row_solves[:, k] = thomas_solve(self.factor, row)
-        self.simpson = self.integral_solve = None
-        if first.integral_load is not None:
-            self.simpson = simpson_weights(grid.nx, grid.h)
-            self.integral_solve = thomas_solve(self.factor, np.full(n, INTEGRAL_COLUMN))
+        self.simpson = simpson_weights(grid.nx, grid.h) if first.integral_load is not None else None
         self.increments = np.zeros((len(problems), history_rows(grid.nt), grid.nx + 1))
         self.modes = HistoryModes(self.kernel)
         self.level = np.empty((len(problems), self.x.size))
@@ -580,14 +557,15 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
     One right-hand side per problem of the batch, stacked.  D is
     :func:`_history_sum`; the compact average is linear, so it is applied
     once.  ``load_parts = (U, W^T, f)``, the dense columns and rows and the
-    forcing at every node, are by default sampled at the step's half layer.
-    Only the step from level ``state.j`` is assembled.
+    forcing at every node, are by default sampled at the step's half layer,
+    from a batch that must be the state's orders.  Only the step from level
+    ``state.j`` is assembled.
     """
     if j != state.j:
         raise ValueError(f"the state holds level {state.j}, requested step at {j}")
     grid = state.grid
     if load_parts is None:
-        columns, weights, forcing = _load_samples(state, problem, np.array([(j + 0.5) * grid.tau]))
+        columns, weights, forcing = _load_samples(state, _check_batch(state, problem), np.array([(j + 0.5) * grid.tau]))
         rows = np.broadcast_to(state.point_rows, columns.shape[1:2] + state.point_rows.shape)
         if weights is not None:
             rows = np.concatenate((rows, weights[0][:, None]), axis=1)
@@ -606,7 +584,8 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
 def step(state: SolverState, problem) -> SolverState:
     """Advance every problem of the batch by one time level.
 
-    ``problem`` is the state's problem or batch of problems.  The step's
+    ``problem`` is the state's problem or batch of problems; a batch of
+    other orders, or of another count, is a ``ValueError``.  The step's
     load algebra and forcing come from ``state.block``, which is built at
     the first step and again at every step whose index is a multiple of
     ``state.block_steps``, at most LOAD_BLOCK (see :func:`_load_block`).

@@ -309,15 +309,18 @@ class TestExponentialTail:
     def test_history_weights(self, nsteps):
         alphas = (0.37, 0.81)
         kernel = KernelStack(alphas, 0.01, nsteps)
-        for j in {0, 1, nsteps // 2, nsteps, nsteps + 3}:
+        stored = history_rows(nsteps)
+        for j in range(stored + 1):
             got = kernel.history_weights(j)
             # -c_{j-s} for the increments s = 0..j-1, one row per order
             assert got.shape == (2, j)
             for row, alpha in zip(got, alphas):
                 assert np.array_equal(row, -l1_weight_array(j, alpha)[:0:-1])
             assert got.size == 0 or got.strides[1] > 0
-        with pytest.raises(ValueError):
-            kernel.history_weights(-1)
+        # past the stored lags a slice would be short, so the request is refused
+        for j in (-1, stored + 1):
+            with pytest.raises(ValueError, match=rf"weight index must be in 0\.\.{stored}, .* got {j}"):
+                kernel.history_weights(j)
 
     def test_stacked_fits_are_the_fits_of_each_order(self):
         alphas = (0.2, 0.9)

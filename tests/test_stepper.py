@@ -22,7 +22,7 @@ from hallaire import (
     woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, KernelStack, history_rows
+from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, KernelStack, history_rows, l1_weight_array
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
@@ -491,12 +491,13 @@ def march(problem, grid, windowed=True):
     """The state after a full march and the levels it passed through, stacked.
 
     ``windowed=False`` is the exact-history reference: a buffer of ``nt``
-    rows stores every increment, so the modes never fold and every increment
-    is summed.
+    rows stores every increment, so the modes never fold, and the kernel
+    holds the weights of every lag, so every increment is summed.
     """
     state = SolverState(problem, grid)
     if not windowed:
         state.increments = np.zeros((1, grid.nt, grid.nx + 1))
+        state.kernel._lags = -l1_weight_array(grid.nt, problem.alpha)[None, :0:-1]
     levels = [state.level[0]]
     for _ in range(grid.nt):
         step(state, problem)
@@ -547,19 +548,18 @@ class TestWindowedHistory:
         # the march's buffer: row i holds the increment at modes.start + i
         buffer = np.zeros((1, history_rows(nsteps), width))
         assert buffer.shape[1] == 63
-        # the exact sum: a buffer with a row for every increment never folds
-        exact = HistoryModes(kernel)
         c = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).weights(nsteps)
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
-            want = _history_sum(increments[None], kernel, j, exact)
             lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
+            # the exact sum of every increment
+            want = np.vecmat(-lagged, increments[:j])[None]
             # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
             bound = (fit.error + 1e-12) * (lagged @ delta[:j])
             assert np.all(np.abs(got[0] - want[0]) <= bound), j
             buffer[0, j - modes.start] = increments[j]
-        assert modes.start > 0 and exact.start == 0
+        assert modes.start > 0
 
     @pytest.mark.parametrize("nt", [1, 10, 32, 160, 320, SOE_MIN_STEPS - 1])
     @pytest.mark.parametrize("name, nx", [("benchmark", 1000), ("integral-load", 200), ("benchmark", 24)])
@@ -687,7 +687,7 @@ class TestStepAndSolve:
 
     @pytest.mark.parametrize(
         "loads, distributed, per_block",
-        [((0, 1, 2), False, 0), ((), True, 0), ((0, 3), True, 1), ((1,), True, 1), ((), False, 0)],
+        [((0, 1, 2), False, 0), ((), True, 1), ((0, 3), True, 1), ((1,), True, 1), ((), False, 0)],
     )
     def test_sweeps_per_step(self, monkeypatch, loads, distributed, per_block):
         calls = []
@@ -699,10 +699,10 @@ class TestStepAndSolve:
 
         monkeypatch.setattr(stepper_mod, "thomas_solve", counted)
         state = solve(_loaded_problem(0.5, loads, distributed), Grid1D(1.0, 1.0, 12, 5))
-        # each load's constant side once per solve, then one sweep per step;
-        # beside point loads, the distributed load's rows are solved in one
-        # more sweep per load block (one block here)
-        assert len(calls) == len(loads) + distributed + 5 + per_block
+        # each point load's row once per solve, then one sweep per step; the
+        # distributed load's rows are solved in one more sweep per load block
+        # (one block here)
+        assert len(calls) == len(loads) + 5 + per_block
         assert all(tri is state.factor for tri in calls)
 
     def test_singular_capacitance_in_step_names_loads(self):
@@ -1059,6 +1059,40 @@ class TestLoadBlocks:
             solve(_spiked_problem(40, spike(c), grid), grid, observers=(lambda j, t, level: seen.append(j),))
         assert seen[-1] == 40
 
+    @pytest.mark.parametrize("at", [LOAD_BLOCK, 40])
+    def test_singular_capacitance_of_the_distributed_load_names_its_step(self, at):
+        # the distributed load alone, its q nonzero only at node x = 0.2 of
+        # half layer at + 1/2, either a block's first step or one mid-block:
+        # the capacitance 1 - 1/2 sum(T^{-1} w) is made exactly zero by a
+        # candidate search over q, as in the point-load tests above
+        grid = Grid1D(1.0, 1.0, 10, 70)
+        base = _zeros_problem(initial=lambda x: np.sin(math.pi * np.asarray(x, dtype=float)))
+        t_at = (at + 0.5) * grid.tau
+
+        def spiked(c):
+            q = lambda x, t: np.where((np.abs(t - t_at) <= 0.25 * grid.tau) & (np.abs(x - 0.2) < 1e-9), c, 0.0)
+            return ProblemSpec(1.0, 1.0, 0.5, 1.0, (), base.forcing, base.initial, integral_load=q)
+
+        def ends_at_the_spike(c):
+            problem = spiked(c)
+            try:
+                return stepper_mod._load_block(SolverState(problem, grid), problem, LOAD_BLOCK).stop == at
+            except np.linalg.LinAlgError:
+                return True
+
+        state = SolverState(spiked(1.0), grid)
+        w = np.zeros(9)
+        w[1] = state.simpson[2]
+        c0 = 2.0 / np.sum(thomas_solve(state.factor, w))
+        c = next(c for c in (c0 * (1.0 + k * 2.0**-52) for k in range(-64, 65)) if ends_at_the_spike(c))
+        seen = []
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match=rf"singular capacitance .*\(integral\) at time level {at + 1} \(t = {(at + 1) / 70:g}\) for alpha = 0\.5$",
+        ):
+            solve(spiked(c), grid, observers=(lambda j, t, level: seen.append(j),))
+        assert seen == list(range(at + 1))
+
     def test_solver_state_refuses_a_grid_beyond_memory(self, monkeypatch):
         # the size is checked against the machine's memory before anything
         # is allocated; a small reported memory stands in for a huge grid
@@ -1169,6 +1203,28 @@ class TestLockstep:
             SolverState((integral_benchmark_problem(0.5), _zeros_problem()), grid)
         with pytest.raises(ValueError, match="at least one problem"):
             SolverState((), grid)
+
+    def test_a_batch_other_than_the_states_is_refused(self):
+        # stepping with another count or other orders would march the
+        # state's cores with the wrong forcing and loads
+        grid = Grid1D(1.0, 1.0, 8, 4)
+        problems = tuple(benchmark_problem(alpha) for alpha in ALPHAS)
+        batch = SolverState(problems, grid)
+        alone = SolverState(benchmark_problem(0.5), grid)
+        for state, other, names in [
+            (batch, problems[0], "(0.1, 0.5, 0.9), got a batch of alpha = (0.1,)"),
+            (alone, benchmark_problem(0.9), "(0.5,), got a batch of alpha = (0.9,)"),
+            (alone, problems, "(0.5,), got a batch of alpha = (0.1, 0.5, 0.9)"),
+        ]:
+            match = re.escape(f"the state marches the orders alpha = {names}") + "$"
+            with pytest.raises(ValueError, match=match):
+                step(state, other)
+            with pytest.raises(ValueError, match=match):
+                assemble_rhs(state, other, 0)
+            assert state.j == 0 and state.block is None
+        step(batch, problems)
+        step(alone, benchmark_problem(0.5))
+        assert batch.j == alone.j == 1
 
     def test_observers_come_one_sequence_per_problem(self):
         problems = (benchmark_problem(0.3), benchmark_problem(0.6))

@@ -402,6 +402,34 @@ class TestCli:
         )
         assert main(["self-check", "--config", str(cfg), "--deep"]) == 2
 
+    @pytest.mark.parametrize("table", [[], ["--table", "1"]])
+    def test_deep_flag_without_table_two_exits_two_before_any_solve(self, monkeypatch, capsys, table):
+        import hallaire.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: pytest.fail("run_study was called"))
+        assert main(["self-check", *table, "--deep"]) == 2
+        assert "--deep applies to the bundled --table 2 preset" in capsys.readouterr().err
+
+    def test_self_check_writes_the_report_path_of_its_config(self, tmp_path, monkeypatch, capsys):
+        import hallaire.cli as cli_mod
+
+        named = tmp_path / "named.csv"
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 1000\nnt = 1/10\nreference = table2\nout = {named}\n")
+        assert main(["self-check", "--config", str(cfg)]) == 0
+        assert len(parse_report(named.read_text()).rows) == 1
+        # --out wins over the config's path
+        named.unlink()
+        given = tmp_path / "given.csv"
+        assert main(["self-check", "--config", str(cfg), "--out", str(given)]) == 0
+        assert given.exists() and not named.exists()
+        # and the config's path is checked before any solve
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: pytest.fail("run_study was called"))
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = table2\nout = {tmp_path / 'gone' / 'r.csv'}\n")
+        capsys.readouterr()
+        assert main(["self-check", "--config", str(cfg)]) == 2
+        assert "no directory" in capsys.readouterr().err
+
     def test_bad_values_exit_two(self, tmp_path, monkeypatch, capsys):
         import hallaire.cli as cli_mod
 
