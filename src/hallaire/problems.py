@@ -178,6 +178,24 @@ def manufactured_problem(
     )
 
 
+# The bundled problems' load coefficients.  They are module-level functions,
+# not closures, so that the problems of every order share the same objects
+# and a batch of orders samples each once (see stepper._load_samples).
+def _exp_sum(x, t):
+    """e^{x+t}."""
+    return np.exp(np.asarray(x, dtype=float) + t)
+
+
+def _sin_sum(x, t):
+    """sin(x+t)."""
+    return np.sin(np.asarray(x, dtype=float) + t)
+
+
+def _cos_sum(x, t):
+    """cos(x+t)."""
+    return np.cos(np.asarray(x, dtype=float) + t)
+
+
 def benchmark_problem(alpha: float) -> ProblemSpec:
     """Loaded benchmark with exact solution (t^3 + t^{2+alpha} + 1) sin(3 pi x).
 
@@ -185,11 +203,7 @@ def benchmark_problem(alpha: float) -> ProblemSpec:
     sin(x+t) and cos(x+t); all of them stay below e^2 in magnitude on the
     unit space-time domain.
     """
-    loads = (
-        PointLoad(0.2, lambda x, t: np.exp(np.asarray(x, dtype=float) + t)),
-        PointLoad(0.5, lambda x, t: np.sin(np.asarray(x, dtype=float) + t)),
-        PointLoad(0.8, lambda x, t: np.cos(np.asarray(x, dtype=float) + t)),
-    )
+    loads = (PointLoad(0.2, _exp_sum), PointLoad(0.5, _sin_sum), PointLoad(0.8, _cos_sum))
     return manufactured_problem(
         3, ((1.0, 3.0), (1.0, 2.0 + alpha)), alpha, mu=1.0, loads=loads
     )
@@ -200,9 +214,6 @@ def integral_benchmark_problem(alpha: float) -> ProblemSpec:
     k = 3.0 * math.pi
     profile_integral = k * (math.e + 1.0) / (1.0 + k * k)  # integral of e^x sin(3 pi x)
 
-    def q(x, t):
-        return np.exp(np.asarray(x, dtype=float) + t)
-
     def projection(t):
         return math.exp(t) * profile_integral
 
@@ -211,7 +222,7 @@ def integral_benchmark_problem(alpha: float) -> ProblemSpec:
         ((1.0, 3.0), (1.0, 2.0 + alpha)),
         alpha,
         mu=1.0,
-        integral_load=(q, projection),
+        integral_load=(_exp_sum, projection),
     )
 
 

@@ -25,6 +25,7 @@ batch axis, and a single solve is the batch of one.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -55,8 +56,8 @@ BLOCK_BYTES = 1 << 20
 # is built; the coefficients are called once per chunk of half layers this
 # size.  A small grid samples and averages its whole block in one call (three
 # loads at nx = 24), where the per-call cost matters; a wide one fewer half
-# layers at a time (one at nx = 1000), so that the block's samples and their
-# averages, 0.77 MB each there, are never held at once.
+# layers at a time (one at nx = 1000), so that the block's samples, 0.77 MB
+# there, are never held beside the columns they are averaged into.
 SAMPLE_BYTES = 1 << 15
 
 
@@ -340,12 +341,37 @@ def _members(problem) -> tuple:
 
 
 def _check_batch(state: SolverState, problem) -> tuple:
-    """The problems of ``problem``, refused with a ``ValueError`` unless their orders are the state's, as many and in order."""
+    """The problems of ``problem``, refused with a ``ValueError`` unless they are the state's own objects, in order."""
     problems = _members(problem)
+    if len(problems) == len(state.problems) and all(map(operator.is_, problems, state.problems)):
+        return problems
     alphas = tuple(float(p.alpha) for p in problems)
     if alphas != state.kernel.alphas:
         raise ValueError(f"the state marches the orders alpha = {state.kernel.alphas}, got a batch of alpha = {alphas}")
-    return problems
+    b = next(b for b, (given, own) in enumerate(zip(problems, state.problems)) if given is not own)
+    raise ValueError(
+        f"problem {b} of the batch (alpha = {alphas[b]:g}) is not one the state was built from: "
+        "a state steps only its own problem objects"
+    )
+
+
+def _owners(evaluators) -> list:
+    """For each member's evaluators, the index of the first member whose evaluators are the very same objects."""
+    first = {}
+    return [first.setdefault(tuple(map(id, group)), b) for b, group in enumerate(evaluators)]
+
+
+def _half_average(q: np.ndarray, out: np.ndarray) -> None:
+    """Write ``-0.5 * compact_average(q)`` into ``out``, bit for bit, with no temporary array.
+
+    The operations are compact_average's, in its order, and then the
+    halving; one division by -24 would differ where the result is subnormal.
+    """
+    np.multiply(q[..., 1:-1], 10.0, out=out)
+    np.add(q[..., 2:], out, out=out)
+    out += q[..., :-2]
+    out /= 12.0
+    out *= -0.5
 
 
 def _load_samples(state: SolverState, problem, times: np.ndarray):
@@ -359,11 +385,14 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     at every node as a ``(len(times), B, nx + 1)`` array.  Each evaluator is
     called with the nodes as a row and times as a column; a result that does
     not broadcast to the shape of its samples is a ``ValueError`` naming the
-    evaluator.  The forcing and the distributed load, whose samples are all
-    kept, are called once for all the times.  The point-load coefficients
-    are called once per SAMPLE_BYTES of their samples, which are averaged in
-    one call per chunk, straight into the columns.  Every sample is written
-    into its place in the batch, so no per-problem copy is held.
+    evaluator.  Each member's forcing and each distinct distributed load,
+    whose samples are all kept, are called once for all the times.  Each
+    distinct set of point-load coefficients is called once per SAMPLE_BYTES
+    of their samples, which are averaged straight into the columns.  Members
+    share samples when their evaluators are the same objects (``is``), as the
+    bundled problems' are for every order: the first such member's samples
+    are copied into the others.  Every sample is written into its place in
+    the batch, so no per-problem copy is held.
     """
     problems = _members(problem)
     x = state.x
@@ -374,18 +403,28 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     forcing = np.empty((count, len(problems), x.size))
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
     weights = np.empty((count, len(problems), x.size)) if distributed else None
-    per = max(1, SAMPLE_BYTES // (8 * max(points, 1) * x.size))
     for b, member in enumerate(problems):
         _evaluate(forcing[:, b], "forcing", member.forcing, nodes, times[:, None])
-        if points:
-            for lo in range(0, count, per):
-                t = times[lo : lo + per, None]
-                q = np.empty((len(t), points, x.size))
-                for k, ld in enumerate(member.loads):
-                    _evaluate(q[:, k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
-                columns[lo : lo + per, b, :points] = -0.5 * compact_average(q)
-        if distributed:
-            _evaluate(weights[:, b], "integral_load", member.integral_load, nodes, times[:, None])
+    if points:
+        owners = _owners([ld.coefficient for ld in member.loads] for member in problems)
+        per = max(1, SAMPLE_BYTES // (8 * points * x.size))
+        q = np.empty((min(per, count), points, x.size))
+        for lo in range(0, count, per):
+            t = times[lo : lo + per, None]
+            chunk = columns[lo : lo + per, :, :points]
+            for b, owner in enumerate(owners):
+                if owner != b:
+                    chunk[:, b] = chunk[:, owner]
+                    continue
+                for k, ld in enumerate(problems[b].loads):
+                    _evaluate(q[: len(t), k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
+                _half_average(q[: len(t)], chunk[:, b])
+    if distributed:
+        for b, owner in enumerate(_owners((member.integral_load,) for member in problems)):
+            if owner != b:
+                weights[:, b] = weights[:, owner]
+            else:
+                _evaluate(weights[:, b], "integral_load", problems[b].integral_load, nodes, times[:, None])
     columns = np.swapaxes(columns, -1, -2)
     if not distributed:
         return columns, None, forcing
@@ -480,7 +519,9 @@ class SolverState:
     ``problem`` is one :class:`ProblemSpec` or a sequence of them, B in all,
     that share the domain, the load points and whether there is a
     distributed load; they may differ in ``alpha``, ``mu`` and every
-    evaluator.  Every per-problem array has a leading batch axis of length B.
+    evaluator.  ``problems`` holds them, and a step takes only these objects
+    (see :func:`step`).  Every per-problem array has a leading batch axis of
+    length B.
     ``level`` (B x (nx + 1)) is y^j, the running sum of y^0 and the increments
     y^{s+1} - y^s; row i of ``increments[b]`` holds problem b's at s =
     start + i, in :func:`~hallaire.caputo.history_rows` rows, and ``start`` is
@@ -512,6 +553,7 @@ class SolverState:
         self.grid = grid
         self.x = grid.x
         self.x.flags.writeable = False
+        self.problems = problems
         self.kernel = KernelStack([p.alpha for p in problems], grid.tau, grid.nt)
         cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
         self.factor = thomas_factor(
@@ -557,15 +599,16 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
     One right-hand side per problem of the batch, stacked.  D is
     :func:`_history_sum`; the compact average is linear, so it is applied
     once.  ``load_parts = (U, W^T, f)``, the dense columns and rows and the
-    forcing at every node, are by default sampled at the step's half layer,
-    from a batch that must be the state's orders.  Only the step from level
-    ``state.j`` is assembled.
+    forcing at every node, are by default sampled at the step's half layer.
+    The batch must be the state's own problems, and only the step from
+    level ``state.j`` is assembled.
     """
     if j != state.j:
         raise ValueError(f"the state holds level {state.j}, requested step at {j}")
+    problems = _check_batch(state, problem)
     grid = state.grid
     if load_parts is None:
-        columns, weights, forcing = _load_samples(state, _check_batch(state, problem), np.array([(j + 0.5) * grid.tau]))
+        columns, weights, forcing = _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))
         rows = np.broadcast_to(state.point_rows, columns.shape[1:2] + state.point_rows.shape)
         if weights is not None:
             rows = np.concatenate((rows, weights[0][:, None]), axis=1)
@@ -584,8 +627,9 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
 def step(state: SolverState, problem) -> SolverState:
     """Advance every problem of the batch by one time level.
 
-    ``problem`` is the state's problem or batch of problems; a batch of
-    other orders, or of another count, is a ``ValueError``.  The step's
+    ``problem`` is the state's problem or batch of problems, the very
+    objects it was built from; a batch of other orders, of another count or
+    of other problem objects is a ``ValueError``.  The step's
     load algebra and forcing come from ``state.block``, which is built at
     the first step and again at every step whose index is a multiple of
     ``state.block_steps``, at most LOAD_BLOCK (see :func:`_load_block`).

@@ -183,6 +183,15 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(1.0, zero),), zero, lambda x: x)
 
+    @pytest.mark.parametrize("name", ["benchmark", "integral-load"])
+    def test_orders_share_their_load_evaluators(self, name):
+        # a batch of orders samples a load once when its evaluator is one object
+        low, high = make_problem(name, 0.1), make_problem(name, 0.9)
+        assert low.loads or low.integral_load is not None
+        assert len(low.loads) == len(high.loads)
+        assert all(a.coefficient is b.coefficient for a, b in zip(low.loads, high.loads))
+        assert low.integral_load is high.integral_load
+
     def test_registry_lookup(self):
         assert make_problem("benchmark", 0.5).loads[0].position == 0.2
         with pytest.raises(ValueError):

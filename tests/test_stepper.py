@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hallaire import (
     Grid1D,
@@ -944,26 +945,43 @@ class TestLoadBlocks:
             assert np.array_equal(block.columns[i, 0], columns)
             assert np.array_equal(block.rows[i, 0], np.array([row.dense(9) for row in rows]))
 
+    @pytest.mark.parametrize("batch", ["alone", "shared", "distinct"])
     @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
-    def test_each_evaluator_called_once_per_block_up_to_the_last(self, nt):
-        calls = {"coefficient": [], "integral": [], "forcing": []}
+    def test_each_evaluator_called_once_per_block_up_to_the_last(self, nt, batch):
+        # one problem; three orders sharing one coefficient object and one
+        # integral_load object, each with its own forcing; or three orders
+        # whose evaluators compute the same values but are distinct objects
+        calls = {}
 
         def recorded(name, fn):
+            calls[name] = []
+
             def evaluator(x, t):
                 calls[name].append(np.array(t))
                 return fn(np.asarray(x, dtype=float), t)
 
             return evaluator
 
-        problem = ProblemSpec(
-            1.0, 1.0, 0.5, 1.0,
-            (PointLoad(0.4, recorded("coefficient", lambda x, t: 1.0 + x * t)),),
-            recorded("forcing", lambda x, t: np.sin(math.pi * x) * t),
-            lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
-            integral_load=recorded("integral", lambda x, t: np.exp(x - t)),
-        )
+        coefficient = lambda x, t: 1.0 + x * t
+        integral = lambda x, t: np.exp(x - t)
+        if batch == "shared":
+            shared = recorded("coefficient", coefficient), recorded("integral", integral)
+        problems = []
+        for alpha in (0.5,) if batch == "alone" else ALPHAS:
+            if batch == "shared":
+                coef, q = shared
+            else:
+                coef, q = recorded(f"coefficient {alpha}", coefficient), recorded(f"integral {alpha}", integral)
+            problems.append(ProblemSpec(
+                1.0, 1.0, alpha, 1.0,
+                (PointLoad(0.4, coef),),
+                recorded(f"forcing {alpha}", lambda x, t: np.sin(math.pi * x) * t),
+                lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
+                integral_load=q,
+            ))
         grid = Grid1D(1.0, 1.0, 8, nt)
-        solve(problem, grid)
+        batched = _sha1_of_levels(problems, grid, True)
+        assert len(calls) == {"alone": 3, "shared": 5, "distinct": 9}[batch]
         # one call per block, with exactly the block's half layers as a
         # column, the last of them t_{nt - 1/2}
         blocks = [(np.arange(lo, min(lo + LOAD_BLOCK, nt))[:, None] + 0.5) * grid.tau for lo in range(0, nt, LOAD_BLOCK)]
@@ -972,6 +990,24 @@ class TestLoadBlocks:
             assert len(seen) == len(blocks), name
             for got, want in zip(seen, blocks):
                 assert got.shape == want.shape and np.array_equal(got, want), name
+        assert batched == _sha1_of_levels(problems, grid, False)
+
+    @given(
+        q=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(3, 12)),
+            elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([5e-324, -5e-324, 1e-310, 2.2e-308, 1.7e308]),
+        )
+    )
+    @example(q=np.array([[[0.0, 0.0, 0.0, 14 * 5e-324, 0.0]]]))
+    def test_fused_average_is_minus_half_the_compact_average(self, q):
+        # bit for bit, also where the result is subnormal: there one division
+        # by -24 would round 14 * 2^-1074 / 12 / -2 to -2^-1074, not to -0
+        out = np.empty(q.shape[:-1] + (q.shape[-1] - 2,))
+        with np.errstate(all="ignore"):
+            stepper_mod._half_average(q, out)
+            want = -0.5 * compact_average(q)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
     @pytest.mark.parametrize("nx", [8, 1000])
@@ -1148,10 +1184,11 @@ class TestLockstep:
         # in a 32-step block; their blocks stay within BLOCK_BYTES
         grid = Grid1D(1.0, 1.0, 1000, 40)
         alone = SolverState(benchmark_problem(0.5), grid)
-        batch = SolverState(tuple(benchmark_problem(a) for a in ALPHAS), grid)
+        problems = tuple(benchmark_problem(a) for a in ALPHAS)
+        batch = SolverState(problems, grid)
         assert alone.block_steps == LOAD_BLOCK
         assert batch.block_steps == 10
-        block = stepper_mod._load_block(batch, tuple(benchmark_problem(a) for a in ALPHAS), 0)
+        block = stepper_mod._load_block(batch, problems, 0)
         assert (block.start, block.stop) == (0, 10)
         assert block.columns.nbytes + block.forcing.nbytes <= stepper_mod.BLOCK_BYTES
 
@@ -1210,7 +1247,8 @@ class TestLockstep:
         grid = Grid1D(1.0, 1.0, 8, 4)
         problems = tuple(benchmark_problem(alpha) for alpha in ALPHAS)
         batch = SolverState(problems, grid)
-        alone = SolverState(benchmark_problem(0.5), grid)
+        own = benchmark_problem(0.5)
+        alone = SolverState(own, grid)
         for state, other, names in [
             (batch, problems[0], "(0.1, 0.5, 0.9), got a batch of alpha = (0.1,)"),
             (alone, benchmark_problem(0.9), "(0.5,), got a batch of alpha = (0.9,)"),
@@ -1223,8 +1261,33 @@ class TestLockstep:
                 assemble_rhs(state, other, 0)
             assert state.j == 0 and state.block is None
         step(batch, problems)
-        step(alone, benchmark_problem(0.5))
+        step(alone, own)
         assert batch.j == alone.j == 1
+
+    def test_other_problems_of_the_states_orders_are_refused(self):
+        # the orders match, but the problems are others: stepping them would
+        # march the state's cores and initial levels with their forcing and loads
+        grid = Grid1D(1.0, 1.0, 8, 4)
+        own = manufactured_problem(1, ((1.0, 2.5),), 0.5, mu=1.0)
+        other = manufactured_problem(2, ((1.0, 2.5),), 0.5, mu=0.01)
+        state = SolverState(own, grid)
+        match = r"^problem 0 of the batch \(alpha = 0\.5\) is not one the state was built from"
+        for j in range(2):
+            with pytest.raises(ValueError, match=match):
+                step(state, other)
+            with pytest.raises(ValueError, match=match):
+                assemble_rhs(state, other, j)
+            with pytest.raises(ValueError, match=match):
+                stepper_mod._load_block(state, other, j)
+            assert state.j == j
+            # mid-block, after the first step, as at the first
+            step(state, own)
+        problems = tuple(benchmark_problem(alpha) for alpha in ALPHAS)
+        batch = SolverState(problems, grid)
+        with pytest.raises(ValueError, match=r"^problem 1 of the batch \(alpha = 0\.5\)"):
+            step(batch, (problems[0], benchmark_problem(0.5), problems[2]))
+        step(batch, problems)
+        assert batch.j == 1
 
     def test_observers_come_one_sequence_per_problem(self):
         problems = (benchmark_problem(0.3), benchmark_problem(0.6))
