@@ -200,13 +200,11 @@ class CaputoKernel:
     """Weights and scale factors for one (alpha, tau) pair.
 
     ``scale`` multiplies raw level increments u^{s+1} - u^s: it absorbs the
-    1/tau of the divided difference.  Weights c_0..c_R are computed once for
-    the R = history_rows(nsteps) increments a march stores, a longer prefix
-    on each request.  ``soe`` is the :class:`ExponentialTail` of an
-    ``nsteps``-step march, fitted on first use.
+    1/tau of the divided difference.  A march reads its weights from a
+    :class:`KernelStack`, which stores the lags it needs.
     """
 
-    def __init__(self, alpha: float, tau: float, nsteps: int = 0):
+    def __init__(self, alpha: float, tau: float):
         check_alpha(alpha)
         if not (tau > 0.0 and math.isfinite(tau)):
             raise ValueError(f"time step must be positive and finite, got {tau}")
@@ -214,24 +212,14 @@ class CaputoKernel:
         self.tau = float(tau)
         self.scale = tau ** (-alpha) / math.gamma(2.0 - alpha)
         self.gamma = gamma_const(alpha)
-        self.nsteps = max(int(nsteps), 0)
-        self._c = l1_weight_array(history_rows(self.nsteps), alpha)
-
-    @cached_property
-    def soe(self) -> ExponentialTail:
-        return fit_exponential_tail(self.alpha, self.nsteps)
 
     def weights(self, j: int) -> np.ndarray:
-        """Array of c_0..c_j (treat as read-only)."""
-        if j < 0:
-            raise ValueError(f"weight index must be nonnegative, got {j}")
-        if j < self._c.size:
-            return self._c[: j + 1]
+        """Array of c_0..c_j."""
         return l1_weight_array(j, self.alpha)
 
     def weights_transformed(self, j: int) -> np.ndarray:
         """Weights with the leading entry replaced by 1."""
-        w = np.array(self.weights(j))
+        w = self.weights(j)
         w[0] = 1.0
         return w
 
@@ -239,10 +227,12 @@ class CaputoKernel:
 class KernelStack:
     """The kernels of a batch of fractional orders on one time grid, stacked on a leading axis.
 
-    A march over B problems at once reads its weights from here: ``scale`` is
-    the (B, 1) column of the :class:`CaputoKernel` scales, and
-    :meth:`history_weights` the (B, j) stack of their -c_j..-c_1.  ``soe``
-    stacks the orders' :class:`ExponentialTail` fits, fitted on first use:
+    A march of ``nsteps`` steps over B problems at once reads its weights
+    from here: ``scale`` is the (B, 1) column of the :class:`CaputoKernel`
+    scales, and :meth:`history_weights` the (B, j) stack of their
+    -c_j..-c_1, for the lags up to ``history_rows(nsteps)`` the march
+    stores.  ``soe`` stacks the orders' :class:`ExponentialTail` fits for an
+    ``nsteps``-step march, fitted on first use:
     ``nodes`` and ``weights`` are (B, N_exp), ``fold`` (B, N_exp, C),
     ``lagged`` (C, B, N_exp), lag first as in a single fit, and ``error`` is
     the largest fit error.  N_exp depends only on the step count, so the fits
@@ -250,9 +240,9 @@ class KernelStack:
     """
 
     def __init__(self, alphas, tau: float, nsteps: int):
-        kernels = [CaputoKernel(alpha, tau, nsteps=nsteps) for alpha in alphas]
+        kernels = [CaputoKernel(alpha, tau) for alpha in alphas]
         self.alphas = tuple(k.alpha for k in kernels)
-        self.nsteps = kernels[0].nsteps
+        self.nsteps = max(int(nsteps), 0)
         self.scale = np.array([[k.scale] for k in kernels])
         self._lags = -np.stack([k.weights(history_rows(self.nsteps))[:0:-1] for k in kernels])
 

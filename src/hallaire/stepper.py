@@ -35,7 +35,7 @@ import numpy as np
 from .caputo import HistoryModes, KernelStack, check_alpha, gamma_const, history_rows
 from .grids import Grid1D
 from .problems import ProblemSpec
-from .spatial import LoadStencil, build_load_stencil, compact_average, second_difference, simpson_weights
+from .spatial import build_load_stencil, compact_average, second_difference, simpson_weights
 
 # Every entry of the distributed load's column: it does not change in time.
 INTEGRAL_COLUMN = -0.5
@@ -75,20 +75,6 @@ class Tridiagonal:
     @property
     def n(self) -> int:
         return self.diag.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class LoadRow:
-    """Sparse row of load weights over the interior unknowns."""
-
-    label: str
-    cols: np.ndarray
-    weights: np.ndarray
-
-    def dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        out[self.cols] = self.weights
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,17 +206,6 @@ def thomas_solve(tri, b) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (k * s,))[..., :n]
 
 
-def _dense_rows(rows, n: int) -> np.ndarray:
-    """Sparse load rows as the rows of one dense m x n array."""
-    return np.array([row.dense(n) for row in rows]).reshape(len(rows), n)
-
-
-def _singular(labels, where: str = "") -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(
-        f"singular capacitance matrix for load configuration ({', '.join(labels)}){where}"
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class LoadBlock:
     """The time-only load algebra of the steps ``start .. stop - 1``.
@@ -268,7 +243,7 @@ def _invertible(matrix: np.ndarray) -> bool:
 
 
 def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
-    """Solve (T + sum_k U_k W_k^T) x = b.
+    """Solve (T + U W^T) x = b for the dense columns U (n x m) and rows W^T (m x n).
 
     ``tri`` is T or its :class:`ThomasFactor`, which need not be symmetric.
     The correction is closed from the column solves Z = T^{-1} U, all in one
@@ -279,20 +254,20 @@ def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
     factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     n = factor.n
     columns = np.asarray(columns, dtype=float)
-    if columns.shape != (n, len(rows)):
-        raise ValueError(f"load columns have shape {columns.shape}, expected ({n}, {len(rows)}): one per row")
-    for row in rows:
-        if not np.all((np.asarray(row.cols) >= 0) & (np.asarray(row.cols) < n)):
-            raise ValueError(f"load row {row.label} has columns outside 0..{n - 1}")
-    if not rows:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"load rows have shape {rows.shape}, expected (m, {n}): one row per load, one entry per unknown")
+    m = len(rows)
+    if columns.shape != (n, m):
+        raise ValueError(f"load columns have shape {columns.shape}, expected ({n}, {m}): one per row")
+    if not m:
         return thomas_solve(factor, b)
-    w = _dense_rows(rows, n)
     z = thomas_solve(factor, columns.T)
     y = thomas_solve(factor, b)
     try:
-        q = np.linalg.solve(np.eye(len(rows)) + w @ z.T, np.matvec(w, y)[..., None])[..., 0]
+        q = np.linalg.solve(np.eye(m) + rows @ z.T, np.matvec(rows, y)[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        raise _singular([row.label for row in rows]) from None
+        raise np.linalg.LinAlgError(f"singular capacitance matrix for the {m} load row(s)") from None
     return y - q @ z
 
 
@@ -312,16 +287,6 @@ def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
     diag = np.full(n, beta_c0 * 10.0 / 12.0 + r * 2.0 / h2)
     off = beta_c0 / 12.0 - r / h2
     return Tridiagonal(np.full(n - 1, off), diag, np.full(n - 1, off))
-
-
-def interior_load_row(stencil: LoadStencil, nx: int) -> LoadRow:
-    """Stencil weights restricted to interior unknowns (boundary values are zero)."""
-    keep = (stencil.nodes >= 1) & (stencil.nodes <= nx - 1)
-    return LoadRow(
-        f"x={stencil.position:g}",
-        stencil.nodes[keep] - 1,
-        stencil.weights[keep].copy(),
-    )
 
 
 def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarray) -> None:
@@ -375,14 +340,15 @@ def _half_average(q: np.ndarray, out: np.ndarray) -> None:
 
 
 def _load_samples(state: SolverState, problem, times: np.ndarray):
-    """Load columns, distributed-load row weights and forcing at the given half layers.
+    """Load columns, load rows and forcing at the given half layers.
 
     ``problem`` is a problem or a batch of them.  Returns the columns as one
     ``(len(times), B, n, m)`` array, the point loads first (minus half the
     compact average of each coefficient) and then the distributed load's
-    constant column; the distributed load's interior Simpson-weighted
-    samples as a ``(len(times), B, n)`` array, or ``None``; and the forcing
-    at every node as a ``(len(times), B, nx + 1)`` array.  Each evaluator is
+    constant column; the rows as a ``(len(times), B, m, n)`` array, the
+    state's ``point_rows`` and then the distributed load's interior
+    Simpson-weighted samples; and the forcing at every node as a
+    ``(len(times), B, nx + 1)`` array.  Each evaluator is
     called with the nodes as a row and times as a column; a result that does
     not broadcast to the shape of its samples is a ``ValueError`` naming the
     evaluator.  Each member's forcing and each distinct distributed load,
@@ -398,7 +364,7 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     x = state.x
     nodes = x[None, :]
     count = len(times)
-    points = len(state.load_rows)
+    points = len(state.point_rows)
     distributed = state.simpson is not None
     forcing = np.empty((count, len(problems), x.size))
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
@@ -426,27 +392,28 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
             else:
                 _evaluate(weights[:, b], "integral_load", problems[b].integral_load, nodes, times[:, None])
     columns = np.swapaxes(columns, -1, -2)
-    if not distributed:
-        return columns, None, forcing
-    columns[..., points] = INTEGRAL_COLUMN
-    weights *= state.simpson
-    return columns, weights[..., 1:-1], forcing
+    rows = np.broadcast_to(state.point_rows, (count, len(problems)) + state.point_rows.shape)
+    if distributed:
+        columns[..., points] = INTEGRAL_COLUMN
+        weights *= state.simpson
+        rows = np.concatenate((rows, weights[:, :, None, 1:-1]), axis=2)
+    return columns, rows, forcing
 
 
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
     """Low-rank pieces of the implicit matrix of one problem at one half layer.
 
-    Returns dense columns ``U`` (one per load, minus half the compact average
-    of the coefficient) and matching sparse rows ``W`` such that the full
-    matrix is the tridiagonal core plus sum_k U_k W_k^T.  These are one half
-    layer of the samples a :class:`LoadBlock` is built from; ``problem`` may
-    be any member of the state's batch.
+    Returns the dense columns ``U`` (n x m, one per load, minus half the
+    compact average of the coefficient) and rows ``W^T`` (m x n) such that
+    the full matrix is the tridiagonal core plus U W^T.  These are one half
+    layer of the samples a :class:`LoadBlock` is built from.  ``problem``
+    must be one of the state's own problem objects; any other is a
+    ``ValueError``.
     """
-    columns, weights, _ = _load_samples(state, problem, np.array([t_half]))
-    rows = list(state.load_rows)
-    if weights is not None:
-        rows.append(LoadRow("integral", np.arange(weights.shape[-1]), weights[0, 0]))
-    return columns[0, 0], rows
+    if not any(problem is own for own in state.problems):
+        raise ValueError("the problem is not one the state was built from: a state assembles only its own problems' loads")
+    columns, rows, _ = _load_samples(state, problem, np.array([t_half]))
+    return columns[0, 0], rows[0, 0]
 
 
 def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
@@ -466,13 +433,10 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
     problems = _check_batch(state, problem)
     grid = state.grid
     stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
-    columns, weights, forcing = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
-    shape = columns.shape[:2]
-    rows = np.broadcast_to(state.point_rows, shape + state.point_rows.shape)
-    row_solves = np.broadcast_to(state.row_solves, shape[:1] + state.row_solves.shape)
-    if weights is not None:
-        rows = np.concatenate((rows, weights[:, :, None]), axis=2)
-        row_solves = np.concatenate((row_solves, thomas_solve(state.factor, weights)[:, :, None]), axis=2)
+    columns, rows, forcing = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
+    row_solves = np.broadcast_to(state.row_solves, rows.shape[:1] + state.row_solves.shape)
+    if state.simpson is not None:
+        row_solves = np.concatenate((row_solves, thomas_solve(state.factor, rows[:, :, -1])[:, :, None]), axis=2)
     cap = row_solves @ columns
     diag = np.arange(cap.shape[-1])
     cap[..., diag, diag] += 1.0
@@ -481,11 +445,11 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
     except np.linalg.LinAlgError:
         i, singular = next((i, b) for i, one in enumerate(cap) for b, matrix in enumerate(one) if not _invertible(matrix))
         if i == 0:
-            labels = [row.label for row in state.load_rows] + ["integral"] * (weights is not None)
-            raise _singular(
-                labels,
-                f" at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
-                f"for alpha = {state.kernel.alphas[singular]:g}",
+            labels = [f"x={ld.position:g}" for ld in problems[0].loads] + ["integral"] * (state.simpson is not None)
+            raise np.linalg.LinAlgError(
+                f"singular capacitance matrix for load configuration ({', '.join(labels)}) "
+                f"at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
+                f"for alpha = {state.kernel.alphas[singular]:g}"
             ) from None
         inverses, stop = np.linalg.inv(cap[:i]), start + i
     return LoadBlock(start, stop, columns, rows, inverses, row_solves, forcing)
@@ -528,9 +492,9 @@ class SolverState:
     the checkpoint of ``modes``, the :class:`HistoryModes` that carry the
     older increments.  ``kernel`` is the :class:`~hallaire.caputo.KernelStack`
     of the batch's orders.  The nodes ``x``, the stacked factor of the
-    tridiagonal cores, the interior point-load rows (sparse as
-    ``load_rows``, dense as the rows of ``point_rows``, both shared) with
-    their solves against each core (``row_solves``), and the distributed
+    tridiagonal cores, the dense interior point-load rows ``point_rows``
+    (m x n, each a load's cubic stencil, shared by the batch) with their
+    solves against each core (``row_solves``), and the distributed
     load's Simpson node weights (``simpson``, ``None`` without one) do not
     change in time and are built here once.  ``block`` is the
     :class:`LoadBlock` of the current steps, ``None`` until the first step.
@@ -559,14 +523,16 @@ class SolverState:
         self.factor = thomas_factor(
             Tridiagonal(*(np.stack([getattr(t, side) for t in cores]) for side in ("lower", "diag", "upper")))
         )
-        self.load_rows = tuple(
-            interior_load_row(build_load_stencil(ld.position, grid), grid.nx) for ld in first.loads
-        )
+        # each stencil scattered over every node; the boundary values are pinned to zero
+        nodal = np.zeros((len(first.loads), grid.nx + 1))
+        for row, ld in zip(nodal, first.loads):
+            stencil = build_load_stencil(ld.position, grid)
+            row[stencil.nodes] = stencil.weights
+        self.point_rows = nodal[:, 1:-1]
         n = grid.nx - 1
-        self.point_rows = _dense_rows(self.load_rows, n)
         # assemble_tridiagonal builds T with lower == upper, so T^{-T} W = T^{-1} W:
         # the load rows here and in _load_block are solved with the factor of T
-        self.row_solves = np.zeros((len(problems), len(self.load_rows), n))
+        self.row_solves = np.zeros((len(problems), len(first.loads), n))
         for k, row in enumerate(self.point_rows):
             self.row_solves[:, k] = thomas_solve(self.factor, row)
         self.simpson = simpson_weights(grid.nx, grid.h) if first.integral_load is not None else None
@@ -577,7 +543,7 @@ class SolverState:
             self.level[b] = p.initial(self.x)
         self.level[:, [0, -1]] = 0.0
         self.level.flags.writeable = False
-        loads = len(self.load_rows) + (self.simpson is not None)
+        loads = len(first.loads) + (self.simpson is not None)
         per_step = 8 * len(problems) * (loads * n + grid.nx + 1)
         self.block_steps = max(1, min(LOAD_BLOCK, BLOCK_BYTES // per_step))
         self.block = None
@@ -608,11 +574,8 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
     problems = _check_batch(state, problem)
     grid = state.grid
     if load_parts is None:
-        columns, weights, forcing = _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))
-        rows = np.broadcast_to(state.point_rows, columns.shape[1:2] + state.point_rows.shape)
-        if weights is not None:
-            rows = np.concatenate((rows, weights[0][:, None]), axis=1)
-        load_parts = columns[0], rows, forcing[0]
+        columns, rows, forcing = _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))
+        load_parts = columns[0], rows[0], forcing[0]
     columns, rows, f = load_parts
     kernel = state.kernel
     nodal = _history_sum(state.increments, kernel, j, state.modes)

@@ -14,6 +14,7 @@ import pytest
 from hallaire import (
     CaputoKernel,
     Grid1D,
+    PointLoad,
     ProblemSpec,
     Tridiagonal,
     apply_half_layer,
@@ -32,10 +33,10 @@ from hallaire import (
     truncation_bound,
     woodbury_solve,
 )
-from hallaire.stepper import LoadRow
+from hallaire.stepper import SolverState, _load_block, assemble_tridiagonal
 from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
 from test_problems import _benchmark_terms, residual_at
-from test_stepper import march, solved_levels
+from test_stepper import _dense_from, march, solved_levels
 
 RUN_DEEP = os.environ.get("HALLAIRE_DEEP", "") == "1"
 
@@ -139,7 +140,7 @@ def test_c3_truncation_bound_and_decay(alpha):
     errors = []
     for nsteps in (100, 200, 400):
         tau = 1.0 / nsteps
-        kernel = CaputoKernel(alpha, tau, nsteps=nsteps)
+        kernel = CaputoKernel(alpha, tau)
         ts = np.arange(nsteps + 1) * tau
         hist = ts**3
         worst = 0.0
@@ -180,6 +181,21 @@ def test_c4_compact_identity():
     assert slope >= 3.9
 
 
+def _random_loaded_batch(rng, mix):
+    """Three orders sharing random load points, each with its own random coefficients."""
+    zero = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
+    positions = np.sort(rng.uniform(0.15, 0.85, size=int(rng.integers(1, 4)))) if mix != "distributed" else ()
+    problems = []
+    for alpha in (0.1, 0.5, 0.9):
+        a, w = rng.uniform(-2.0, 2.0, size=2)
+        loads = tuple(
+            PointLoad(float(x), lambda x, t, a=a * (k + 1), w=w: a + np.sin(w * x + t)) for k, x in enumerate(positions)
+        )
+        q = (lambda x, t, a=a, w=w: a * np.cos(w * x) * np.exp(-t)) if mix != "points" else None
+        problems.append(ProblemSpec(1.0, 1.0, alpha, float(rng.uniform(0.1, 2.0)), loads, zero, lambda x: 0.0 * x, integral_load=q))
+    return problems
+
+
 def test_c5_woodbury_matches_dense_lu():
     rng = np.random.default_rng(515)
     worst = 0.0
@@ -196,26 +212,40 @@ def test_c5_woodbury_matches_dense_lu():
         tri = Tridiagonal(lower, diag, upper)
         m = int(rng.integers(0, 4))
         cols = rng.standard_normal((n, m))
-        rows = []
-        dense = np.diag(diag)
-        dense[np.arange(n - 1), np.arange(1, n)] = upper
-        dense[np.arange(1, n), np.arange(n - 1)] = lower
+        rows = np.zeros((m, n))
+        dense = _dense_from(tri, np.zeros((n, 0)), [])
         for k in range(m):
             width = min(4, n)
             start = int(rng.integers(0, n - width + 1))
-            idx = np.arange(start, start + width)
-            w = rng.standard_normal(width)
-            rows.append(LoadRow(f"x={k}", idx, w))
-            full = np.zeros(n)
-            full[idx] = w
-            dense += np.outer(cols[:, k], full)
+            rows[k, start : start + width] = rng.standard_normal(width)
+            dense += np.outer(cols[:, k], rows[k])
         b = rng.standard_normal(n)
         got = woodbury_solve(tri, cols, rows, b)
         want = np.linalg.solve(dense, b)
         scale = max(np.max(np.abs(want)), 1e-30)
         worst = max(worst, np.max(np.abs(got - want)) / scale)
-    ok = worst <= 1e-10
-    _report_line(5, ok, f"200 randomized systems, worst relative gap {worst:.2e}")
+    # the close the march runs: LoadBlock.close on the load algebra of real
+    # states, a batch of three orders with random load points and coefficients,
+    # on one sweep block (nx = 8) and several (40, 200)
+    closes = 0
+    march_worst = 0.0
+    for nx in (8, 40, 200):
+        for mix in ("points", "distributed", "both"):
+            problems = _random_loaded_batch(rng, mix)
+            grid = Grid1D(1.0, 1.0, nx, 40)
+            state = SolverState(problems, grid)
+            block = _load_block(state, problems, 0)
+            cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
+            for i in range(block.stop - block.start):
+                b = rng.standard_normal((len(problems), nx - 1))
+                got = block.close(state.factor, i, b)
+                for k, core in enumerate(cores):
+                    want = np.linalg.solve(_dense_from(core, block.columns[i, k], block.rows[i, k]), b[k])
+                    march_worst = max(march_worst, np.max(np.abs(got[k] - want)) / np.max(np.abs(want)))
+                    closes += 1
+    ok = worst <= 1e-10 and march_worst <= 1e-10
+    _report_line(5, ok, f"200 randomized systems, worst relative gap {worst:.2e}; "
+                 f"{closes} closes of the march's load blocks, worst relative gap {march_worst:.2e}")
     assert ok
 
 

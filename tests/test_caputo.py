@@ -14,7 +14,14 @@ from hallaire import (
     split_half_layer,
     truncation_bound,
 )
-from hallaire.caputo import HISTORY_CHUNK, HISTORY_WINDOW, KernelStack, gamma_const, history_rows
+from hallaire.caputo import (
+    HISTORY_CHUNK,
+    HISTORY_WINDOW,
+    KernelStack,
+    fit_exponential_tail,
+    gamma_const,
+    history_rows,
+)
 from oracles import caputo_by_quadrature, l1_weights_direct
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
@@ -203,7 +210,7 @@ def _max_half_layer_error(u, exact, alpha, tau, nsteps, m2_of_t):
     The bound is applied with a 2x safety factor, the documented allowance
     for a possible constant-factor slack in its derivation.
     """
-    kernel = CaputoKernel(alpha, tau, nsteps=nsteps)
+    kernel = CaputoKernel(alpha, tau)
     ts = np.arange(nsteps + 1) * tau
     hist = u(ts)
     worst = 0.0
@@ -244,8 +251,8 @@ class TestTruncationDecay:
 
 
 class TestKernelObject:
-    def test_weights_past_nsteps_match_array(self):
-        kernel = CaputoKernel(0.45, 0.01, nsteps=3)
+    def test_weights_match_array(self):
+        kernel = CaputoKernel(0.45, 0.01)
         assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
         assert np.array_equal(kernel.weights(50), l1_weight_array(50, 0.45))
         assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
@@ -262,7 +269,7 @@ class TestKernelObject:
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 CaputoKernel(0.5, tau)
-        kernel = CaputoKernel(0.5, 0.1, nsteps=4)
+        kernel = CaputoKernel(0.5, 0.1)
         for j in (-1, -2, -5):
             with pytest.raises(ValueError):
                 kernel.weights(j)
@@ -272,14 +279,14 @@ class TestExponentialTail:
     @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
     @pytest.mark.parametrize("nsteps", [400, 1280, 10_000, 100_000])
     def test_fit_error_is_small(self, alpha, nsteps):
-        fit = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).soe
+        fit = KernelStack((alpha,), 1.0 / nsteps, nsteps).soe
         assert fit is not None
         assert 0.0 < fit.error <= 1e-8
 
     @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
     def test_recorded_error_is_the_measured_one(self, alpha):
         nsteps = 2000
-        fit = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).soe
+        fit = fit_exponential_tail(alpha, nsteps)
         k = np.arange(HISTORY_WINDOW, nsteps + 1)
         want = l1_weights_direct(nsteps, alpha)[HISTORY_WINDOW:]
         got = np.array([math.fsum(fit.weights * np.exp(-kk * fit.nodes)) for kk in k])
@@ -288,7 +295,7 @@ class TestExponentialTail:
     @pytest.mark.parametrize("nsteps", [0, 1, HISTORY_WINDOW - 1])
     def test_no_tail_without_its_lags(self, nsteps):
         with pytest.raises(ValueError, match="lags from 32 on"):
-            CaputoKernel(0.5, 0.01, nsteps=nsteps).soe
+            KernelStack((0.5,), 0.01, nsteps).soe
 
     def test_first_windowed_march(self):
         # every march from SOE_MIN_STEPS = 397 steps on stores a window of
@@ -296,11 +303,11 @@ class TestExponentialTail:
         assert history_rows(396) == 396
         for nsteps in (397, 415):
             assert history_rows(nsteps) == HISTORY_WINDOW + HISTORY_CHUNK - 1
-            assert CaputoKernel(0.5, 0.01, nsteps=nsteps).soe.error <= 1e-8
+            assert KernelStack((0.5,), 0.01, nsteps).soe.error <= 1e-8
 
     @pytest.mark.parametrize("nsteps", [397, 1280])
     def test_fold_is_the_power_matrix(self, nsteps):
-        fit = CaputoKernel(0.37, 1.0 / nsteps, nsteps=nsteps).soe
+        fit = fit_exponential_tail(0.37, nsteps)
         assert fit.fold.shape == (fit.nodes.size, HISTORY_CHUNK)
         for i in range(HISTORY_CHUNK):
             assert np.array_equal(fit.fold[:, i], np.exp(-(HISTORY_CHUNK - i) * fit.nodes))
@@ -325,7 +332,7 @@ class TestExponentialTail:
     def test_stacked_fits_are_the_fits_of_each_order(self):
         alphas = (0.2, 0.9)
         stack = KernelStack(alphas, 1.0 / 1280, 1280).soe
-        fits = [CaputoKernel(alpha, 1.0 / 1280, nsteps=1280).soe for alpha in alphas]
+        fits = [fit_exponential_tail(alpha, 1280) for alpha in alphas]
         for b, fit in enumerate(fits):
             for name in ("nodes", "weights", "fold"):
                 assert np.array_equal(getattr(stack, name)[b], getattr(fit, name)), name

@@ -28,7 +28,6 @@ from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
     LOAD_BLOCK,
-    LoadRow,
     SolverState,
     _history_sum,
     assemble_load_columns,
@@ -39,7 +38,7 @@ from hallaire.stepper import (
     thomas_factor,
     thomas_solve,
 )
-from oracles import dense_march
+from oracles import dense_march, full_interpolation_row
 
 
 def _zeros_problem(alpha=0.5, mu=1.0, forcing=None, initial=None):
@@ -63,11 +62,7 @@ def _dense_from(tri, columns, rows):
     a[idx, idx] = tri.diag
     a[idx[:-1], idx[:-1] + 1] = tri.upper
     a[idx[1:], idx[1:] - 1] = tri.lower
-    for col, row in zip(np.atleast_2d(columns.T), rows):
-        full = np.zeros(n)
-        full[row.cols] = row.weights
-        a += np.outer(col, full)
-    return a
+    return a + np.asarray(columns) @ np.reshape(rows, (-1, n))
 
 
 POSITIONS = (0.21, 0.43, 0.67, 0.79)
@@ -354,17 +349,18 @@ class TestWoodbury:
     def test_rank_zero_reduces_to_thomas(self, rng):
         tri = _random_dominant(rng, 7)
         b = rng.standard_normal(7)
-        got = woodbury_solve(tri, np.zeros((7, 0)), [], b)
+        got = woodbury_solve(tri, np.zeros((7, 0)), np.zeros((0, 7)), b)
         assert np.array_equal(got, thomas_solve(tri, b))
 
     def test_rank_one_matches_dense(self, rng):
         n = 7  # interior size of an 8-interval grid
         tri = _random_dominant(rng, n)
         col = rng.standard_normal((n, 1))
-        row = LoadRow("x=0.4", np.array([2, 3, 4, 5]), rng.standard_normal(4))
+        row = np.zeros((1, n))
+        row[0, 2:6] = rng.standard_normal(4)
         b = rng.standard_normal(n)
-        got = woodbury_solve(tri, col, [row], b)
-        want = np.linalg.solve(_dense_from(tri, col, [row]), b)
+        got = woodbury_solve(tri, col, row, b)
+        want = np.linalg.solve(_dense_from(tri, col, row), b)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_benchmark_configuration_matches_dense(self):
@@ -385,7 +381,9 @@ class TestWoodbury:
         n = 9
         tri = _random_dominant(rng, n)
         columns = rng.standard_normal((n, m))
-        rows = [LoadRow(f"x={k}", np.arange(k, k + 4), rng.standard_normal(4)) for k in range(m)]
+        rows = np.zeros((m, n))
+        for k in range(m):
+            rows[k, k : k + 4] = rng.standard_normal(4)
         b = rng.standard_normal(n)
         got = woodbury_solve(tri, columns, rows, b)
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
@@ -396,7 +394,9 @@ class TestWoodbury:
         n, m = 11, 2
         tri = _random_dominant(rng, n)
         columns = rng.standard_normal((n, m))
-        rows = [LoadRow(f"x={k}", np.arange(2 * k, 2 * k + 4), rng.standard_normal(4)) for k in range(m)]
+        rows = np.zeros((m, n))
+        for k in range(m):
+            rows[k, 2 * k : 2 * k + 4] = rng.standard_normal(4)
         b = rng.standard_normal(n)
         got = woodbury_solve(thomas_factor(tri), columns, rows, b)
         assert np.array_equal(got, woodbury_solve(tri, columns, rows, b))
@@ -415,29 +415,30 @@ class TestWoodbury:
             want = np.linalg.solve(dense.T, row)
             assert np.max(np.abs(solved - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("cols", [[-1], [7], [2, 9]])
-    def test_load_row_outside_the_unknowns_is_refused(self, rng, cols):
-        # -1 would wrap to the last unknown, 7 and 9 would index past it
+    @pytest.mark.parametrize("shape", [(1, 8), (1, 6), (7,), (1, 1, 7)])
+    def test_load_rows_of_the_wrong_shape_are_refused(self, rng, shape):
+        # a row that does not cover every unknown exactly once, or is not one of an (m, n) stack
         tri = _random_dominant(rng, 7)
-        row = LoadRow("x=0.4", cols, np.ones(len(cols)))
-        with pytest.raises(ValueError, match=r"load row x=0\.4 has columns outside 0\.\.6"):
-            woodbury_solve(tri, np.ones((7, 1)), [row], np.ones(7))
+        with pytest.raises(ValueError, match=rf"load rows have shape {re.escape(str(shape))}, expected \(m, 7\)"):
+            woodbury_solve(tri, np.ones((7, 1)), np.ones(shape), np.ones(7))
 
     @pytest.mark.parametrize("shape", [(8, 1), (6, 1), (7, 2), (7,)])
     def test_load_columns_of_the_wrong_shape_are_refused(self, rng, shape):
         tri = _random_dominant(rng, 7)
-        row = LoadRow("x=0.4", np.array([2, 3]), np.ones(2))
+        row = np.zeros((1, 7))
+        row[0, 2:4] = 1.0
         with pytest.raises(ValueError, match=rf"load columns have shape {re.escape(str(shape))}, expected \(7, 1\)"):
-            woodbury_solve(tri, np.ones(shape), [row], np.ones(7))
+            woodbury_solve(tri, np.ones(shape), row, np.ones(7))
 
-    def test_singular_capacitance_names_loads(self):
+    def test_singular_capacitance_is_refused(self):
         tri = Tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
         w = np.array([1.0, 2.0])
-        row = LoadRow("x=0.5", np.array([1, 2]), w)
+        row = np.zeros((1, 4))
+        row[0, 1:3] = w
         col = np.zeros((4, 1))
         col[[1, 2], 0] = -w / np.dot(w, w)  # makes 1 + w.(T^-1 u) = 0
-        with pytest.raises(np.linalg.LinAlgError, match="x=0.5"):
-            woodbury_solve(tri, col, [row], np.ones(4))
+        with pytest.raises(np.linalg.LinAlgError, match=r"singular capacitance matrix for the 1 load row"):
+            woodbury_solve(tri, col, row, np.ones(4))
 
 
 class TestLoadColumns:
@@ -448,7 +449,7 @@ class TestLoadColumns:
         g = Grid1D(1.0, 1.0, 10, 4)
         columns, rows = assemble_load_columns(SolverState(p, g), p, 0.1)
         assert np.array_equal(columns, np.zeros((9, 1)))
-        assert len(rows) == 1
+        assert rows.shape == (1, 9)
 
     def test_unit_coefficient(self):
         one = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
@@ -464,6 +465,39 @@ class TestLoadColumns:
         columns, _ = assemble_load_columns(SolverState(p, g), p, 0.05)
         want = -0.5 * compact_average(np.exp(g.x + 0.05))
         assert columns[:, 0] == pytest.approx(want, rel=1e-14)
+
+    def test_foreign_problem_is_refused(self):
+        # a problem with the state's load points but its own coefficients
+        # would be paired with the state's rows
+        state = SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 8, 4))
+        five = lambda x, t: np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), 5.0)
+        foreign = manufactured_problem(1, ((1.0, 2.0),), 0.5, loads=tuple(PointLoad(x, five) for x in (0.2, 0.5, 0.8)))
+        with pytest.raises(ValueError, match="not one the state was built from"):
+            assemble_load_columns(state, foreign, 0.1)
+
+    @pytest.mark.parametrize(
+        "positions, nx",
+        [
+            ((0.2, 0.37, 0.5), 8),  # 0.2 and 0.37 generic, 0.5 nodal
+            ((0.2, 0.5, 0.81), 6),  # 0.2's window touches the boundary node 0, 0.5 nodal
+            ((1.0 / 6.0, 0.43, 0.79), 6),  # a nodal point next to the boundary
+            ((0.2, 0.21, 0.67), 40),
+            ((0.2137, 1.0 / 3.0, 0.5, 0.7901), 200),
+        ],
+    )
+    def test_point_rows_are_the_lagrange_rows(self, positions, nx):
+        # the state's dense rows against scipy's Lagrange polynomials, boundary
+        # nodes dropped.  The last bits of x and h move a weight by about
+        # eps x / h, which passes 1e-14 from x / h = 45 on.
+        base = _zeros_problem()
+        one = lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        p = ProblemSpec(1.0, 1.0, 0.5, 1.0, tuple(PointLoad(x, one) for x in positions), base.forcing, base.initial)
+        grid = Grid1D(1.0, 1.0, nx, 4)
+        state = SolverState(p, grid)
+        assert state.point_rows.shape == (len(positions), nx - 1)
+        for x, row in zip(positions, state.point_rows):
+            bound = max(1e-14, np.finfo(float).eps * x / grid.h)
+            assert np.max(np.abs(row - full_interpolation_row(x, grid)[1:-1])) <= bound, x
 
 
 class TestRhs:
@@ -549,7 +583,7 @@ class TestWindowedHistory:
         # the march's buffer: row i holds the increment at modes.start + i
         buffer = np.zeros((1, history_rows(nsteps), width))
         assert buffer.shape[1] == 63
-        c = CaputoKernel(alpha, 1.0 / nsteps, nsteps=nsteps).weights(nsteps)
+        c = CaputoKernel(alpha, 1.0 / nsteps).weights(nsteps)
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
@@ -943,7 +977,7 @@ class TestLoadBlocks:
         for i, j in enumerate(range(block.start, block.stop)):
             columns, rows = assemble_load_columns(state, p, (j + 0.5) * grid.tau)
             assert np.array_equal(block.columns[i, 0], columns)
-            assert np.array_equal(block.rows[i, 0], np.array([row.dense(9) for row in rows]))
+            assert np.array_equal(block.rows[i, 0], rows)
 
     @pytest.mark.parametrize("batch", ["alone", "shared", "distinct"])
     @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
