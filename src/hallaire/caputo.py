@@ -38,6 +38,14 @@ SOE_REACH = 40.0
 # and the integral-load ladder, nt <= 320) store every increment and never fold.
 SOE_MIN_STEPS = 397
 
+# Lags on which a fit's error is measured one by one: every table and
+# benchmark march (nt <= 10^4) is measured on all its lags.  Past them the
+# error is measured on a geometric sample of SOE_SAMPLES_PER_OCTAVE lags per
+# doubling, so that a fit for 10^6 or 10^7 steps does not evaluate its sum
+# on every lag.
+SOE_CHECKED_LAGS = 10_000
+SOE_SAMPLES_PER_OCTAVE = 512
+
 
 def history_rows(nsteps: int) -> int:
     """Increments a march of ``nsteps`` steps stores: all of them (an exact march), or the most a windowed step reads and writes."""
@@ -133,7 +141,11 @@ class ExponentialTail:
 
 
 def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
-    """Fit the tail of c_k for a march of M = ``nsteps`` steps and measure the fit on c_W..c_M."""
+    """Fit the tail of c_k for a march of M = ``nsteps`` steps and measure the fit on c_W..c_M.
+
+    Every lag up to SOE_CHECKED_LAGS is measured, and a geometric sample of
+    the lags beyond it.
+    """
     if nsteps < HISTORY_WINDOW:
         raise ValueError(f"the exponential tail serves lags from {HISTORY_WINDOW} on, a march of {nsteps} steps has none")
     edges = _soe_edges(nsteps)
@@ -150,9 +162,14 @@ def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
         coefs.append(lead * 0.5 * lo * w * s ** (alpha - 1.0) * phi(s))
     nodes = np.concatenate(nodes)
     coefs = np.concatenate(coefs)
+    measured = np.arange(HISTORY_WINDOW, min(nsteps, SOE_CHECKED_LAGS) + 1, dtype=float)
+    if nsteps > SOE_CHECKED_LAGS:
+        count = math.ceil(math.log2(nsteps / SOE_CHECKED_LAGS) * SOE_SAMPLES_PER_OCTAVE)
+        sample = np.unique(np.rint(np.geomspace(SOE_CHECKED_LAGS, nsteps, count + 1)[1:]))
+        measured = np.concatenate((measured, sample))
     error = 0.0
-    for lo in range(HISTORY_WINDOW, nsteps + 1, 128):
-        k = np.arange(lo, min(lo + 128, nsteps + 1), dtype=float)
+    for lo in range(0, measured.size, 128):
+        k = measured[lo : lo + 128]
         exact = _lag_weights(k, alpha)
         error = max(error, float(np.max(np.abs(np.exp(-np.outer(k, nodes)) @ coefs - exact) / exact)))
     lags = np.arange(HISTORY_WINDOW - 1, HISTORY_WINDOW + HISTORY_CHUNK - 1)

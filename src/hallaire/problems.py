@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,6 +60,16 @@ class ProblemSpec:
     ``integral_load`` broadcast over x and t (see ``Evaluator``): the solver
     samples many half layers in one call, and rejects a result that does not
     broadcast to the samples' shape with a ``ValueError``.
+
+    The loads act on the solution less an offset: point load k adds
+    q_k(x, t) (u(x_k, t) - g_k(t)) and the distributed load adds
+    int q u - g(t).  ``load_offsets(t)``, called with one time at a time as
+    a Python float, returns the g of every point load and then the
+    distributed load's: one value per load.  ``None`` means zero offsets, the
+    plain loaded equation.  An offset moves a known part of the load term
+    out of the forcing: a problem with exact solution u can set the offsets
+    to its load terms' values on u, and its forcing then need not sample the
+    coefficients at all.  A problem with no load refuses offsets.
     """
 
     length: float
@@ -71,6 +81,7 @@ class ProblemSpec:
     initial: SpaceFunc
     exact: Evaluator | None = None
     integral_load: Evaluator | None = None
+    load_offsets: Callable[[float], Sequence[float]] | None = None
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -81,6 +92,8 @@ class ProblemSpec:
             raise ValueError(f"load points {xs} must lie strictly inside (0, {self.length})")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError(f"load points {xs} must be strictly increasing")
+        if self.load_offsets is not None and not self.loads and self.integral_load is None:
+            raise ValueError("load_offsets needs a point load or a distributed load to offset, the problem has neither")
 
 
 def manufactured_problem(
@@ -97,14 +110,18 @@ def manufactured_problem(
 
     ``time_terms`` is a sequence of (coefficient, power) pairs with powers
     above 1, so the solution stays twice differentiable in time.  The forcing
-    is assembled in closed form via the Caputo power rule, so the pair
-    (exact, forcing) satisfies the equation identically.  ``integral_load``
-    is a pair ``(q, projection)`` where ``projection(t)`` equals the integral
-    of q(x, t) against the spatial profile over the domain; it is required in
-    closed form to keep the forcing exact.  The load coefficients and q must
+    is assembled in closed form via the Caputo power rule, and the load
+    offsets (see :class:`ProblemSpec`) are the exact solution at the load
+    points and, for the distributed load, its integral against q: so every
+    load term vanishes on the exact solution, the forcing holds none of
+    them and calls no load coefficient, and the pair (exact, forcing)
+    satisfies the equation identically.  ``integral_load`` is a pair
+    ``(q, projection)`` where ``projection(t)`` equals the integral of
+    q(x, t) against the spatial profile over the domain; it is required in
+    closed form to keep the offset exact.  The load coefficients and q must
     broadcast over x and t as the evaluators do (see ``Evaluator``);
     ``projection`` is called with one time at a time, a float, as are the
-    other time factors of the forcing and the exact solution.
+    other time factors of the forcing, the offsets and the exact solution.
     """
     check_alpha(alpha)
     if not (math.isfinite(mode) and mode == int(mode) and mode >= 1):
@@ -127,18 +144,18 @@ def manufactured_problem(
             part += a * t**p
         return 1.0 + part
 
-    def factors(t: float) -> tuple[float, float]:
-        # The time part, and the forcing's profile factor: the Caputo
-        # derivative of the time part plus kk (part + mu part').  Every
-        # exponent p - alpha is positive, so t = 0 gives a derivative of 0.
-        # One pass over the terms adds each sum in the order sum() would.
+    def profile_factor(t: float) -> float:
+        # The Caputo derivative of the time part plus kk (part + mu part').
+        # Every exponent p - alpha is positive, so t = 0 gives a derivative
+        # of 0.  One pass over the terms adds each sum in the order sum()
+        # would.
         part = slope = caputo = 0
         for (a, p), (c, q) in zip(terms, caputo_coefs):
             part += a * t**p
             slope += a * p * t ** (p - 1.0)
             caputo += c * t**q
         part = 1.0 + part
-        return part, caputo + kk * (part + mu * slope)
+        return caputo + kk * (part + mu * slope)
 
     loads = tuple(loads)
     load_profiles = tuple(math.sin(k * ld.position) for ld in loads)
@@ -154,16 +171,14 @@ def manufactured_problem(
         return np.sin(k * np.asarray(x, dtype=float))
 
     def forcing(x, t):
-        x = np.asarray(x, dtype=float)
-        profile = np.sin(k * x)
-        both = _per_time(factors, t)
-        tt = both[..., 0]
-        out = both[..., 1] * profile
-        for ld, s in zip(loads, load_profiles):
-            out = out - ld.coefficient(x, t) * (tt * s)
+        return _per_time(profile_factor, t) * np.sin(k * np.asarray(x, dtype=float))
+
+    def load_offsets(t: float) -> list:
+        part = tpart(t)
+        values = [part * s for s in load_profiles]
         if projection is not None:
-            out = out - tt * _per_time(projection, t)
-        return out
+            values.append(part * projection(t))
+        return values
 
     return ProblemSpec(
         length=float(length),
@@ -175,6 +190,7 @@ def manufactured_problem(
         initial=initial,
         exact=exact,
         integral_load=q_int,
+        load_offsets=load_offsets if loads or projection is not None else None,
     )
 
 

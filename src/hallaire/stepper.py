@@ -9,13 +9,14 @@ per solve too.  The rest of the correction depends on time but not on the
 solution, so it is built for LOAD_BLOCK steps at a time (a
 :class:`LoadBlock`: the columns, the rows with the distributed load's solved
 in one sweep per block, and the inverted capacitance matrices, with the
-forcing sampled alongside), and a step costs one tridiagonal sweep and a few
-small products.  The factor keeps the Thomas elimination as block inverses
-with carries between blocks (a partitioned solver in the manner of
-H. H. Wang, ACM TOMS 7(2), 1981).  The carries obey a first-order linear
-recurrence over the blocks, so they are applied as two precomputed K x K
-maps, as in Stone's recursive doubling (J. ACM 20(1), 1973): a sweep is a
-batched matvec and two small products, with no loop.
+forcing and the loads' offsets sampled alongside), and a step costs one
+tridiagonal sweep and a few small products.  The factor keeps the Thomas
+elimination as block inverses with carries between blocks (a partitioned
+solver in the manner of H. H. Wang, ACM TOMS 7(2), 1981).  The carries
+obey a first-order linear recurrence over the blocks, so they are applied
+as two precomputed K x K maps, as in Stone's recursive doubling (J. ACM
+20(1), 1973): a sweep is a batched matvec and two small products, with no
+loop.
 
 A march is over a batch of B problems on one grid, one per fractional order
 of a study rung, stepped in lockstep: every array of the state has a leading
@@ -46,10 +47,11 @@ BLOCK = 32
 # Steps per load block: their time-only load algebra is built together (see LoadBlock).
 LOAD_BLOCK = 32
 
-# Bytes of load columns and forcing rows one load block holds for the whole
-# batch.  A block covers LOAD_BLOCK steps, or fewer where that would be more:
-# one problem at nx = 1000 with three point loads fills 32 steps (0.98 MiB),
-# the three orders of a Table 2 rung 10 steps, where 32 held 3 MiB.
+# Bytes of load columns, load offsets and forcing rows one load block holds
+# for the whole batch.  A block covers LOAD_BLOCK steps, or fewer where that
+# would be more: one problem at nx = 1000 with three point loads fills 32
+# steps (0.98 MiB), the three orders of a Table 2 rung 10 steps, where 32
+# held 3 MiB.
 BLOCK_BYTES = 1 << 20
 
 # Bytes of point-load samples stacked for one compact average while a block
@@ -215,9 +217,11 @@ class LoadBlock:
     and ``inverses[i]``, the inverse of the capacitance matrix
     I + W_j^T T^{-1} U_j, closed from the row solves ``row_solves[i]`` =
     W_j^T T^{-1}, the rows solved against the symmetric core.  ``forcing[i]``
-    is the forcing at every node at the step's half layer.  None of it
-    depends on the solution.  Each step's arrays carry the batch axis after
-    the step axis, one entry per problem.
+    is the forcing at every node at the step's half layer, and ``offsets[i]``
+    the loads' offsets g_j there (zero for a problem without
+    ``load_offsets``): the loads act on W_j^T y - g_j.  None of it depends on
+    the solution.  Each step's arrays carry the batch axis after the step
+    axis, one entry per problem.
     """
 
     start: int
@@ -227,6 +231,7 @@ class LoadBlock:
     inverses: np.ndarray
     row_solves: np.ndarray
     forcing: np.ndarray
+    offsets: np.ndarray
 
     def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
         """Solve step ``start + i``'s system in one tridiagonal sweep: q = cap^{-1} V^T b, then x = T^{-1}(b - U q)."""
@@ -300,6 +305,22 @@ def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarra
         ) from exc
 
 
+def _evaluate_offsets(out: np.ndarray, load_offsets, times: np.ndarray) -> None:
+    """Write ``load_offsets(t)`` of each time, taken in a Python float, as the rows of ``out``."""
+    m = out.shape[-1]
+    for row, t in zip(out, times.tolist()):
+        try:
+            values = load_offsets(t)
+            if len(values) != m:
+                raise ValueError(f"got {len(values)}")
+            row[...] = values
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"load_offsets failed at the half layer t = {t:g}: it must return {m} value(s) per time, "
+                f"one per point load and then the distributed load's ({exc})"
+            ) from exc
+
+
 def _members(problem) -> tuple:
     """The problems of a batch: a :class:`ProblemSpec` alone is a batch of one."""
     return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
@@ -340,15 +361,17 @@ def _half_average(q: np.ndarray, out: np.ndarray) -> None:
 
 
 def _load_samples(state: SolverState, problem, times: np.ndarray):
-    """Load columns, load rows and forcing at the given half layers.
+    """Load columns, load rows, forcing and load offsets at the given half layers.
 
     ``problem`` is a problem or a batch of them.  Returns the columns as one
     ``(len(times), B, n, m)`` array, the point loads first (minus half the
     compact average of each coefficient) and then the distributed load's
     constant column; the rows as a ``(len(times), B, m, n)`` array, the
     state's ``point_rows`` and then the distributed load's interior
-    Simpson-weighted samples; and the forcing at every node as a
-    ``(len(times), B, nx + 1)`` array.  Each evaluator is
+    Simpson-weighted samples; the forcing at every node as a
+    ``(len(times), B, nx + 1)`` array; and the offsets as a
+    ``(len(times), B, m)`` array, zero for a member without
+    ``load_offsets``, which is called one time at a time.  Each evaluator is
     called with the nodes as a row and times as a column; a result that does
     not broadcast to the shape of its samples is a ``ValueError`` naming the
     evaluator.  Each member's forcing and each distinct distributed load,
@@ -369,8 +392,11 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     forcing = np.empty((count, len(problems), x.size))
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
     weights = np.empty((count, len(problems), x.size)) if distributed else None
+    offsets = np.zeros((count, len(problems), points + distributed))
     for b, member in enumerate(problems):
         _evaluate(forcing[:, b], "forcing", member.forcing, nodes, times[:, None])
+        if member.load_offsets is not None:
+            _evaluate_offsets(offsets[:, b], member.load_offsets, times)
     if points:
         owners = _owners([ld.coefficient for ld in member.loads] for member in problems)
         per = max(1, SAMPLE_BYTES // (8 * points * x.size))
@@ -397,7 +423,7 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
         columns[..., points] = INTEGRAL_COLUMN
         weights *= state.simpson
         rows = np.concatenate((rows, weights[:, :, None, 1:-1]), axis=2)
-    return columns, rows, forcing
+    return columns, rows, forcing, offsets
 
 
 def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
@@ -412,7 +438,7 @@ def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: floa
     """
     if not any(problem is own for own in state.problems):
         raise ValueError("the problem is not one the state was built from: a state assembles only its own problems' loads")
-    columns, rows, _ = _load_samples(state, problem, np.array([t_half]))
+    columns, rows, _, _ = _load_samples(state, problem, np.array([t_half]))
     return columns[0, 0], rows[0, 0]
 
 
@@ -433,7 +459,7 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
     problems = _check_batch(state, problem)
     grid = state.grid
     stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
-    columns, rows, forcing = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
+    columns, rows, forcing, offsets = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
     row_solves = np.broadcast_to(state.row_solves, rows.shape[:1] + state.row_solves.shape)
     if state.simpson is not None:
         row_solves = np.concatenate((row_solves, thomas_solve(state.factor, rows[:, :, -1])[:, :, None]), axis=2)
@@ -452,7 +478,7 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
                 f"for alpha = {state.kernel.alphas[singular]:g}"
             ) from None
         inverses, stop = np.linalg.inv(cap[:i]), start + i
-    return LoadBlock(start, stop, columns, rows, inverses, row_solves, forcing)
+    return LoadBlock(start, stop, columns, rows, inverses, row_solves, forcing, offsets)
 
 
 def _check_size(grid: Grid1D, count: int = 1) -> None:
@@ -499,9 +525,9 @@ class SolverState:
     change in time and are built here once.  ``block`` is the
     :class:`LoadBlock` of the current steps, ``None`` until the first step.
     ``block_steps`` is the length of a load block: LOAD_BLOCK steps, fewer
-    if their columns and forcing would take more than BLOCK_BYTES.  A batch
-    too large for this machine's memory is refused with a ``ValueError``
-    before anything is allocated.
+    if their columns, offsets and forcing would take more than BLOCK_BYTES.
+    A batch too large for this machine's memory is refused with a
+    ``ValueError`` before anything is allocated.
     """
 
     def __init__(self, problem, grid: Grid1D):
@@ -544,7 +570,7 @@ class SolverState:
         self.level[:, [0, -1]] = 0.0
         self.level.flags.writeable = False
         loads = len(first.loads) + (self.simpson is not None)
-        per_step = 8 * len(problems) * (loads * n + grid.nx + 1)
+        per_step = 8 * len(problems) * (loads * (n + 1) + grid.nx + 1)
         self.block_steps = max(1, min(LOAD_BLOCK, BLOCK_BYTES // per_step))
         self.block = None
         self.j = 0
@@ -560,12 +586,15 @@ def _history_sum(increments: np.ndarray, kernel: KernelStack, j: int, modes: His
 
 
 def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.ndarray:
-    """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j) of the step's (T + U W^T) delta^j = r.
+    """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j - g) of the step's (T + U W^T) delta^j = r.
 
     One right-hand side per problem of the batch, stacked.  D is
     :func:`_history_sum`; the compact average is linear, so it is applied
-    once.  ``load_parts = (U, W^T, f)``, the dense columns and rows and the
-    forcing at every node, are by default sampled at the step's half layer.
+    once.  A load's term is compact(q_k) (u(x_k) - g_k), and
+    compact(q_k) = -2 U_k, so the offsets g need no product of their own.
+    ``load_parts = (U, W^T, f, g)``, the dense columns and rows, the forcing
+    at every node and the load offsets, are by default sampled at the step's
+    half layer.
     The batch must be the state's own problems, and only the step from
     level ``state.j`` is assembled.
     """
@@ -574,16 +603,15 @@ def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.nda
     problems = _check_batch(state, problem)
     grid = state.grid
     if load_parts is None:
-        columns, rows, forcing = _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))
-        load_parts = columns[0], rows[0], forcing[0]
-    columns, rows, f = load_parts
+        load_parts = [part[0] for part in _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))]
+    columns, rows, f, g = load_parts
     kernel = state.kernel
     nodal = _history_sum(state.increments, kernel, j, state.modes)
     nodal *= kernel.scale
     nodal += f
     b = compact_average(nodal)
     b += second_difference(state.level, grid.h)
-    b += np.matvec(columns, -2.0 * np.matvec(rows, state.level[:, 1:-1]))
+    b += np.matvec(columns, -2.0 * (np.matvec(rows, state.level[:, 1:-1]) - g))
     return b
 
 
@@ -596,13 +624,13 @@ def step(state: SolverState, problem) -> SolverState:
     load algebra and forcing come from ``state.block``, which is built at
     the first step and again at every step whose index is a multiple of
     ``state.block_steps``, at most LOAD_BLOCK (see :func:`_load_block`).
-    The load evaluators and the forcing are therefore called up to
-    LOAD_BLOCK - 1 half layers ahead of the step: one that raises at a later
-    half layer of a block raises while the block is built, before that
-    block's earlier steps are taken.  A non-finite level, from a NaN
-    coefficient among other causes, and a singular capacitance matrix are
-    both reported at the step they belong to, with the order of the problem
-    they belong to.
+    The load evaluators, the forcing and the load offsets are therefore
+    called up to LOAD_BLOCK - 1 half layers ahead of the step: one that
+    raises at a later half layer of a block raises while the block is built,
+    before that block's earlier steps are taken.  A non-finite level, from a
+    NaN coefficient or offset among other causes, and a singular capacitance
+    matrix are both reported at the step they belong to, with the order of
+    the problem they belong to.
     """
     grid = state.grid
     j = state.j
@@ -614,7 +642,7 @@ def step(state: SolverState, problem) -> SolverState:
         state.block = _load_block(state, problem, j)
     block = state.block
     i = j - block.start
-    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i], block.forcing[i]))
+    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i], block.forcing[i], block.offsets[i]))
     delta = block.close(state.factor, i, b)
     if not np.isfinite(delta).all():
         bad = _members(problem)[int(np.argmin(np.isfinite(delta).all(axis=-1)))]

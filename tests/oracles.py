@@ -84,8 +84,11 @@ def dense_march(problem, grid, nsteps=None):
     """Dense re-implementation of the implicit half-layer scheme.
 
     Assembles the full interior matrix every step and solves with LU; the
-    history term is evaluated in its direct difference form.  Returns the
-    array of levels y^0..y^{nsteps}.
+    history term is evaluated in its direct difference form.  A load acts on
+    the half-layer average of its sample of the levels less its offset,
+    (row y^j + row y^{j+1}) / 2 - g: the new level's half goes into the
+    matrix, the rest into the right-hand side.  Returns the array of levels
+    y^0..y^{nsteps}.
     """
     nsteps = grid.nt if nsteps is None else nsteps
     nx = grid.nx
@@ -101,6 +104,7 @@ def dense_march(problem, grid, nsteps=None):
     ones = np.ones(nx + 1)
 
     point_rows = [full_interpolation_row(ld.position, grid) for ld in problem.loads]
+    m = len(point_rows) + (problem.integral_load is not None)
 
     levels = np.zeros((nsteps + 1, nx + 1))
     y0 = np.asarray(problem.initial(x), dtype=float) * ones
@@ -117,16 +121,17 @@ def dense_march(problem, grid, nsteps=None):
             rhs -= beta * c[j - s] * (hmat @ (levels[s + 1] - levels[s]))
         rhs += (0.5 - mu / tau) * (d2mat @ levels[j])
         rhs += hmat @ fv
-        for load, row in zip(problem.loads, point_rows):
+        g = np.zeros(m) if problem.load_offsets is None else np.asarray(problem.load_offsets(th), dtype=float)
+        for load, row, gk in zip(problem.loads, point_rows, g):
             qv = np.asarray(load.coefficient(x, th), dtype=float) * ones
             hq = hmat @ qv
             a -= 0.5 * np.outer(hq, row[1:-1])
-            rhs += 0.5 * hq * float(row @ levels[j])
+            rhs += hq * (0.5 * float(row @ levels[j]) - gk)
         if problem.integral_load is not None:
             srow = simpson_full_row(grid) * np.asarray(problem.integral_load(x, th), dtype=float) * ones
             hones = hmat @ ones
             a -= 0.5 * np.outer(hones, srow[1:-1])
-            rhs += 0.5 * hones * float(srow @ levels[j])
+            rhs += hones * (0.5 * float(srow @ levels[j]) - g[-1])
         interior = np.linalg.solve(a, rhs)
         levels[j + 1, 1:-1] = interior
     return levels

@@ -292,6 +292,21 @@ class TestExponentialTail:
         got = np.array([math.fsum(fit.weights * np.exp(-kk * fit.nodes)) for kk in k])
         assert np.max(np.abs(got / want - 1.0)) == pytest.approx(fit.error, rel=1e-2)
 
+    @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
+    def test_sampled_error_is_near_the_error_on_every_lag(self, alpha):
+        # past SOE_CHECKED_LAGS the fit measures a geometric sample of the
+        # lags: its error is at most the maximum over every lag, and at
+        # least half of it
+        nsteps = 100_000
+        fit = fit_exponential_tail(alpha, nsteps)
+        want = l1_weights_direct(nsteps, alpha)
+        full = 0.0
+        for lo in range(HISTORY_WINDOW, nsteps + 1, 4096):
+            k = np.arange(lo, min(lo + 4096, nsteps + 1))
+            got = np.exp(-np.outer(k, fit.nodes)) @ fit.weights
+            full = max(full, float(np.max(np.abs(got / want[k] - 1.0))))
+        assert 0.5 * full <= fit.error <= full * (1.0 + 1e-6)
+
     @pytest.mark.parametrize("nsteps", [0, 1, HISTORY_WINDOW - 1])
     def test_no_tail_without_its_lags(self, nsteps):
         with pytest.raises(ValueError, match="lags from 32 on"):

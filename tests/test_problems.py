@@ -22,7 +22,8 @@ def _benchmark_terms(alpha):
 
 def residual_at(problem, terms, mode, x, t):
     """PDE residual assembled from scratch: closed-form time derivative plus
-    analytic spatial derivatives of the separable exact solution."""
+    analytic spatial derivatives of the separable exact solution, and the
+    loads acting on the solution less their offsets."""
     k = mode * math.pi
     s = math.sin(k * x)
     big_t = 1.0 + sum(a * t**p for a, p in terms)
@@ -30,14 +31,16 @@ def residual_at(problem, terms, mode, x, t):
     cap_t = sum(a * caputo_power(p, problem.alpha, t) for a, p in terms)
     u_xx = -k * k * big_t * s
     u_xxt = -k * k * d_t * s
+    m = len(problem.loads) + (problem.integral_load is not None)
+    offsets = [0.0] * m if problem.load_offsets is None else problem.load_offsets(t)
     loaded = sum(
-        float(ld.coefficient(np.asarray(x, dtype=float), t)) * big_t * math.sin(k * ld.position)
-        for ld in problem.loads
+        float(ld.coefficient(np.asarray(x, dtype=float), t)) * (big_t * math.sin(k * ld.position) - g)
+        for ld, g in zip(problem.loads, offsets)
     )
     if problem.integral_load is not None:
         q = problem.integral_load
         integrand = lambda xx: float(q(np.asarray(xx, dtype=float), t)) * big_t * math.sin(k * xx)
-        loaded += quad(integrand, 0.0, problem.length, limit=200)[0]
+        loaded += quad(integrand, 0.0, problem.length, limit=200)[0] - offsets[-1]
     f = float(problem.forcing(np.asarray(x, dtype=float), t))
     return cap_t * s - u_xx - problem.mu * u_xxt - loaded - f
 
@@ -56,7 +59,9 @@ class TestBenchmark:
             assert abs(float(p.exact(1.0, t))) <= 1e-12
 
     def test_forcing_value_cross_checked(self):
-        # reassemble the forcing at one point from its independent pieces
+        # reassemble the forcing and the offsets at one point from their
+        # independent pieces: the loads' terms are in the offsets, not in
+        # the forcing
         alpha, x, t = 0.5, 0.5, 1.0
         p = benchmark_problem(alpha)
         k = 3.0 * math.pi
@@ -64,13 +69,10 @@ class TestBenchmark:
         big_t = t**3 + t ** (2.0 + alpha) + 1.0
         d_t = 3.0 * t**2 + (2.0 + alpha) * t ** (1.0 + alpha)
         s = math.sin(k * x)
-        loads = big_t * (
-            math.exp(x + t) * math.sin(k * 0.2)
-            + math.sin(x + t) * math.sin(k * 0.5)
-            + math.cos(x + t) * math.sin(k * 0.8)
-        )
-        want = cap_t * s + k * k * (big_t + d_t) * s - loads
+        want = cap_t * s + k * k * (big_t + d_t) * s
         assert float(p.forcing(np.asarray(x), t)) == pytest.approx(want, rel=1e-12)
+        want = [big_t * math.sin(k * xk) for xk in (0.2, 0.5, 0.8)]
+        assert p.load_offsets(t) == pytest.approx(want, rel=1e-12)
 
     def test_time_derivative_against_quadrature(self):
         # spot-check the closed-form fractional derivative of the time factor
@@ -91,6 +93,13 @@ class TestBenchmark:
             t = float(rng.uniform(0.0, 1.0))
             assert abs(residual_at(p, terms, 3, x, t)) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_offsets_are_the_exact_solution_at_the_load_points(self, alpha, rng):
+        p = benchmark_problem(alpha)
+        for t in [0.0, 1.0, *rng.uniform(0.0, 1.0, size=20)]:
+            want = [float(p.exact(np.asarray(ld.position), float(t))) for ld in p.loads]
+            assert p.load_offsets(float(t)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_load_coefficients_bounded(self):
         p = benchmark_problem(0.5)
         x = np.linspace(0.0, 1.0, 101)
@@ -106,6 +115,17 @@ class TestIntegralVariant:
             x = float(rng.uniform(0.0, 1.0))
             t = float(rng.uniform(0.0, 1.0))
             assert abs(residual_at(p, _benchmark_terms(0.5), 3, x, t)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_offset_is_the_integral_of_q_times_the_exact_solution(self, alpha, rng):
+        p = integral_benchmark_problem(alpha)
+        q = p.integral_load
+        for t in [0.0, 1.0, *rng.uniform(0.0, 1.0, size=10)]:
+            t = float(t)
+            integrand = lambda xx: float(q(np.asarray(xx), t) * p.exact(np.asarray(xx), t))
+            want = quad(integrand, 0.0, 1.0, limit=200)[0]
+            (got,) = p.load_offsets(t)
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_has_no_point_loads(self):
         p = integral_benchmark_problem(0.5)
@@ -124,10 +144,13 @@ class TestManufactured:
         for t in (0.0, 0.4, 1.0):
             assert np.allclose(rebuilt.forcing(x, t), bench.forcing(x, t), rtol=1e-14)
             assert np.allclose(rebuilt.exact(x, t), bench.exact(x, t), rtol=1e-14)
+            assert np.allclose(rebuilt.load_offsets(t), bench.load_offsets(t), rtol=1e-14)
 
     def test_constant_in_time(self, rng):
         # no time terms: the fractional derivative drops out entirely
         p = manufactured_problem(2, (), 0.3, mu=2.0)
+        # and with no load there is nothing to offset
+        assert p.load_offsets is None
         x = rng.uniform(0.0, 1.0, size=16)
         k = 2.0 * math.pi
         for t in (0.1, 0.9):
@@ -177,6 +200,13 @@ class TestProblemSpec:
         loads = (PointLoad(0.5, zero), PointLoad(0.2, zero))
         with pytest.raises(ValueError):
             ProblemSpec(1.0, 1.0, 0.5, 1.0, loads, zero, lambda x: np.zeros_like(x))
+
+    def test_offsets_without_a_load_are_refused(self):
+        zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="load_offsets needs a point load or a distributed load"):
+            ProblemSpec(1.0, 1.0, 0.5, 1.0, (), zero, lambda x: x, load_offsets=lambda t: [])
+        # a distributed load alone may be offset
+        ProblemSpec(1.0, 1.0, 0.5, 1.0, (), zero, lambda x: x, integral_load=zero, load_offsets=lambda t: [t])
 
     def test_load_inside_domain_enforced(self):
         zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))

@@ -781,7 +781,7 @@ class TestStepAndSolve:
             base.alpha,
             base.mu,
             (),
-            lambda x, t: lam * base.forcing(x, t) + lam * _load_term(base, x, t),
+            lambda x, t: lam * base.forcing(x, t),
             lambda x: lam * base.initial(x),
         )
         unscaled = ProblemSpec(
@@ -790,7 +790,7 @@ class TestStepAndSolve:
             base.alpha,
             base.mu,
             (),
-            lambda x, t: base.forcing(x, t) + _load_term(base, x, t),
+            base.forcing,
             lambda x: base.initial(x),
         )
         g = Grid1D(1.0, 1.0, 10, 5)
@@ -1048,15 +1048,18 @@ class TestLoadBlocks:
     def test_block_forcing_is_the_per_half_layer_forcing(self, make, nx):
         # a block samples the forcing on a column of times; the bundled
         # forcing takes its time factors one time at a time, so it equals
-        # the forcing called at each half layer with a scalar time bit for bit
+        # the forcing called at each half layer with a scalar time bit for
+        # bit.  The offsets are taken one time at a time as they are.
         p = make(0.5)
         grid = Grid1D(1.0, 1.0, nx, 40)
         state = SolverState(p, grid)
         for start in (0, LOAD_BLOCK):
             block = stepper_mod._load_block(state, p, start)
-            want = np.array([p.forcing(grid.x, (j + 0.5) * grid.tau) for j in range(block.start, block.stop)])
+            half_layers = [(j + 0.5) * grid.tau for j in range(block.start, block.stop)]
+            want = np.array([p.forcing(grid.x, t) for t in half_layers])
             assert block.forcing[:, 0].shape == want.shape
             assert np.array_equal(block.forcing[:, 0], want)
+            assert np.array_equal(block.offsets[:, 0], [p.load_offsets(t) for t in half_layers])
 
     @pytest.mark.parametrize("name", ["forcing", "load x=0.4", "integral_load"])
     @pytest.mark.parametrize(
@@ -1172,15 +1175,6 @@ class TestLoadBlocks:
         SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10))
         # the kernel's weights do not grow with nt
         SolverState(benchmark_problem(0.5), Grid1D(1.0, 1.0, 24, 10**5))
-
-
-def _load_term(problem, x, t):
-    # loads folded into the forcing so the scaled/unscaled pair stays linear
-    exact = problem.exact
-    total = np.zeros_like(np.asarray(x, dtype=float))
-    for ld in problem.loads:
-        total = total + ld.coefficient(x, t) * exact(np.asarray(ld.position), t)
-    return total
 
 
 def _sha1_of_levels(problems, grid, batched):
@@ -1350,3 +1344,141 @@ class TestLockstep:
         # a batch that no machine here holds: 10^5 solves of 0.8 MB each
         with pytest.raises(ValueError, match=r"a solve of 100000 problem\(s\)"):
             SolverState((benchmark_problem(0.5),) * 100_000, grid)
+
+
+def _batch_levels(problems, grid):
+    """Every level each problem's observer sees in one batched solve, stacked per problem."""
+    seen = [[] for _ in problems]
+    solve(tuple(problems), grid, observers=tuple((lambda j, t, level, into=into: into.append(level.copy()),) for into in seen))
+    return np.array(seen)
+
+
+def _smooth_forcing(x, t):
+    x = np.asarray(x, dtype=float)
+    return np.sin(math.pi * x) * (1.0 + t) + x * t
+
+
+def _offset_problem(alpha, loads, q_int, offsets, forcing=_smooth_forcing):
+    initial = lambda x: np.sin(math.pi * np.asarray(x, dtype=float))
+    return ProblemSpec(1.0, 1.0, alpha, 1.0, loads, forcing, initial, integral_load=q_int, load_offsets=offsets)
+
+
+class TestLoadOffsets:
+    @given(
+        mix=st.sampled_from(["points", "distributed", "both"]),
+        positions=st.sets(st.floats(0.2, 0.8), min_size=1, max_size=3).map(sorted),
+        coefficients=st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=4, max_size=4),
+        offsets=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=4, max_size=4),
+        nx=st.integers(3, 10).map(lambda k: 2 * k),
+        nt=st.integers(1, 40),
+    )
+    @settings(deadline=None, max_examples=30)
+    @pytest.mark.filterwarnings("ignore:time step .* exceeds")
+    def test_offsets_are_the_forcing_less_their_load_terms(self, mix, positions, coefficients, offsets, nx, nt):
+        # a problem (f, g) marches the levels of its twin with no offsets and
+        # the forcing f - sum_k q_k g_k - g_int: the load term moved from the
+        # solver into the forcing
+        def q(a, b, c):
+            return lambda x, t: a + np.cos(b * np.asarray(x, dtype=float) + c * t)
+
+        loads = tuple(PointLoad(x, q(*abc)) for x, abc in zip(positions, coefficients)) if mix != "distributed" else ()
+        q_int = q(*coefficients[-1]) if mix != "points" else None
+        m = len(loads) + (q_int is not None)
+        pairs = offsets[:m]
+        g = lambda t: [g0 + g1 * t * t for g0, g1 in pairs]
+
+        def twin_forcing(x, t):
+            base = _smooth_forcing(x, t)
+            values = np.array([g(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (m,))
+            for k, ld in enumerate(loads):
+                base = base - ld.coefficient(x, t) * values[..., k]
+            return base - values[..., -1] if q_int is not None else base
+
+        grid = Grid1D(1.0, 1.0, nx, nt)
+        got = _batch_levels([_offset_problem(alpha, loads, q_int, g) for alpha in ALPHAS], grid)
+        want = _batch_levels([_offset_problem(alpha, loads, q_int, None, twin_forcing) for alpha in ALPHAS], grid)
+        for b in range(len(ALPHAS)):
+            assert np.max(np.abs(got[b] - want[b])) <= 1e-12 * np.max(np.abs(want[b]))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_bundled_coefficients_are_sampled_once_per_block_and_only_there(self, monkeypatch, batch):
+        # the manufactured forcing calls no coefficient; the load samples
+        # call each distinct one once per block, for the whole batch
+        depth = []
+        original = stepper_mod._load_samples
+
+        def sampling(*args):
+            depth.append(None)
+            try:
+                return original(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(stepper_mod, "_load_samples", sampling)
+        calls = []
+
+        def recorder(name, fn):
+            def coefficient(x, t):
+                calls.append((name, bool(depth)))
+                return fn(np.asarray(x, dtype=float) + t)
+
+            return coefficient
+
+        loads = tuple(PointLoad(x, recorder(x, fn)) for x, fn in zip((0.2, 0.5, 0.8), (np.exp, np.sin, np.cos)))
+        problems = [manufactured_problem(3, ((1.0, 3.0), (1.0, 2.0 + a)), a, loads=loads) for a in ALPHAS[:batch]]
+        grid = Grid1D(1.0, 1.0, 8, 70)
+        for p in problems:
+            p.forcing(grid.x, 0.3)
+            p.forcing(grid.x[None, :], np.array([[0.1], [0.2]]))
+        assert calls == []
+        solve(tuple(problems), grid)
+        # 70 steps are three blocks, and at nx = 8 one chunk samples a whole block
+        assert sorted(calls) == sorted([(x, True) for x in (0.2, 0.5, 0.8)] * 3)
+
+    @pytest.mark.parametrize(
+        "offsets, reason, at",
+        [
+            (lambda t: [1.0, 2.0], r"got 2", 0),
+            (lambda t: 1.0, r"has no len", 0),
+            (lambda t: None, r"has no len", 0),
+            (lambda t: ["one"], r"could not convert", 0),
+            (lambda t: [[1.0, 2.0]], r"sequence", 0),
+            # raises past t = 0.6, first at the half layer 42.5 of the block of steps 32..63
+            (lambda t: [math.sqrt(0.6 - t)], r"math domain error", 42),
+        ],
+        ids=["too-many", "scalar", "none", "not-a-number", "nested", "raises-later"],
+    )
+    def test_bad_offsets_are_refused_with_their_half_layer(self, offsets, reason, at):
+        # one point load takes one offset a time
+        problem = _offset_problem(0.5, (PointLoad(0.4, lambda x, t: 1.0 + x * t),), None, offsets)
+        seen = []
+        match = rf"^load_offsets failed at the half layer t = {(at + 0.5) / 70:g}: it must return 1 value\(s\) per time.*{reason}"
+        with pytest.raises(ValueError, match=match):
+            solve(problem, Grid1D(1.0, 1.0, 8, 70), observers=(lambda j, t, level: seen.append(j),))
+        # refused while the block is built, before its first step
+        assert seen[-1] == at // LOAD_BLOCK * LOAD_BLOCK
+
+    @pytest.mark.parametrize("load", ["point", "distributed"])
+    def test_nan_offset_mid_block_names_its_level(self, load):
+        grid = Grid1D(1.0, 1.0, 8, 70)
+        bad = 40  # half layer 40.5 lies inside the block of steps 32..63
+        t_bad = (bad + 0.5) * grid.tau
+        offsets = lambda t: [math.nan if abs(t - t_bad) < 1e-9 else 0.5]
+        one = lambda x, t: 1.0 + x * t
+        if load == "point":
+            problem = _offset_problem(0.5, (PointLoad(0.4, one),), None, offsets)
+        else:
+            problem = _offset_problem(0.5, (), one, offsets)
+        seen = []
+        with pytest.raises(FloatingPointError, match=rf"time level {bad + 1} \(t = {(bad + 1) / 70:g}\)"):
+            solve(problem, grid, observers=(lambda j, t, level: seen.append(j),))
+        assert seen[-1] == bad
+
+    def test_members_with_and_without_offsets_march_as_alone(self):
+        # a member without load_offsets takes zero offsets beside members with them
+        loads = (PointLoad(0.3, lambda x, t: np.exp(x - t)),)
+        q = lambda x, t: np.cos(x * t)
+        g = lambda t: [1.0 + t, 2.0 - t]
+        problems = [_offset_problem(a, loads, q, None if a == 0.5 else g) for a in ALPHAS]
+        grid = Grid1D(1.0, 1.0, 12, 70)
+        assert _sha1_of_levels(problems, grid, True) == _sha1_of_levels(problems, grid, False)
