@@ -144,7 +144,10 @@ def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
     """Fit the tail of c_k for a march of M = ``nsteps`` steps and measure the fit on c_W..c_M.
 
     Every lag up to SOE_CHECKED_LAGS is measured, and a geometric sample of
-    the lags beyond it.
+    the lags beyond it.  The error is relative to c_k written as
+    (k - 1/2)^b expm1(b log1p(1 / (k - 1/2))), b = 1 - alpha, which keeps its
+    digits at every lag, where the difference of powers the march takes
+    loses about eps k of them.
     """
     if nsteps < HISTORY_WINDOW:
         raise ValueError(f"the exponential tail serves lags from {HISTORY_WINDOW} on, a march of {nsteps} steps has none")
@@ -165,12 +168,14 @@ def fit_exponential_tail(alpha: float, nsteps: int) -> ExponentialTail:
     measured = np.arange(HISTORY_WINDOW, min(nsteps, SOE_CHECKED_LAGS) + 1, dtype=float)
     if nsteps > SOE_CHECKED_LAGS:
         count = math.ceil(math.log2(nsteps / SOE_CHECKED_LAGS) * SOE_SAMPLES_PER_OCTAVE)
-        sample = np.unique(np.rint(np.geomspace(SOE_CHECKED_LAGS, nsteps, count + 1)[1:]))
+        sample = np.unique(np.rint(np.geomspace(SOE_CHECKED_LAGS, float(nsteps), count + 1)[1:]))
         measured = np.concatenate((measured, sample))
+    beta = 1.0 - alpha
     error = 0.0
     for lo in range(0, measured.size, 128):
         k = measured[lo : lo + 128]
-        exact = _lag_weights(k, alpha)
+        below = k - 0.5
+        exact = below**beta * np.expm1(beta * np.log1p(1.0 / below))
         error = max(error, float(np.max(np.abs(np.exp(-np.outer(k, nodes)) @ coefs - exact) / exact)))
     lags = np.arange(HISTORY_WINDOW - 1, HISTORY_WINDOW + HISTORY_CHUNK - 1)
     return ExponentialTail(

@@ -26,7 +26,6 @@ batch axis, and a single solve is the batch of one.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -326,21 +325,6 @@ def _members(problem) -> tuple:
     return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
 
 
-def _check_batch(state: SolverState, problem) -> tuple:
-    """The problems of ``problem``, refused with a ``ValueError`` unless they are the state's own objects, in order."""
-    problems = _members(problem)
-    if len(problems) == len(state.problems) and all(map(operator.is_, problems, state.problems)):
-        return problems
-    alphas = tuple(float(p.alpha) for p in problems)
-    if alphas != state.kernel.alphas:
-        raise ValueError(f"the state marches the orders alpha = {state.kernel.alphas}, got a batch of alpha = {alphas}")
-    b = next(b for b, (given, own) in enumerate(zip(problems, state.problems)) if given is not own)
-    raise ValueError(
-        f"problem {b} of the batch (alpha = {alphas[b]:g}) is not one the state was built from: "
-        "a state steps only its own problem objects"
-    )
-
-
 def _owners(evaluators) -> list:
     """For each member's evaluators, the index of the first member whose evaluators are the very same objects."""
     first = {}
@@ -360,13 +344,13 @@ def _half_average(q: np.ndarray, out: np.ndarray) -> None:
     out *= -0.5
 
 
-def _load_samples(state: SolverState, problem, times: np.ndarray):
-    """Load columns, load rows, forcing and load offsets at the given half layers.
+def _load_samples(state: SolverState, times: np.ndarray):
+    """Load columns, load rows, forcing and load offsets of the state's batch at the given half layers.
 
-    ``problem`` is a problem or a batch of them.  Returns the columns as one
-    ``(len(times), B, n, m)`` array, the point loads first (minus half the
-    compact average of each coefficient) and then the distributed load's
-    constant column; the rows as a ``(len(times), B, m, n)`` array, the
+    Returns the columns as one ``(len(times), B, n, m)`` array, the point
+    loads first (minus half the compact average of each coefficient) and
+    then the distributed load's constant column; the rows as a
+    ``(len(times), B, m, n)`` array, the
     state's ``point_rows`` and then the distributed load's interior
     Simpson-weighted samples; the forcing at every node as a
     ``(len(times), B, nx + 1)`` array; and the offsets as a
@@ -383,7 +367,7 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     are copied into the others.  Every sample is written into its place in
     the batch, so no per-problem copy is held.
     """
-    problems = _members(problem)
+    problems = state.problems
     x = state.x
     nodes = x[None, :]
     count = len(times)
@@ -426,23 +410,20 @@ def _load_samples(state: SolverState, problem, times: np.ndarray):
     return columns, rows, forcing, offsets
 
 
-def assemble_load_columns(state: SolverState, problem: ProblemSpec, t_half: float):
-    """Low-rank pieces of the implicit matrix of one problem at one half layer.
+def assemble_load_columns(state: SolverState, t_half: float):
+    """Low-rank pieces of the implicit matrices of the state's batch at one half layer.
 
-    Returns the dense columns ``U`` (n x m, one per load, minus half the
-    compact average of the coefficient) and rows ``W^T`` (m x n) such that
-    the full matrix is the tridiagonal core plus U W^T.  These are one half
-    layer of the samples a :class:`LoadBlock` is built from.  ``problem``
-    must be one of the state's own problem objects; any other is a
-    ``ValueError``.
+    Returns the dense columns ``U`` (B x n x m, one per load, minus half the
+    compact average of the coefficient) and rows ``W^T`` (B x m x n) such
+    that each problem's full matrix is its tridiagonal core plus U W^T.
+    These are one half layer of the samples a :class:`LoadBlock` is built
+    from.
     """
-    if not any(problem is own for own in state.problems):
-        raise ValueError("the problem is not one the state was built from: a state assembles only its own problems' loads")
-    columns, rows, _, _ = _load_samples(state, problem, np.array([t_half]))
-    return columns[0, 0], rows[0, 0]
+    columns, rows, _, _ = _load_samples(state, np.array([t_half]))
+    return columns[0], rows[0]
 
 
-def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
+def _load_block(state: SolverState, start: int) -> LoadBlock:
     """Load algebra of the steps from ``start`` up to the next multiple of ``state.block_steps``.
 
     The block ends at the last step, ``nt - 1``, so no load is evaluated past
@@ -456,10 +437,9 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
     non-finite entries is not singular here: its inverse is non-finite, and
     the step's finite check reports it.
     """
-    problems = _check_batch(state, problem)
     grid = state.grid
     stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
-    columns, rows, forcing, offsets = _load_samples(state, problems, (np.arange(start, stop) + 0.5) * grid.tau)
+    columns, rows, forcing, offsets = _load_samples(state, (np.arange(start, stop) + 0.5) * grid.tau)
     row_solves = np.broadcast_to(state.row_solves, rows.shape[:1] + state.row_solves.shape)
     if state.simpson is not None:
         row_solves = np.concatenate((row_solves, thomas_solve(state.factor, rows[:, :, -1])[:, :, None]), axis=2)
@@ -471,7 +451,7 @@ def _load_block(state: SolverState, problem, start: int) -> LoadBlock:
     except np.linalg.LinAlgError:
         i, singular = next((i, b) for i, one in enumerate(cap) for b, matrix in enumerate(one) if not _invertible(matrix))
         if i == 0:
-            labels = [f"x={ld.position:g}" for ld in problems[0].loads] + ["integral"] * (state.simpson is not None)
+            labels = [f"x={ld.position:g}" for ld in state.problems[0].loads] + ["integral"] * (state.simpson is not None)
             raise np.linalg.LinAlgError(
                 f"singular capacitance matrix for load configuration ({', '.join(labels)}) "
                 f"at time level {start + 1} (t = {(start + 1) * grid.tau:g}) "
@@ -509,9 +489,9 @@ class SolverState:
     ``problem`` is one :class:`ProblemSpec` or a sequence of them, B in all,
     that share the domain, the load points and whether there is a
     distributed load; they may differ in ``alpha``, ``mu`` and every
-    evaluator.  ``problems`` holds them, and a step takes only these objects
-    (see :func:`step`).  Every per-problem array has a leading batch axis of
-    length B.
+    evaluator.  ``problems`` holds them; a step marches these objects and
+    no others (see :func:`step`).  Every per-problem array has a leading
+    batch axis of length B.
     ``level`` (B x (nx + 1)) is y^j, the running sum of y^0 and the increments
     y^{s+1} - y^s; row i of ``increments[b]`` holds problem b's at s =
     start + i, in :func:`~hallaire.caputo.history_rows` rows, and ``start`` is
@@ -585,45 +565,35 @@ def _history_sum(increments: np.ndarray, kernel: KernelStack, j: int, modes: His
     return out
 
 
-def assemble_rhs(state: SolverState, problem, j: int, load_parts=None) -> np.ndarray:
-    """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j - g) of the step's (T + U W^T) delta^j = r.
+def assemble_rhs(state: SolverState, load_parts) -> np.ndarray:
+    """r = compact(scale D + f) + Delta_h y^j - 2 U (W^T y^j - g) of the step from level j = ``state.j``.
 
-    One right-hand side per problem of the batch, stacked.  D is
-    :func:`_history_sum`; the compact average is linear, so it is applied
-    once.  A load's term is compact(q_k) (u(x_k) - g_k), and
-    compact(q_k) = -2 U_k, so the offsets g need no product of their own.
-    ``load_parts = (U, W^T, f, g)``, the dense columns and rows, the forcing
-    at every node and the load offsets, are by default sampled at the step's
-    half layer.
-    The batch must be the state's own problems, and only the step from
-    level ``state.j`` is assembled.
+    The step solves (T + U W^T) delta^j = r; one right-hand side per problem
+    of the batch, stacked.  D is :func:`_history_sum`; the compact average
+    is linear, so it is applied once.  A load's term is
+    compact(q_k) (u(x_k) - g_k), and compact(q_k) = -2 U_k, so the offsets g
+    need no product of their own.  ``load_parts = (U, W^T, f, g)`` are the
+    step's dense columns and rows, the forcing at every node and the load
+    offsets, as one step of a :class:`LoadBlock` holds them.
     """
-    if j != state.j:
-        raise ValueError(f"the state holds level {state.j}, requested step at {j}")
-    problems = _check_batch(state, problem)
-    grid = state.grid
-    if load_parts is None:
-        load_parts = [part[0] for part in _load_samples(state, problems, np.array([(j + 0.5) * grid.tau]))]
     columns, rows, f, g = load_parts
     kernel = state.kernel
-    nodal = _history_sum(state.increments, kernel, j, state.modes)
+    nodal = _history_sum(state.increments, kernel, state.j, state.modes)
     nodal *= kernel.scale
     nodal += f
     b = compact_average(nodal)
-    b += second_difference(state.level, grid.h)
+    b += second_difference(state.level, state.grid.h)
     b += np.matvec(columns, -2.0 * (np.matvec(rows, state.level[:, 1:-1]) - g))
     return b
 
 
-def step(state: SolverState, problem) -> SolverState:
-    """Advance every problem of the batch by one time level.
+def step(state: SolverState) -> SolverState:
+    """Advance every problem of the state's batch by one time level.
 
-    ``problem`` is the state's problem or batch of problems, the very
-    objects it was built from; a batch of other orders, of another count or
-    of other problem objects is a ``ValueError``.  The step's
-    load algebra and forcing come from ``state.block``, which is built at
-    the first step and again at every step whose index is a multiple of
-    ``state.block_steps``, at most LOAD_BLOCK (see :func:`_load_block`).
+    The step's load algebra and forcing come from ``state.block``, which is
+    built at the first step and again at every step whose index is a
+    multiple of ``state.block_steps``, at most LOAD_BLOCK (see
+    :func:`_load_block`).
     The load evaluators, the forcing and the load offsets are therefore
     called up to LOAD_BLOCK - 1 half layers ahead of the step: one that
     raises at a later half layer of a block raises while the block is built,
@@ -639,13 +609,13 @@ def step(state: SolverState, problem) -> SolverState:
     if state.block is None or not state.block.start <= j < state.block.stop:
         # drop the finished block first, so that two are never held at once
         state.block = None
-        state.block = _load_block(state, problem, j)
+        state.block = _load_block(state, j)
     block = state.block
     i = j - block.start
-    b = assemble_rhs(state, problem, j, load_parts=(block.columns[i], block.rows[i], block.forcing[i], block.offsets[i]))
+    b = assemble_rhs(state, (block.columns[i], block.rows[i], block.forcing[i], block.offsets[i]))
     delta = block.close(state.factor, i, b)
     if not np.isfinite(delta).all():
-        bad = _members(problem)[int(np.argmin(np.isfinite(delta).all(axis=-1)))]
+        bad = state.problems[int(np.argmin(np.isfinite(delta).all(axis=-1)))]
         raise FloatingPointError(
             f"non-finite values at time level {j + 1} (t = {(j + 1) * grid.tau:g}) for alpha = {bad.alpha:g}; "
             f"tau / stability_step_limit = {grid.tau / stability_step_limit(bad):.3g}"
@@ -720,6 +690,6 @@ def solve(problem, grid: Grid1D, observers=()) -> SolverState:
     alphas = state.kernel.alphas
     _notify(observers, 0, 0.0, state.level, alphas)
     for j in range(grid.nt):
-        step(state, problems)
+        step(state)
         _notify(observers, j + 1, (j + 1) * grid.tau, state.level, alphas)
     return state

@@ -7,6 +7,7 @@ their increments.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,6 +28,27 @@ def l1_weights_direct(j, alpha):
     for i in range(1, j + 1):
         c[i] = (i + 0.5) ** (1.0 - alpha) - (i - 0.5) ** (1.0 - alpha)
     return c
+
+
+def l1_lag_weights(k, alpha):
+    """Weights c_k of the lags k >= 1, with no cancellation at large k.
+
+    The difference of powers (k + 1/2)^b - (k - 1/2)^b, b = 1 - alpha, loses
+    about eps k of its relative accuracy; here it is factored at the upper
+    end as -(k + 1/2)^b expm1(b log1p(-1 / (k + 1/2))).
+    """
+    beta = 1.0 - alpha
+    upper = np.asarray(k, dtype=float) + 0.5
+    return -(upper**beta) * np.expm1(beta * np.log1p(-1.0 / upper))
+
+
+def l1_lag_weight_decimal(k, alpha, digits=50):
+    """c_k of one integer lag as a difference of powers in ``digits``-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        beta = Decimal(1.0 - alpha)
+        half = Decimal("0.5")
+        return (Decimal(int(k)) + half) ** beta - (Decimal(int(k)) - half) ** beta
 
 
 def full_interpolation_row(xk, grid):

@@ -234,7 +234,7 @@ def test_c5_woodbury_matches_dense_lu():
             problems = _random_loaded_batch(rng, mix)
             grid = Grid1D(1.0, 1.0, nx, 40)
             state = SolverState(problems, grid)
-            block = _load_block(state, problems, 0)
+            block = _load_block(state, 0)
             cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
             for i in range(block.stop - block.start):
                 b = rng.standard_normal((len(problems), nx - 1))

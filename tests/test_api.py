@@ -19,9 +19,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # leaves that run's layer metrics empty.
 TRACED = {
     "hallaire.stepper": {
-        "step": ["state", "problem"],
-        "assemble_load_columns": ["state", "problem", "t_half"],
-        "assemble_rhs": ["state", "problem", "j", "load_parts"],
+        "step": ["state"],
+        "assemble_load_columns": ["state", "t_half"],
+        "assemble_rhs": ["state", "load_parts"],
         "_history_sum": ["increments", "kernel", "j", "modes"],
         "woodbury_solve": ["tri", "columns", "rows", "b"],
         "thomas_solve": ["tri", "b"],

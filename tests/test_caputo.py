@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hallaire.caputo import (
     gamma_const,
     history_rows,
 )
-from oracles import caputo_by_quadrature, l1_weights_direct
+from oracles import caputo_by_quadrature, l1_lag_weight_decimal, l1_lag_weights
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
 
@@ -288,7 +289,7 @@ class TestExponentialTail:
         nsteps = 2000
         fit = fit_exponential_tail(alpha, nsteps)
         k = np.arange(HISTORY_WINDOW, nsteps + 1)
-        want = l1_weights_direct(nsteps, alpha)[HISTORY_WINDOW:]
+        want = l1_lag_weights(k, alpha)
         got = np.array([math.fsum(fit.weights * np.exp(-kk * fit.nodes)) for kk in k])
         assert np.max(np.abs(got / want - 1.0)) == pytest.approx(fit.error, rel=1e-2)
 
@@ -299,13 +300,36 @@ class TestExponentialTail:
         # least half of it
         nsteps = 100_000
         fit = fit_exponential_tail(alpha, nsteps)
-        want = l1_weights_direct(nsteps, alpha)
         full = 0.0
         for lo in range(HISTORY_WINDOW, nsteps + 1, 4096):
             k = np.arange(lo, min(lo + 4096, nsteps + 1))
             got = np.exp(-np.outer(k, fit.nodes)) @ fit.weights
-            full = max(full, float(np.max(np.abs(got / want[k] - 1.0))))
+            full = max(full, float(np.max(np.abs(got / l1_lag_weights(k, alpha) - 1.0))))
         assert 0.5 * full <= fit.error <= full * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.9, 0.989])
+    def test_lag_weight_oracle_keeps_its_digits(self, alpha):
+        # the oracle above against 50-digit decimal arithmetic, on lags up
+        # to 10^20, where the difference of powers in floats keeps none
+        k = np.unique(np.rint(np.geomspace(1.0, 1e20, 200)))
+        got = l1_lag_weights(k, alpha)
+        for kk, g in zip(k, got):
+            want = l1_lag_weight_decimal(kk, alpha)
+            assert abs(float((Decimal(g) - want) / want)) <= 2e-15, kk
+
+    @pytest.mark.parametrize("alpha", [0.011, 0.5, 0.989])
+    @pytest.mark.parametrize("nsteps", [10**6, 10**9, 10**20])
+    def test_recorded_error_is_the_decimal_error(self, alpha, nsteps):
+        # the recorded error is within 1 % of the fit's error against exact
+        # weights on 300 geometric lags, up to lags where a difference of
+        # powers in floats keeps no digit
+        fit = fit_exponential_tail(alpha, nsteps)
+        worst = 0.0
+        for k in np.unique(np.rint(np.geomspace(HISTORY_WINDOW, float(nsteps), 300))):
+            got = math.fsum(fit.weights * np.exp(-k * fit.nodes))
+            want = l1_lag_weight_decimal(k, alpha)
+            worst = max(worst, abs(float((Decimal(got) - want) / want)))
+        assert fit.error == pytest.approx(worst, rel=1e-2)
 
     @pytest.mark.parametrize("nsteps", [0, 1, HISTORY_WINDOW - 1])
     def test_no_tail_without_its_lags(self, nsteps):
