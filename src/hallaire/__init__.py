@@ -22,7 +22,7 @@ from .caputo import (
 from .grids import Grid1D, convergence_order, norm_grad_forward, norm_l2, norm_max
 from .problems import PointLoad, ProblemSpec, benchmark_problem, make_problem, manufactured_problem
 from .spatial import compact_average, second_difference
-from .stepper import Tridiagonal, solve, woodbury_solve
+from .stepper import Tridiagonal, solve
 from .study import (
     StudyConfig,
     deep_order_check,
@@ -66,5 +66,4 @@ __all__ = [
     "table1_config",
     "table2_config",
     "truncation_bound",
-    "woodbury_solve",
 ]

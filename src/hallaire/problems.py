@@ -196,7 +196,7 @@ def manufactured_problem(
 
 # The bundled problems' load coefficients.  They are module-level functions,
 # not closures, so that the problems of every order share the same objects
-# and a batch of orders samples each once (see stepper._load_samples).
+# and a batch of orders samples each once (see stepper.assemble_load_columns).
 def _exp_sum(x, t):
     """e^{x+t}."""
     return np.exp(np.asarray(x, dtype=float) + t)

@@ -18,6 +18,11 @@ as two precomputed K x K maps, as in Stone's recursive doubling (J. ACM
 20(1), 1973): a sweep is a batched matvec and two small products, with no
 loop.
 
+Each layer of a step has one route: :func:`assemble_load_columns` samples a
+block's loads and forcing, :func:`assemble_rhs` forms the right-hand side
+with the history sum, :func:`woodbury_solve` closes the load correction and
+:func:`thomas_solve` sweeps the factor.
+
 A march is over a batch of B problems on one grid, one per fractional order
 of a study rung, stepped in lockstep: every array of the state has a leading
 batch axis, and a single solve is the batch of one.
@@ -177,10 +182,9 @@ def thomas_factor(tri: Tridiagonal) -> ThomasFactor:
     return ThomasFactor(n, inverse, forward, backward, left, right)
 
 
-def thomas_solve(tri, b) -> np.ndarray:
-    """Solve the tridiagonal system with the blocked inverse of its factor.
+def thomas_solve(factor: ThomasFactor, b) -> np.ndarray:
+    """Solve the tridiagonal system with the blocked inverse of its :class:`ThomasFactor`.
 
-    ``tri`` is the matrix, factored on the spot, or its :class:`ThomasFactor`.
     ``b`` holds right-hand sides along its last axis; its leading axes
     broadcast against those of a stacked factor.  Each block is solved on
     its own in one batched matvec, which also gives each block's last
@@ -189,7 +193,6 @@ def thomas_solve(tri, b) -> np.ndarray:
     both added back as multiples of the blocks' carry responses.  With one
     block this is a single matvec with the exact inverse.
     """
-    factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
     b = np.asarray(b, dtype=float)
     if b.shape[-1:] != (factor.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected length {factor.n} along its last axis")
@@ -215,12 +218,12 @@ class LoadBlock:
     ``columns[i]`` = U_j (n x m), the dense rows ``rows[i]`` = W_j^T (m x n)
     and ``inverses[i]``, the inverse of the capacitance matrix
     I + W_j^T T^{-1} U_j, closed from the row solves ``row_solves[i]`` =
-    W_j^T T^{-1}, the rows solved against the symmetric core.  ``forcing[i]``
-    is the forcing at every node at the step's half layer, and ``offsets[i]``
-    the loads' offsets g_j there (zero for a problem without
-    ``load_offsets``): the loads act on W_j^T y - g_j.  None of it depends on
-    the solution.  Each step's arrays carry the batch axis after the step
-    axis, one entry per problem.
+    W_j^T T^{-1}, the rows solved against the symmetric core; the step hands
+    these to :func:`woodbury_solve`.  ``forcing[i]`` is the forcing at every
+    node at the step's half layer, and ``offsets[i]`` the loads' offsets g_j
+    there (zero for a problem without ``load_offsets``): the loads act on
+    W_j^T y - g_j.  None of it depends on the solution.  Each step's arrays
+    carry the batch axis after the step axis, one entry per problem.
     """
 
     start: int
@@ -232,11 +235,6 @@ class LoadBlock:
     forcing: np.ndarray
     offsets: np.ndarray
 
-    def close(self, factor: ThomasFactor, i: int, b: np.ndarray) -> np.ndarray:
-        """Solve step ``start + i``'s system in one tridiagonal sweep: q = cap^{-1} V^T b, then x = T^{-1}(b - U q)."""
-        q = np.matvec(self.inverses[i], np.matvec(self.row_solves[i], b))
-        return thomas_solve(factor, b - np.matvec(self.columns[i], q))
-
 
 def _invertible(matrix: np.ndarray) -> bool:
     try:
@@ -246,33 +244,15 @@ def _invertible(matrix: np.ndarray) -> bool:
     return True
 
 
-def woodbury_solve(tri, columns, rows, b) -> np.ndarray:
-    """Solve (T + U W^T) x = b for the dense columns U (n x m) and rows W^T (m x n).
+def woodbury_solve(factor: ThomasFactor, columns, row_solves, inverse, b) -> np.ndarray:
+    """Solve (T + U W^T) x = b in one tridiagonal sweep: q = cap^{-1} V^T b, then x = T^{-1}(b - U q).
 
-    ``tri`` is T or its :class:`ThomasFactor`, which need not be symmetric.
-    The correction is closed from the column solves Z = T^{-1} U, all in one
-    sweep, through the capacitance matrix cap = I + W^T Z: y = T^{-1} b,
-    x = y - Z cap^{-1} W^T y.  It shares no load algebra with the march, so
-    it is a reference for it.
+    ``factor`` is T's, ``columns`` U, ``row_solves`` V^T = W^T T^{-1} and
+    ``inverse`` cap^{-1}, the inverse of I + V^T U: one step of a
+    :class:`LoadBlock`.
     """
-    factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
-    n = factor.n
-    columns = np.asarray(columns, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"load rows have shape {rows.shape}, expected (m, {n}): one row per load, one entry per unknown")
-    m = len(rows)
-    if columns.shape != (n, m):
-        raise ValueError(f"load columns have shape {columns.shape}, expected ({n}, {m}): one per row")
-    if not m:
-        return thomas_solve(factor, b)
-    z = thomas_solve(factor, columns.T)
-    y = thomas_solve(factor, b)
-    try:
-        q = np.linalg.solve(np.eye(m) + rows @ z.T, np.matvec(rows, y)[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(f"singular capacitance matrix for the {m} load row(s)") from None
-    return y - q @ z
+    q = np.matvec(inverse, np.matvec(row_solves, b))
+    return thomas_solve(factor, b - np.matvec(columns, q))
 
 
 def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
@@ -344,22 +324,22 @@ def _half_average(q: np.ndarray, out: np.ndarray) -> None:
     out *= -0.5
 
 
-def _load_samples(state: SolverState, times: np.ndarray):
-    """Load columns, load rows, forcing and load offsets of the state's batch at the given half layers.
+def assemble_load_columns(state: SolverState, t_half: np.ndarray):
+    """Load columns, load rows, forcing and load offsets of the state's batch at the half layers ``t_half``.
 
-    Returns the columns as one ``(len(times), B, n, m)`` array, the point
+    Returns the columns as one ``(len(t_half), B, n, m)`` array, the point
     loads first (minus half the compact average of each coefficient) and
     then the distributed load's constant column; the rows as a
-    ``(len(times), B, m, n)`` array, the
+    ``(len(t_half), B, m, n)`` array, the
     state's ``point_rows`` and then the distributed load's interior
     Simpson-weighted samples; the forcing at every node as a
-    ``(len(times), B, nx + 1)`` array; and the offsets as a
-    ``(len(times), B, m)`` array, zero for a member without
+    ``(len(t_half), B, nx + 1)`` array; and the offsets as a
+    ``(len(t_half), B, m)`` array, zero for a member without
     ``load_offsets``, which is called one time at a time.  Each evaluator is
     called with the nodes as a row and times as a column; a result that does
     not broadcast to the shape of its samples is a ``ValueError`` naming the
     evaluator.  Each member's forcing and each distinct distributed load,
-    whose samples are all kept, are called once for all the times.  Each
+    whose samples are all kept, are called once for all the half layers.  Each
     distinct set of point-load coefficients is called once per SAMPLE_BYTES
     of their samples, which are averaged straight into the columns.  Members
     share samples when their evaluators are the same objects (``is``), as the
@@ -370,7 +350,7 @@ def _load_samples(state: SolverState, times: np.ndarray):
     problems = state.problems
     x = state.x
     nodes = x[None, :]
-    count = len(times)
+    count = len(t_half)
     points = len(state.point_rows)
     distributed = state.simpson is not None
     forcing = np.empty((count, len(problems), x.size))
@@ -378,15 +358,15 @@ def _load_samples(state: SolverState, times: np.ndarray):
     weights = np.empty((count, len(problems), x.size)) if distributed else None
     offsets = np.zeros((count, len(problems), points + distributed))
     for b, member in enumerate(problems):
-        _evaluate(forcing[:, b], "forcing", member.forcing, nodes, times[:, None])
+        _evaluate(forcing[:, b], "forcing", member.forcing, nodes, t_half[:, None])
         if member.load_offsets is not None:
-            _evaluate_offsets(offsets[:, b], member.load_offsets, times)
+            _evaluate_offsets(offsets[:, b], member.load_offsets, t_half)
     if points:
         owners = _owners([ld.coefficient for ld in member.loads] for member in problems)
         per = max(1, SAMPLE_BYTES // (8 * points * x.size))
         q = np.empty((min(per, count), points, x.size))
         for lo in range(0, count, per):
-            t = times[lo : lo + per, None]
+            t = t_half[lo : lo + per, None]
             chunk = columns[lo : lo + per, :, :points]
             for b, owner in enumerate(owners):
                 if owner != b:
@@ -400,7 +380,7 @@ def _load_samples(state: SolverState, times: np.ndarray):
             if owner != b:
                 weights[:, b] = weights[:, owner]
             else:
-                _evaluate(weights[:, b], "integral_load", problems[b].integral_load, nodes, times[:, None])
+                _evaluate(weights[:, b], "integral_load", problems[b].integral_load, nodes, t_half[:, None])
     columns = np.swapaxes(columns, -1, -2)
     rows = np.broadcast_to(state.point_rows, (count, len(problems)) + state.point_rows.shape)
     if distributed:
@@ -408,19 +388,6 @@ def _load_samples(state: SolverState, times: np.ndarray):
         weights *= state.simpson
         rows = np.concatenate((rows, weights[:, :, None, 1:-1]), axis=2)
     return columns, rows, forcing, offsets
-
-
-def assemble_load_columns(state: SolverState, t_half: float):
-    """Low-rank pieces of the implicit matrices of the state's batch at one half layer.
-
-    Returns the dense columns ``U`` (B x n x m, one per load, minus half the
-    compact average of the coefficient) and rows ``W^T`` (B x m x n) such
-    that each problem's full matrix is its tridiagonal core plus U W^T.
-    These are one half layer of the samples a :class:`LoadBlock` is built
-    from.
-    """
-    columns, rows, _, _ = _load_samples(state, np.array([t_half]))
-    return columns[0], rows[0]
 
 
 def _load_block(state: SolverState, start: int) -> LoadBlock:
@@ -439,7 +406,7 @@ def _load_block(state: SolverState, start: int) -> LoadBlock:
     """
     grid = state.grid
     stop = min((start // state.block_steps + 1) * state.block_steps, grid.nt)
-    columns, rows, forcing, offsets = _load_samples(state, (np.arange(start, stop) + 0.5) * grid.tau)
+    columns, rows, forcing, offsets = assemble_load_columns(state, (np.arange(start, stop) + 0.5) * grid.tau)
     row_solves = np.broadcast_to(state.row_solves, rows.shape[:1] + state.row_solves.shape)
     if state.simpson is not None:
         row_solves = np.concatenate((row_solves, thomas_solve(state.factor, rows[:, :, -1])[:, :, None]), axis=2)
@@ -613,7 +580,7 @@ def step(state: SolverState) -> SolverState:
     block = state.block
     i = j - block.start
     b = assemble_rhs(state, (block.columns[i], block.rows[i], block.forcing[i], block.offsets[i]))
-    delta = block.close(state.factor, i, b)
+    delta = woodbury_solve(state.factor, block.columns[i], block.row_solves[i], block.inverses[i], b)
     if not np.isfinite(delta).all():
         bad = state.problems[int(np.argmin(np.isfinite(delta).all(axis=-1)))]
         raise FloatingPointError(

@@ -57,6 +57,9 @@ class StudyConfig:
             raise ValueError(f"unknown problem {self.problem!r}; choices: {sorted(PROBLEMS)}")
         if not self.alphas:
             raise ValueError("at least one fractional order is required")
+        repeated = [a for i, a in enumerate(self.alphas) if a in self.alphas[:i]]
+        if repeated:
+            raise ValueError(f"fractional order {repeated[0]:g} is given more than once")
         if not self.ladder:
             raise ValueError("the grid ladder must not be empty")
         nxs = [r[0] for r in self.ladder]
@@ -174,14 +177,13 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     levels of its own solve alone, bit for bit.  The rows come out alpha by
     alpha, each alpha's rungs in ladder order.
     """
-    probe = make_problem(config.problem, config.alphas[0])
-    if probe.exact is None:
-        raise ValueError("refinement studies need a problem with an exact solution")
-
     problems = tuple(make_problem(config.problem, alpha) for alpha in config.alphas)
+    first = problems[0]
+    if first.exact is None:
+        raise ValueError("refinement studies need a problem with an exact solution")
     rungs = []
     for nx, nt in config.ladder:
-        grid = Grid1D(probe.length, probe.final_time, nx, nt)
+        grid = Grid1D(first.length, first.final_time, nx, nt)
         trackers = tuple(_ErrorTracker(problem, grid) for problem in problems)
         solve(problems, grid, observers=tuple((tracker,) for tracker in trackers))
         rungs.append(trackers)
@@ -192,9 +194,9 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
         for (nx, nt), trackers in zip(config.ladder, rungs):
             tracker = trackers[b]
             if config.mode == "spatial":
-                label = _step_label(probe.length, nx)
+                label = _step_label(first.length, nx)
             else:
-                label = _step_label(probe.final_time, nt)
+                label = _step_label(first.final_time, nt)
             cos = (None, None, None)
             if prev is not None:
                 ratio = nx / prev_rung[0] if config.mode == "spatial" else nt / prev_rung[1]

@@ -3,7 +3,8 @@
 Everything here is deliberately written on a different route than the
 package: dense matrices instead of banded solves, scipy Lagrange polynomials
 instead of closed-form weights, a march over the levels instead of over
-their increments.
+their increments, a load correction closed from its column solves instead
+of its row solves.
 """
 
 import math
@@ -12,6 +13,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import lagrange
+
+from hallaire.stepper import ThomasFactor, thomas_factor, thomas_solve
 
 
 def caputo_by_quadrature(du, alpha, t):
@@ -49,6 +52,37 @@ def l1_lag_weight_decimal(k, alpha, digits=50):
         beta = Decimal(1.0 - alpha)
         half = Decimal("0.5")
         return (Decimal(int(k)) + half) ** beta - (Decimal(int(k)) - half) ** beta
+
+
+def woodbury_solve(tri, columns, rows, b):
+    """Solve (T + U W^T) x = b for a tridiagonal T and dense columns U (n x m) and rows W^T (m x n).
+
+    ``tri`` is T or its ``ThomasFactor``; T need not be symmetric.  The
+    correction is closed from the column solves Z = T^{-1} U, all in one
+    sweep, through the capacitance matrix cap = I + W^T Z: y = T^{-1} b,
+    x = y - Z cap^{-1} W^T y.  The march closes from its rows solved against
+    T instead, so this shares no load algebra with it.  Rows or columns of
+    the wrong shape are a ``ValueError``, a singular capacitance a
+    ``LinAlgError``.
+    """
+    factor = tri if isinstance(tri, ThomasFactor) else thomas_factor(tri)
+    n = factor.n
+    columns = np.asarray(columns, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"load rows have shape {rows.shape}, expected (m, {n}): one row per load, one entry per unknown")
+    m = len(rows)
+    if columns.shape != (n, m):
+        raise ValueError(f"load columns have shape {columns.shape}, expected ({n}, {m}): one per row")
+    if not m:
+        return thomas_solve(factor, b)
+    z = thomas_solve(factor, columns.T)
+    y = thomas_solve(factor, b)
+    try:
+        q = np.linalg.solve(np.eye(m) + rows @ z.T, np.matvec(rows, y)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(f"singular capacitance matrix for the {m} load row(s)") from None
+    return y - q @ z
 
 
 def full_interpolation_row(xk, grid):

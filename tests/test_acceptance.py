@@ -31,11 +31,11 @@ from hallaire import (
     table1_config,
     table2_config,
     truncation_bound,
-    woodbury_solve,
 )
-from hallaire.stepper import SolverState, _load_block, assemble_tridiagonal
+from hallaire.stepper import SolverState, _load_block, assemble_tridiagonal, woodbury_solve
 from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
 from test_problems import _benchmark_terms, residual_at
+from oracles import woodbury_solve as column_woodbury
 from test_stepper import _dense_from, march, solved_levels
 
 RUN_DEEP = os.environ.get("HALLAIRE_DEEP", "") == "1"
@@ -220,11 +220,11 @@ def test_c5_woodbury_matches_dense_lu():
             rows[k, start : start + width] = rng.standard_normal(width)
             dense += np.outer(cols[:, k], rows[k])
         b = rng.standard_normal(n)
-        got = woodbury_solve(tri, cols, rows, b)
+        got = column_woodbury(tri, cols, rows, b)
         want = np.linalg.solve(dense, b)
         scale = max(np.max(np.abs(want)), 1e-30)
         worst = max(worst, np.max(np.abs(got - want)) / scale)
-    # the close the march runs: LoadBlock.close on the load algebra of real
+    # the close the march runs: woodbury_solve on the load algebra of real
     # states, a batch of three orders with random load points and coefficients,
     # on one sweep block (nx = 8) and several (40, 200)
     closes = 0
@@ -238,7 +238,7 @@ def test_c5_woodbury_matches_dense_lu():
             cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
             for i in range(block.stop - block.start):
                 b = rng.standard_normal((len(problems), nx - 1))
-                got = block.close(state.factor, i, b)
+                got = woodbury_solve(state.factor, block.columns[i], block.row_solves[i], block.inverses[i], b)
                 for k, core in enumerate(cores):
                     want = np.linalg.solve(_dense_from(core, block.columns[i, k], block.rows[i, k]), b[k])
                     march_worst = max(march_worst, np.max(np.abs(got[k] - want)) / np.max(np.abs(want)))

@@ -7,24 +7,29 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hallaire
+import hallaire.stepper as stepper
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The module attributes the traced benchmark run (perfbench/tracing.py)
 # replaces by name, with their parameters; it reads the third argument of
-# _history_sum as the step index.  A name that moves or changes shape
-# leaves that run's layer metrics empty.
+# _history_sum as the step index.  Each stepper name is the one route of its
+# layer that the march runs (see test_march_runs_every_traced_layer): the
+# load sampler of a block, the right-hand side, the history sum, the
+# Woodbury close, the tridiagonal sweep and the compact average.  A name
+# that moves, changes shape or is left off the march reads 0 in that run.
 TRACED = {
     "hallaire.stepper": {
         "step": ["state"],
         "assemble_load_columns": ["state", "t_half"],
         "assemble_rhs": ["state", "load_parts"],
         "_history_sum": ["increments", "kernel", "j", "modes"],
-        "woodbury_solve": ["tri", "columns", "rows", "b"],
-        "thomas_solve": ["tri", "b"],
+        "woodbury_solve": ["factor", "columns", "row_solves", "inverse", "b"],
+        "thomas_solve": ["factor", "b"],
         "compact_average": ["v"],
         "solve": ["problem", "grid", "observers"],
     },
@@ -68,6 +73,31 @@ def test_traced_names_keep_their_call_shapes():
                 obj = getattr(obj, part)
             assert callable(obj), (module, dotted)
             assert list(inspect.signature(obj).parameters) == params, (module, dotted)
+
+
+def test_march_runs_every_traced_layer(monkeypatch):
+    # every traced stepper layer is on the march: the close once per step,
+    # the sampler once per load block, the others at least once per step
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED["hallaire.stepper"].keys() - {"step", "solve"}:
+        monkeypatch.setattr(stepper, name, counted(name, getattr(stepper, name)))
+    grid = hallaire.Grid1D(1.0, 1.0, 24, 3 * stepper.LOAD_BLOCK + 5)
+    state = stepper.solve(hallaire.benchmark_problem(0.5), grid)
+    steps = grid.nt
+    blocks = -(-steps // state.block_steps)
+    assert blocks == 4
+    assert calls["woodbury_solve"] == steps
+    assert calls["assemble_load_columns"] == blocks
+    for name in ("assemble_rhs", "_history_sum", "thomas_solve", "compact_average"):
+        assert calls[name] >= steps, name
 
 
 def test_solve_does_not_import_scipy():

@@ -21,7 +21,6 @@ from hallaire import (
     make_problem,
     manufactured_problem,
     solve,
-    woodbury_solve,
 )
 import hallaire.stepper as stepper_mod
 from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, KernelStack, history_rows, l1_weight_array
@@ -38,7 +37,9 @@ from hallaire.stepper import (
     step,
     thomas_factor,
     thomas_solve,
+    woodbury_solve,
 )
+import oracles
 from oracles import dense_march, full_interpolation_row
 
 
@@ -58,8 +59,24 @@ def _zeros_problem(alpha=0.5, mu=1.0, forcing=None, initial=None):
 
 def _next_rhs(state):
     """The right-hand side of the state's next step, from the samples at its half layer."""
-    parts = stepper_mod._load_samples(state, np.array([(state.j + 0.5) * state.grid.tau]))
+    parts = assemble_load_columns(state, np.array([(state.j + 0.5) * state.grid.tau]))
     return assemble_rhs(state, [part[0] for part in parts])
+
+
+def _sides_at(state, t):
+    """The load columns U (B x n x m) and rows W^T (B x m x n) of the state's batch at the one half layer ``t``."""
+    columns, rows, _, _ = assemble_load_columns(state, np.array([t]))
+    return columns[0], rows[0]
+
+
+def _close(tri, columns, rows, b):
+    """The march's close of (T + U W^T) x = b, with the row solves and the
+    inverted capacitance a load block would hold for it; the rows are solved
+    against T's transpose, which is T itself for the march's symmetric cores."""
+    transpose = thomas_factor(Tridiagonal(tri.upper, tri.diag, tri.lower))
+    row_solves = thomas_solve(transpose, np.reshape(rows, (-1, tri.n)))
+    inverse = np.linalg.inv(np.eye(len(row_solves)) + row_solves @ columns)
+    return woodbury_solve(thomas_factor(tri), columns, row_solves, inverse, b)
 
 
 def _dense_from(tri, columns, rows):
@@ -153,41 +170,40 @@ class TestThomas:
     def test_identity(self):
         tri = Tridiagonal(np.zeros(4), np.ones(5), np.zeros(4))
         b = np.arange(5.0)
-        assert np.array_equal(thomas_solve(tri, b), b)
+        assert np.array_equal(thomas_solve(thomas_factor(tri), b), b)
 
     def test_round_trip(self, rng):
         tri = _random_dominant(rng, 9)
         ones = np.ones(9)
         b = _dense_from(tri, np.zeros((9, 0)), []) @ ones
-        assert thomas_solve(tri, b) == pytest.approx(ones, rel=1e-12)
+        assert thomas_solve(thomas_factor(tri), b) == pytest.approx(ones, rel=1e-12)
 
     def test_matches_dense_lu(self, rng):
         for _ in range(30):
             n = int(rng.integers(3, 12))
             tri = _random_dominant(rng, n)
             b = rng.standard_normal(n)
-            got = thomas_solve(tri, b)
+            got = thomas_solve(thomas_factor(tri), b)
             want = np.linalg.solve(_dense_from(tri, np.zeros((n, 0)), []), b)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_zero_pivot_detected(self):
         tri = Tridiagonal(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.zeros(2))
         with pytest.raises(np.linalg.LinAlgError):
-            thomas_solve(tri, np.ones(3))
+            thomas_factor(tri)
 
     def test_length_mismatch(self):
         tri = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
         with pytest.raises(ValueError):
-            thomas_solve(tri, np.ones(4))
-        with pytest.raises(ValueError):
             thomas_solve(thomas_factor(tri), np.ones(4))
 
     def test_factor_reused(self, rng):
+        # a solve leaves its factor as it found it
         tri = _random_dominant(rng, 11)
         factor = thomas_factor(tri)
         for _ in range(3):
             b = rng.standard_normal(11)
-            assert np.array_equal(thomas_solve(factor, b), thomas_solve(tri, b))
+            assert np.array_equal(thomas_solve(factor, b), thomas_solve(thomas_factor(tri), b))
 
     @given(
         n=st.one_of(
@@ -354,10 +370,10 @@ class TestCarryMaps:
 
 class TestWoodbury:
     def test_rank_zero_reduces_to_thomas(self, rng):
-        tri = _random_dominant(rng, 7)
+        factor = thomas_factor(_random_dominant(rng, 7))
         b = rng.standard_normal(7)
-        got = woodbury_solve(tri, np.zeros((7, 0)), np.zeros((0, 7)), b)
-        assert np.array_equal(got, thomas_solve(tri, b))
+        got = woodbury_solve(factor, np.zeros((7, 0)), np.zeros((0, 7)), np.zeros((0, 0)), b)
+        assert np.array_equal(got, thomas_solve(factor, b))
 
     def test_rank_one_matches_dense(self, rng):
         n = 7  # interior size of an 8-interval grid
@@ -366,25 +382,26 @@ class TestWoodbury:
         row = np.zeros((1, n))
         row[0, 2:6] = rng.standard_normal(4)
         b = rng.standard_normal(n)
-        got = woodbury_solve(tri, col, row, b)
+        got = _close(tri, col, row, b)
         want = np.linalg.solve(_dense_from(tri, col, row), b)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_benchmark_configuration_matches_dense(self):
+        # the first step's close, on the load block the march builds for it
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 12, 8)
         tri = assemble_tridiagonal(g, p.alpha, p.mu)
         state = SolverState(p, g)
-        columns, rows = (side[0] for side in assemble_load_columns(state, 0.0625))
-        b = _next_rhs(state)[0]
-        got = woodbury_solve(tri, columns, rows, b)
-        want = np.linalg.solve(_dense_from(tri, columns, rows), b)
+        block = stepper_mod._load_block(state, 0)
+        b = _next_rhs(state)
+        got = woodbury_solve(state.factor, block.columns[0], block.row_solves[0], block.inverses[0], b)[0]
+        want = np.linalg.solve(_dense_from(tri, block.columns[0, 0], block.rows[0, 0]), b[0])
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_non_symmetric_core_matches_dense(self, rng, m):
-        # closed from the column solves, which need no transposed factor
+        # closed from the rows solved against the transpose of the core
         n = 9
         tri = _random_dominant(rng, n)
         columns = rng.standard_normal((n, m))
@@ -392,12 +409,13 @@ class TestWoodbury:
         for k in range(m):
             rows[k, k : k + 4] = rng.standard_normal(4)
         b = rng.standard_normal(n)
-        got = woodbury_solve(tri, columns, rows, b)
+        got = _close(tri, columns, rows, b)
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
     def test_factor_of_a_non_symmetric_core(self, rng):
-        # a ThomasFactor in place of T is the same solve, bit for bit
+        # the oracle's general solve: a ThomasFactor in place of T is the same
+        # solve, bit for bit, and the march's close agrees with it
         n, m = 11, 2
         tri = _random_dominant(rng, n)
         columns = rng.standard_normal((n, m))
@@ -405,10 +423,11 @@ class TestWoodbury:
         for k in range(m):
             rows[k, 2 * k : 2 * k + 4] = rng.standard_normal(4)
         b = rng.standard_normal(n)
-        got = woodbury_solve(thomas_factor(tri), columns, rows, b)
-        assert np.array_equal(got, woodbury_solve(tri, columns, rows, b))
+        got = oracles.woodbury_solve(thomas_factor(tri), columns, rows, b)
+        assert np.array_equal(got, oracles.woodbury_solve(tri, columns, rows, b))
         want = np.linalg.solve(_dense_from(tri, columns, rows), b)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+        assert _close(tri, columns, rows, b) == pytest.approx(got, rel=1e-11, abs=1e-11)
 
     def test_load_row_solves_are_solves_against_the_transpose(self):
         # SolverState solves W with the factor of T; for the symmetric core
@@ -424,10 +443,11 @@ class TestWoodbury:
 
     @pytest.mark.parametrize("shape", [(1, 8), (1, 6), (7,), (1, 1, 7)])
     def test_load_rows_of_the_wrong_shape_are_refused(self, rng, shape):
-        # a row that does not cover every unknown exactly once, or is not one of an (m, n) stack
+        # the oracle's general solve refuses a row that does not cover every
+        # unknown exactly once, or is not one of an (m, n) stack
         tri = _random_dominant(rng, 7)
         with pytest.raises(ValueError, match=rf"load rows have shape {re.escape(str(shape))}, expected \(m, 7\)"):
-            woodbury_solve(tri, np.ones((7, 1)), np.ones(shape), np.ones(7))
+            oracles.woodbury_solve(tri, np.ones((7, 1)), np.ones(shape), np.ones(7))
 
     @pytest.mark.parametrize("shape", [(8, 1), (6, 1), (7, 2), (7,)])
     def test_load_columns_of_the_wrong_shape_are_refused(self, rng, shape):
@@ -435,7 +455,7 @@ class TestWoodbury:
         row = np.zeros((1, 7))
         row[0, 2:4] = 1.0
         with pytest.raises(ValueError, match=rf"load columns have shape {re.escape(str(shape))}, expected \(7, 1\)"):
-            woodbury_solve(tri, np.ones(shape), row, np.ones(7))
+            oracles.woodbury_solve(tri, np.ones(shape), row, np.ones(7))
 
     def test_singular_capacitance_is_refused(self):
         tri = Tridiagonal(np.zeros(3), np.ones(4), np.zeros(3))
@@ -445,7 +465,7 @@ class TestWoodbury:
         col = np.zeros((4, 1))
         col[[1, 2], 0] = -w / np.dot(w, w)  # makes 1 + w.(T^-1 u) = 0
         with pytest.raises(np.linalg.LinAlgError, match=r"singular capacitance matrix for the 1 load row"):
-            woodbury_solve(tri, col, row, np.ones(4))
+            oracles.woodbury_solve(tri, col, row, np.ones(4))
 
 
 class TestLoadColumns:
@@ -454,7 +474,7 @@ class TestLoadColumns:
         p = _zeros_problem()
         p = ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, zero),), p.forcing, p.initial)
         g = Grid1D(1.0, 1.0, 10, 4)
-        columns, rows = assemble_load_columns(SolverState(p, g), 0.1)
+        columns, rows = _sides_at(SolverState(p, g), 0.1)
         assert np.array_equal(columns, np.zeros((1, 9, 1)))
         assert rows.shape == (1, 1, 9)
 
@@ -463,13 +483,13 @@ class TestLoadColumns:
         base = _zeros_problem()
         p = ProblemSpec(1.0, 1.0, 0.5, 1.0, (PointLoad(0.4, one),), base.forcing, base.initial)
         g = Grid1D(1.0, 1.0, 10, 4)
-        columns, _ = assemble_load_columns(SolverState(p, g), 0.1)
+        columns, _ = _sides_at(SolverState(p, g), 0.1)
         assert columns[0, :, 0] == pytest.approx([-0.5] * 9, rel=1e-15)
 
     def test_benchmark_first_column(self):
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 10, 10)
-        columns, _ = assemble_load_columns(SolverState(p, g), 0.05)
+        columns, _ = _sides_at(SolverState(p, g), 0.05)
         want = -0.5 * compact_average(np.exp(g.x + 0.05))
         assert columns[0, :, 0] == pytest.approx(want, rel=1e-14)
 
@@ -729,9 +749,9 @@ class TestStepAndSolve:
         calls = []
         original = stepper_mod.thomas_solve
 
-        def counted(tri, b):
-            calls.append(tri)
-            return original(tri, b)
+        def counted(factor, b):
+            calls.append(factor)
+            return original(factor, b)
 
         monkeypatch.setattr(stepper_mod, "thomas_solve", counted)
         state = solve(_loaded_problem(0.5, loads, distributed), Grid1D(1.0, 1.0, 12, 5))
@@ -739,7 +759,7 @@ class TestStepAndSolve:
         # distributed load's rows are solved in one more sweep per load block
         # (one block here)
         assert len(calls) == len(loads) + 5 + per_block
-        assert all(tri is state.factor for tri in calls)
+        assert all(factor is state.factor for factor in calls)
 
     def test_singular_capacitance_in_step_names_loads(self):
         # A coefficient that is nonzero only at the node x = 0 gives the load
@@ -909,16 +929,16 @@ class TestStepAndSolve:
 
 def woodbury_march(problem, grid):
     """Levels of a march that assembles every step on its own and closes it
-    with a fresh ``woodbury_solve`` on a factor of its own, solving the load
-    columns against T anew."""
+    with the oracle's ``woodbury_solve`` on a factor of its own, solving the
+    load columns against T anew."""
     state = SolverState(problem, grid)
-    factor = thomas_factor(assemble_tridiagonal(grid, problem.alpha, problem.mu))
+    tri = assemble_tridiagonal(grid, problem.alpha, problem.mu)
     levels = [state.level[0]]
     for j in range(grid.nt):
-        columns, rows = (side[0] for side in assemble_load_columns(state, (j + 0.5) * grid.tau))
+        columns, rows = (side[0] for side in _sides_at(state, (j + 0.5) * grid.tau))
         b = _next_rhs(state)[0]
         row = state.increments[:, j - state.modes.start]
-        row[0, 1:-1] = woodbury_solve(factor, columns, rows, b)
+        row[0, 1:-1] = oracles.woodbury_solve(tri, columns, rows, b)
         state.level = state.level + row
         state.j = j + 1
         levels.append(state.level[0])
@@ -994,7 +1014,7 @@ class TestLoadBlocks:
         block = stepper_mod._load_block(state, LOAD_BLOCK)
         assert (block.start, block.stop) == (LOAD_BLOCK, 40)
         for i, j in enumerate(range(block.start, block.stop)):
-            columns, rows = assemble_load_columns(state, (j + 0.5) * grid.tau)
+            columns, rows = _sides_at(state, (j + 0.5) * grid.tau)
             assert columns.shape == (len(problems), 9, 3) and rows.shape == (len(problems), 3, 9)
             assert np.array_equal(block.columns[i], columns)
             assert np.array_equal(block.rows[i], rows)
@@ -1380,7 +1400,7 @@ class TestLoadOffsets:
         # the manufactured forcing calls no coefficient; the load samples
         # call each distinct one once per block, for the whole batch
         depth = []
-        original = stepper_mod._load_samples
+        original = stepper_mod.assemble_load_columns
 
         def sampling(*args):
             depth.append(None)
@@ -1389,7 +1409,7 @@ class TestLoadOffsets:
             finally:
                 depth.pop()
 
-        monkeypatch.setattr(stepper_mod, "_load_samples", sampling)
+        monkeypatch.setattr(stepper_mod, "assemble_load_columns", sampling)
         calls = []
 
         def recorder(name, fn):

@@ -78,6 +78,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_temporal_config(problem="mystery")
 
+    def test_repeated_order(self, capsys):
+        # its cells would be judged twice, the second copy at another rung's tolerance
+        with pytest.raises(ValueError, match=r"fractional order 0\.5 is given more than once"):
+            tiny_temporal_config(alphas=(0.5, 0.1, 0.5))
+        assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4,8", "--alpha", "0.5,0.5"]) == 2
+        assert "error: fractional order 0.5 is given more than once" in capsys.readouterr().err
+
 
 class TestRunStudy:
     def test_single_rung_has_no_orders(self):
