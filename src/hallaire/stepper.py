@@ -55,16 +55,9 @@ LOAD_BLOCK = 32
 # for the whole batch.  A block covers LOAD_BLOCK steps, or fewer where that
 # would be more: one problem at nx = 1000 with three point loads fills 32
 # steps (0.98 MiB), the three orders of a Table 2 rung 10 steps, where 32
-# held 3 MiB.
+# held 3 MiB.  The coefficients' samples, about as large as the point-load
+# columns, are held beside them only while the block is built.
 BLOCK_BYTES = 1 << 20
-
-# Bytes of point-load samples stacked for one compact average while a block
-# is built; the coefficients are called once per chunk of half layers this
-# size.  A small grid samples and averages its whole block in one call (three
-# loads at nx = 24), where the per-call cost matters; a wide one fewer half
-# layers at a time (one at nx = 1000), so that the block's samples, 0.77 MB
-# there, are never held beside the columns they are averaged into.
-SAMPLE_BYTES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +298,6 @@ def _members(problem) -> tuple:
     return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
 
 
-def _owners(evaluators) -> list:
-    """For each member's evaluators, the index of the first member whose evaluators are the very same objects."""
-    first = {}
-    return [first.setdefault(tuple(map(id, group)), b) for b, group in enumerate(evaluators)]
-
-
 def _half_average(q: np.ndarray, out: np.ndarray) -> None:
     """Write ``-0.5 * compact_average(q)`` into ``out``, bit for bit, with no temporary array.
 
@@ -330,22 +317,19 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     Returns the columns as one ``(len(t_half), B, n, m)`` array, the point
     loads first (minus half the compact average of each coefficient) and
     then the distributed load's constant column; the rows as a
-    ``(len(t_half), B, m, n)`` array, the
-    state's ``point_rows`` and then the distributed load's interior
-    Simpson-weighted samples; the forcing at every node as a
-    ``(len(t_half), B, nx + 1)`` array; and the offsets as a
+    ``(len(t_half), B, m, n)`` array, the state's ``point_rows`` and then the
+    distributed load's interior Simpson-weighted samples; the forcing at
+    every node as a ``(len(t_half), B, nx + 1)`` array; and the offsets as a
     ``(len(t_half), B, m)`` array, zero for a member without
-    ``load_offsets``, which is called one time at a time.  Each evaluator is
-    called with the nodes as a row and times as a column; a result that does
-    not broadcast to the shape of its samples is a ``ValueError`` naming the
-    evaluator.  Each member's forcing and each distinct distributed load,
-    whose samples are all kept, are called once for all the half layers.  Each
-    distinct set of point-load coefficients is called once per SAMPLE_BYTES
-    of their samples, which are averaged straight into the columns.  Members
-    share samples when their evaluators are the same objects (``is``), as the
-    bundled problems' are for every order: the first such member's samples
-    are copied into the others.  Every sample is written into its place in
-    the batch, so no per-problem copy is held.
+    ``load_offsets``, which is called one time at a time.  Each distinct
+    evaluator object (``is``, not ``==``) is called once, with the nodes as
+    a row and all the half layers as a column, for the whole batch: a
+    member whose forcing, coefficient or distributed load is an object
+    already sampled, in any of these roles, gets a copy of those samples, as
+    the bundled problems' coefficients are for every order.  A result that
+    does not broadcast to the shape of its samples is a ``ValueError``
+    naming the evaluator.  The coefficients' samples are averaged into the
+    columns in one pass.
     """
     problems = state.problems
     x = state.x
@@ -354,33 +338,29 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     points = len(state.point_rows)
     distributed = state.simpson is not None
     forcing = np.empty((count, len(problems), x.size))
+    q = np.empty((count, len(problems), points, x.size))
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
     weights = np.empty((count, len(problems), x.size)) if distributed else None
     offsets = np.zeros((count, len(problems), points + distributed))
+    sampled = {}
+
+    def sample(out, name, evaluator):
+        if id(evaluator) in sampled:
+            out[...] = sampled[id(evaluator)]
+        else:
+            _evaluate(out, name, evaluator, nodes, t_half[:, None])
+            sampled[id(evaluator)] = out
+
     for b, member in enumerate(problems):
-        _evaluate(forcing[:, b], "forcing", member.forcing, nodes, t_half[:, None])
+        sample(forcing[:, b], "forcing", member.forcing)
+        for k, ld in enumerate(member.loads):
+            sample(q[:, b, k], f"load x={ld.position:g}", ld.coefficient)
+        if distributed:
+            sample(weights[:, b], "integral_load", member.integral_load)
         if member.load_offsets is not None:
             _evaluate_offsets(offsets[:, b], member.load_offsets, t_half)
     if points:
-        owners = _owners([ld.coefficient for ld in member.loads] for member in problems)
-        per = max(1, SAMPLE_BYTES // (8 * points * x.size))
-        q = np.empty((min(per, count), points, x.size))
-        for lo in range(0, count, per):
-            t = t_half[lo : lo + per, None]
-            chunk = columns[lo : lo + per, :, :points]
-            for b, owner in enumerate(owners):
-                if owner != b:
-                    chunk[:, b] = chunk[:, owner]
-                    continue
-                for k, ld in enumerate(problems[b].loads):
-                    _evaluate(q[: len(t), k], f"load x={ld.position:g}", ld.coefficient, nodes, t)
-                _half_average(q[: len(t)], chunk[:, b])
-    if distributed:
-        for b, owner in enumerate(_owners((member.integral_load,) for member in problems)):
-            if owner != b:
-                weights[:, b] = weights[:, owner]
-            else:
-                _evaluate(weights[:, b], "integral_load", problems[b].integral_load, nodes, t_half[:, None])
+        _half_average(q, columns[:, :, :points])
     columns = np.swapaxes(columns, -1, -2)
     rows = np.broadcast_to(state.point_rows, (count, len(problems)) + state.point_rows.shape)
     if distributed:
@@ -618,6 +598,34 @@ def _notify(observers, j, t, level, alphas):
                 raise RuntimeError(f"observer failed at time level {j} for alpha = {alphas[b]:g}") from exc
 
 
+def _observer_lists(problem, count: int, observers) -> tuple:
+    """One tuple of observers per problem of the batch; a bare callable or an entry that is not one is a ValueError."""
+
+    def sequence(items, of: str) -> tuple:
+        if not callable(items):
+            try:
+                return tuple(items)
+            except TypeError:
+                pass
+        raise ValueError(f"observers must be {of}, got {items!r}")
+
+    if isinstance(problem, ProblemSpec):
+        lists = (sequence(observers, "a sequence of callables"),)
+    else:
+        lists = sequence(observers, "one sequence of callables per problem") or ((),) * count
+        if len(lists) != count or any(map(callable, lists)):
+            raise ValueError(
+                f"{count} problems need as many sequences of observers, "
+                f"got {len(lists)} entries, {sum(map(callable, lists))} of them a bare callable"
+            )
+        lists = tuple(sequence(seen, "a sequence of callables") for seen in lists)
+    for seen in lists:
+        for observer in seen:
+            if not callable(observer):
+                raise ValueError(f"observers must be callables (j, t, level), got {observer!r}")
+    return lists
+
+
 def solve(problem, grid: Grid1D, observers=()) -> SolverState:
     """March all time steps of one problem, or of a batch of them in lockstep.
 
@@ -629,16 +637,7 @@ def solve(problem, grid: Grid1D, observers=()) -> SolverState:
     of its own solve alone.  Returns the final state.
     """
     problems = _members(problem)
-    if isinstance(problem, ProblemSpec):
-        observers = (tuple(observers),)
-    else:
-        observers = tuple(observers) or ((),) * len(problems)
-        if len(observers) != len(problems) or any(callable(seen) for seen in observers):
-            raise ValueError(
-                f"{len(problems)} problems need as many sequences of observers, "
-                f"got {len(observers)} entries, {sum(map(callable, observers))} of them a bare callable"
-            )
-        observers = tuple(tuple(seen) for seen in observers)
+    observers = _observer_lists(problem, len(problems), observers)
     for member in problems:
         if not (
             math.isclose(grid.length, member.length)

@@ -984,13 +984,11 @@ class TestLoadBlocks:
         assert np.max(np.abs(got - stepwise)) <= 1e-13 * np.max(np.abs(stepwise))
 
     @pytest.mark.parametrize("batch", ["alone", "shared", "distinct"])
-    @pytest.mark.parametrize("per", [None, 1, 3])
-    def test_block_sides_are_the_per_step_sides(self, monkeypatch, per, batch):
+    def test_block_sides_are_the_per_step_sides(self, batch):
         # the march uses bit for bit the columns and rows of each half layer,
-        # whether the block's samples are averaged at once or ``per`` half
-        # layers at a time, and whether the orders of a batch share their
-        # load evaluators (the samples of the first are copied into the
-        # others) or each has its own objects with values of its own
+        # whether the orders of a batch share their load evaluators (the
+        # samples of the first are copied into the others) or each has its
+        # own objects with values of its own
         p = _loaded_problem(0.5, (0, 2), True)
         if batch == "alone":
             problems = (p,)
@@ -1008,8 +1006,6 @@ class TestLoadBlocks:
                 for alpha in ALPHAS
             )
         grid = Grid1D(1.0, 1.0, 10, 40)
-        if per is not None:
-            monkeypatch.setattr(stepper_mod, "SAMPLE_BYTES", per * 8 * 2 * 11)
         state = SolverState(problems, grid)
         block = stepper_mod._load_block(state, LOAD_BLOCK)
         assert (block.start, block.stop) == (LOAD_BLOCK, 40)
@@ -1022,46 +1018,60 @@ class TestLoadBlocks:
             assert not np.array_equal(block.columns[:, 0], block.columns[:, 1])
             assert not np.array_equal(block.rows[:, 0], block.rows[:, 1])
 
-    @pytest.mark.parametrize("batch", ["alone", "shared", "distinct"])
+    @pytest.mark.parametrize("batch", ["alone", "shared", "partly", "distinct"])
     @pytest.mark.parametrize("nt", [1, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1, 70])
-    def test_each_evaluator_called_once_per_block_up_to_the_last(self, nt, batch):
-        # one problem; three orders sharing one coefficient object and one
-        # integral_load object, each with its own forcing; or three orders
-        # whose evaluators compute the same values but are distinct objects
-        calls = {}
+    @pytest.mark.parametrize("nx", [8, 1000])
+    def test_each_evaluator_called_once_per_block_up_to_the_last(self, nx, nt, batch):
+        # one problem; three orders sharing both coefficient objects and the
+        # integral_load object, each with its own forcing; three sharing the
+        # forcing and the first coefficient, each with its own second
+        # coefficient and integral_load; or three whose evaluators compute
+        # the same values but are distinct objects
+        roles = {
+            "coefficient 0.4": lambda x, t: 1.0 + x * t,
+            "coefficient 0.7": lambda x, t: 2.0 - x * t,
+            "integral": lambda x, t: np.exp(x - t),
+            "forcing": lambda x, t: np.sin(math.pi * x) * t,
+        }
+        shared = {
+            "alone": (),
+            "shared": ("coefficient 0.4", "coefficient 0.7", "integral"),
+            "partly": ("coefficient 0.4", "forcing"),
+            "distinct": (),
+        }[batch]
+        made, calls = {}, {}
 
-        def recorded(name, fn):
-            calls[name] = []
+        def recorded(role, alpha):
+            name = role if role in shared else f"{role} {alpha}"
+            if name not in made:
+                seen = calls[name] = []
 
-            def evaluator(x, t):
-                calls[name].append(np.array(t))
-                return fn(np.asarray(x, dtype=float), t)
+                def evaluator(x, t):
+                    seen.append(np.array(t))
+                    return roles[role](np.asarray(x, dtype=float), t)
 
-            return evaluator
+                made[name] = evaluator
+            return made[name]
 
-        coefficient = lambda x, t: 1.0 + x * t
-        integral = lambda x, t: np.exp(x - t)
-        if batch == "shared":
-            shared = recorded("coefficient", coefficient), recorded("integral", integral)
-        problems = []
-        for alpha in (0.5,) if batch == "alone" else ALPHAS:
-            if batch == "shared":
-                coef, q = shared
-            else:
-                coef, q = recorded(f"coefficient {alpha}", coefficient), recorded(f"integral {alpha}", integral)
-            problems.append(ProblemSpec(
+        problems = [
+            ProblemSpec(
                 1.0, 1.0, alpha, 1.0,
-                (PointLoad(0.4, coef),),
-                recorded(f"forcing {alpha}", lambda x, t: np.sin(math.pi * x) * t),
+                (PointLoad(0.4, recorded("coefficient 0.4", alpha)), PointLoad(0.7, recorded("coefficient 0.7", alpha))),
+                recorded("forcing", alpha),
                 lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
-                integral_load=q,
-            ))
-        grid = Grid1D(1.0, 1.0, 8, nt)
+                integral_load=recorded("integral", alpha),
+            )
+            for alpha in ((0.5,) if batch == "alone" else ALPHAS)
+        ]
+        grid = Grid1D(1.0, 1.0, nx, nt)
         batched = _sha1_of_levels(problems, grid, True)
-        assert len(calls) == {"alone": 3, "shared": 5, "distinct": 9}[batch]
+        assert len(calls) == {"alone": 4, "shared": 6, "partly": 8, "distinct": 12}[batch]
         # one call per block, with exactly the block's half layers as a
-        # column, the last of them t_{nt - 1/2}
-        blocks = [(np.arange(lo, min(lo + LOAD_BLOCK, nt))[:, None] + 0.5) * grid.tau for lo in range(0, nt, LOAD_BLOCK)]
+        # column, the last of them t_{nt - 1/2}; three orders at nx = 1000
+        # take 10 steps a block (see test_wide_batch_takes_shorter_load_blocks)
+        length = SolverState(problems, grid).block_steps
+        assert length == (LOAD_BLOCK if nx == 8 or batch == "alone" else 10)
+        blocks = [(np.arange(lo, min(lo + length, nt))[:, None] + 0.5) * grid.tau for lo in range(0, nt, length)]
         assert blocks[-1][-1, 0] == (nt - 0.5) * grid.tau
         for name, seen in calls.items():
             assert len(seen) == len(blocks), name
@@ -1320,6 +1330,29 @@ class TestLockstep:
         # a flat sequence of callables is not one sequence per problem
         with pytest.raises(ValueError, match="got 2 entries, 2 of them a bare callable"):
             solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=(watch, watch))
+
+    @pytest.mark.parametrize(
+        "batch, observers, refusal",
+        [
+            (False, lambda j, t, level: None, "a sequence of callables, got <function"),
+            (False, (3,), r"callables \(j, t, level\), got 3$"),
+            (False, [[3]], r"callables \(j, t, level\), got \[3\]$"),
+            (False, 3, "a sequence of callables, got 3$"),
+            (True, lambda j, t, level: None, "one sequence of callables per problem, got <function"),
+            (True, ((3,), ()), r"callables \(j, t, level\), got 3$"),
+            (True, ([[3]], ()), r"callables \(j, t, level\), got \[3\]$"),
+            (True, (3, ()), "a sequence of callables, got 3$"),
+        ],
+        ids=["bare", "entry", "nested", "scalar", "batch-bare", "batch-entry", "batch-nested", "batch-scalar"],
+    )
+    def test_malformed_observers_are_refused_before_the_state_is_built(self, monkeypatch, batch, observers, refusal):
+        def unbuilt(*args):
+            raise AssertionError("the state was built")
+
+        monkeypatch.setattr(stepper_mod, "SolverState", unbuilt)
+        problem = (benchmark_problem(0.3), benchmark_problem(0.6)) if batch else benchmark_problem(0.3)
+        with pytest.raises(ValueError, match=f"^observers must be {refusal}"):
+            solve(problem, Grid1D(1.0, 1.0, 8, 4), observers=observers)
 
     def test_batch_beyond_memory_is_refused_before_allocation(self, monkeypatch):
         # one solve fits in 1 MiB of reported memory, a batch of two does
