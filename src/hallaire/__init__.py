@@ -10,15 +10,7 @@ The names below are the documented API (see the README); everything else is
 imported from its module, e.g. ``hallaire.stepper.SolverState``.
 """
 
-from .caputo import (
-    CaputoKernel,
-    apply_half_layer,
-    caputo_power,
-    l1_weight,
-    l1_weight_array,
-    split_half_layer,
-    truncation_bound,
-)
+from .caputo import l1_weight_array
 from .grids import Grid1D, convergence_order, norm_grad_forward, norm_l2, norm_max
 from .problems import PointLoad, ProblemSpec, benchmark_problem, make_problem, manufactured_problem
 from .spatial import compact_average, second_difference
@@ -37,20 +29,16 @@ from .study import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaputoKernel",
     "Grid1D",
     "PointLoad",
     "ProblemSpec",
     "StudyConfig",
     "Tridiagonal",
-    "apply_half_layer",
     "benchmark_problem",
-    "caputo_power",
     "compact_average",
     "convergence_order",
     "deep_order_check",
     "emit_report",
-    "l1_weight",
     "l1_weight_array",
     "make_problem",
     "manufactured_problem",
@@ -62,8 +50,6 @@ __all__ = [
     "second_difference",
     "self_check",
     "solve",
-    "split_half_layer",
     "table1_config",
     "table2_config",
-    "truncation_bound",
 ]

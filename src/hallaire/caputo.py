@@ -2,10 +2,12 @@
 
 The discrete operator evaluated at t_{j+1/2} is a convolution of level
 increments with slowly decaying weights; this module provides the weights,
-the convolution, the sum-of-exponentials tail that lets a long march carry
-its old increments as a few modes, the transformed split used by the energy
-estimates, and the closed-form power-function derivative used as a test
-oracle.
+their stack for a march over a batch of orders (:class:`KernelStack`), and
+the sum-of-exponentials tail that lets a long march carry its old
+increments as a few modes (:class:`HistoryModes`).  The march sums the
+convolution in :func:`hallaire.stepper._history_sum`, its only route; the
+dense operator over stored levels, its transformed split and the
+closed-form power-function derivative are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -59,30 +61,19 @@ def check_alpha(alpha: float) -> None:
         )
 
 
-def l1_weight(j: int, alpha: float) -> float:
-    """Convolution weight c_j of the half-layer L1 operator."""
-    check_alpha(alpha)
-    if j < 0:
-        raise ValueError(f"weight index must be nonnegative, got {j}")
-    if j == 0:
-        return 2.0 ** (alpha - 1.0)
-    return _lag_weights(j, alpha)
-
-
 def l1_weight_array(j: int, alpha: float) -> np.ndarray:
-    """Weights c_0..c_j as one array."""
+    """Convolution weights c_0..c_j of the half-layer L1 operator as one array.
+
+    c_0 = 2^(alpha-1) and c_k = (k + 1/2)^(1-alpha) - (k - 1/2)^(1-alpha).
+    """
     check_alpha(alpha)
     if j < 0:
         raise ValueError(f"weight index must be nonnegative, got {j}")
     out = np.empty(j + 1)
     out[0] = 2.0 ** (alpha - 1.0)
-    out[1:] = _lag_weights(np.arange(1, j + 1, dtype=float), alpha)
+    k = np.arange(1, j + 1, dtype=float)
+    out[1:] = (k + 0.5) ** (1.0 - alpha) - (k - 0.5) ** (1.0 - alpha)
     return out
-
-
-def _lag_weights(k, alpha: float):
-    """Weights c_k of the lags k >= 1: one integer, or an array of them as floats."""
-    return (k + 0.5) ** (1.0 - alpha) - (k - 0.5) ** (1.0 - alpha)
 
 
 def gamma_const(alpha: float) -> float:
@@ -218,55 +209,35 @@ class HistoryModes:
         return np.vecmat(self.kernel.soe.lagged[j - self.start - HISTORY_WINDOW + 1], self.values)
 
 
-class CaputoKernel:
-    """Weights and scale factors for one (alpha, tau) pair.
-
-    ``scale`` multiplies raw level increments u^{s+1} - u^s: it absorbs the
-    1/tau of the divided difference.  A march reads its weights from a
-    :class:`KernelStack`, which stores the lags it needs.
-    """
-
-    def __init__(self, alpha: float, tau: float):
-        check_alpha(alpha)
-        if not (tau > 0.0 and math.isfinite(tau)):
-            raise ValueError(f"time step must be positive and finite, got {tau}")
-        self.alpha = float(alpha)
-        self.tau = float(tau)
-        self.scale = tau ** (-alpha) / math.gamma(2.0 - alpha)
-        self.gamma = gamma_const(alpha)
-
-    def weights(self, j: int) -> np.ndarray:
-        """Array of c_0..c_j."""
-        return l1_weight_array(j, self.alpha)
-
-    def weights_transformed(self, j: int) -> np.ndarray:
-        """Weights with the leading entry replaced by 1."""
-        w = self.weights(j)
-        w[0] = 1.0
-        return w
-
-
 class KernelStack:
     """The kernels of a batch of fractional orders on one time grid, stacked on a leading axis.
 
     A march of ``nsteps`` steps over B problems at once reads its weights
-    from here: ``scale`` is the (B, 1) column of the :class:`CaputoKernel`
-    scales, and :meth:`history_weights` the (B, j) stack of their
+    from here: ``scale`` is the (B, 1) column of tau^-alpha / Gamma(2 - alpha),
+    which multiplies raw level increments and so absorbs the 1/tau of their
+    divided differences, and :meth:`history_weights` the (B, j) stack of
     -c_j..-c_1, for the lags up to ``history_rows(nsteps)`` the march
     stores.  ``soe`` stacks the orders' :class:`ExponentialTail` fits for an
     ``nsteps``-step march, fitted on first use:
     ``nodes`` and ``weights`` are (B, N_exp), ``fold`` (B, N_exp, C),
     ``lagged`` (C, B, N_exp), lag first as in a single fit, and ``error`` is
     the largest fit error.  N_exp depends only on the step count, so the fits
-    stack.
+    stack.  An order out of range, a time step that is not positive and
+    finite, and a negative step count are each a ``ValueError``.
     """
 
     def __init__(self, alphas, tau: float, nsteps: int):
-        kernels = [CaputoKernel(alpha, tau) for alpha in alphas]
-        self.alphas = tuple(k.alpha for k in kernels)
-        self.nsteps = max(int(nsteps), 0)
-        self.scale = np.array([[k.scale] for k in kernels])
-        self._lags = -np.stack([k.weights(history_rows(self.nsteps))[:0:-1] for k in kernels])
+        alphas = tuple(alphas)
+        for alpha in alphas:
+            check_alpha(alpha)
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise ValueError(f"time step must be positive and finite, got {tau}")
+        if nsteps < 0:
+            raise ValueError(f"step count must be nonnegative, got {nsteps}")
+        self.alphas = tuple(float(alpha) for alpha in alphas)
+        self.nsteps = int(nsteps)
+        self.scale = np.array([[tau ** (-alpha) / math.gamma(2.0 - alpha)] for alpha in alphas])
+        self._lags = -np.stack([l1_weight_array(history_rows(self.nsteps), alpha)[:0:-1] for alpha in self.alphas])
 
     def history_weights(self, j: int) -> np.ndarray:
         """-c_j..-c_1 of every order, the weights of the increments y^{s+1} - y^s, s = 0..j-1, in D at t_{j+1/2} (treat as read-only).
@@ -285,69 +256,3 @@ class KernelStack:
         stacked = {name: np.stack([getattr(fit, name) for fit in fits]) for name in ("nodes", "weights", "fold")}
         lagged = np.stack([fit.lagged for fit in fits], axis=1)
         return ExponentialTail(error=max(fit.error for fit in fits), lagged=lagged, **stacked)
-
-
-def _history_diffs(history, j):
-    hist = np.asarray(history, dtype=float)
-    if j is None:
-        j = hist.shape[0] - 2
-    if j < 0 or hist.shape[0] < j + 2:
-        raise ValueError(
-            f"half-layer step {j} needs {j + 2} stored levels, got {hist.shape[0]}"
-        )
-    return np.diff(hist[: j + 2], axis=0), j
-
-
-def apply_half_layer(history, kernel: CaputoKernel, j: int | None = None):
-    """Discrete fractional derivative at t_{j+1/2} from levels u^0..u^{j+1}.
-
-    Levels may be scalars or vectors; vectors are handled componentwise.
-    """
-    diffs, j = _history_diffs(history, j)
-    w = kernel.weights(j)[::-1]
-    out = kernel.scale * np.tensordot(w, diffs, axes=(0, 0))
-    return float(out) if out.ndim == 0 else out
-
-
-def split_half_layer(history, kernel: CaputoKernel, j: int | None = None):
-    """Transformed-operator value and its first-difference correction.
-
-    Returns ``(smooth, correction)`` with the plain half-layer operator equal
-    to ``smooth - correction``.  The smooth part uses the strictly decreasing
-    weight sequence, which is what the discrete energy argument needs.
-    """
-    diffs, j = _history_diffs(history, j)
-    wbar = kernel.weights_transformed(j)[::-1]
-    smooth = kernel.scale * np.tensordot(wbar, diffs, axes=(0, 0))
-    correction = kernel.gamma * kernel.tau ** (-kernel.alpha) * diffs[-1]
-    if smooth.ndim == 0:
-        return float(smooth), float(correction)
-    return smooth, correction
-
-
-def caputo_power(p: float, alpha: float, t):
-    """Caputo derivative of t**p, Gamma(p+1)/Gamma(p+1-alpha) t**(p-alpha); 0 for t <= 0."""
-    check_alpha(alpha)
-    if not (p > 0.0 and math.isfinite(p)):
-        raise ValueError(f"exponent must be positive and finite, got {p}")
-    coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
-    tt = np.asarray(t, dtype=float)
-    out = np.where(np.isnan(tt), np.nan, 0.0)
-    nz = tt > 0.0
-    out[nz] = coef * tt[nz] ** (p - alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def truncation_bound(alpha: float, tau: float, m2: float) -> float:
-    """A priori ceiling on |exact - discrete| at any half layer.
-
-    ``m2`` bounds |u''| on the time range covered by the history; the bound
-    decays like tau**(2-alpha).
-    """
-    check_alpha(alpha)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"time step must be positive and finite, got {tau}")
-    if not (m2 >= 0.0 and math.isfinite(m2)):
-        raise ValueError(f"second-derivative bound must be nonnegative and finite, got {m2}")
-    lead = 2.0 ** alpha * m2 / (4.0 * math.gamma(2.0 - alpha))
-    return lead * ((1.0 - alpha) / 2.0 + 1.0) * tau ** (2.0 - alpha)

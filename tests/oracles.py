@@ -3,8 +3,9 @@
 Everything here is deliberately written on a different route than the
 package: dense matrices instead of banded solves, scipy Lagrange polynomials
 instead of closed-form weights, a march over the levels instead of over
-their increments, a load correction closed from its column solves instead
-of its row solves.
+their increments, a Caputo operator summed densely over every stored level
+instead of over a window and exponential modes, a load correction closed
+from its column solves instead of its row solves.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import lagrange
 
+from hallaire.caputo import check_alpha
 from hallaire.stepper import ThomasFactor, thomas_factor, thomas_solve
 
 
@@ -26,11 +28,82 @@ def caputo_by_quadrature(du, alpha, t):
 
 
 def l1_weights_direct(j, alpha):
+    """Weights c_0..c_j of the half-layer L1 operator, one scalar at a time."""
     c = np.empty(j + 1)
     c[0] = 0.5 ** (1.0 - alpha)
     for i in range(1, j + 1):
         c[i] = (i + 0.5) ** (1.0 - alpha) - (i - 0.5) ** (1.0 - alpha)
     return c
+
+
+def _history_diffs(history, j):
+    hist = np.asarray(history, dtype=float)
+    if j is None:
+        j = hist.shape[0] - 2
+    if j < 0 or hist.shape[0] < j + 2:
+        raise ValueError(f"half-layer step {j} needs {j + 2} stored levels, got {hist.shape[0]}")
+    return np.diff(hist[: j + 2], axis=0), j
+
+
+def apply_half_layer(history, alpha, tau, j=None):
+    """Discrete fractional derivative at t_{j+1/2} from levels u^0..u^{j+1}, j by default the last.
+
+    One dense sum of every level difference with ``l1_weights_direct``, where
+    the march keeps the differences and sums them over a window and its
+    exponential modes.  Levels may be scalars or vectors; vectors are handled
+    componentwise.
+    """
+    diffs, j = _history_diffs(history, j)
+    w = l1_weights_direct(j, alpha)[::-1]
+    out = tau ** (-alpha) / math.gamma(2.0 - alpha) * np.tensordot(w, diffs, axes=(0, 0))
+    return float(out) if out.ndim == 0 else out
+
+
+def split_half_layer(history, alpha, tau, j=None):
+    """Transformed-operator value and its first-difference correction, ``(smooth, correction)``.
+
+    The plain half-layer operator is ``smooth - correction``.  The smooth
+    part uses the weights with c_0 replaced by 1, a strictly decreasing
+    sequence, which is what the discrete energy argument needs; the
+    correction is gamma tau^-alpha (u^{j+1} - u^j), gamma = (1 - c_0) / Gamma(2 - alpha).
+    """
+    diffs, j = _history_diffs(history, j)
+    wbar = l1_weights_direct(j, alpha)
+    wbar[0] = 1.0
+    smooth = tau ** (-alpha) / math.gamma(2.0 - alpha) * np.tensordot(wbar[::-1], diffs, axes=(0, 0))
+    p = 2.0 ** (1.0 - alpha)
+    correction = (p - 1.0) / (p * math.gamma(2.0 - alpha)) * tau ** (-alpha) * diffs[-1]
+    if smooth.ndim == 0:
+        return float(smooth), float(correction)
+    return smooth, correction
+
+
+def caputo_power(p, alpha, t):
+    """Caputo derivative of t**p, Gamma(p+1)/Gamma(p+1-alpha) t**(p-alpha); 0 for t <= 0."""
+    check_alpha(alpha)
+    if not (p > 0.0 and math.isfinite(p)):
+        raise ValueError(f"exponent must be positive and finite, got {p}")
+    coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
+    tt = np.asarray(t, dtype=float)
+    out = np.where(np.isnan(tt), np.nan, 0.0)
+    nz = tt > 0.0
+    out[nz] = coef * tt[nz] ** (p - alpha)
+    return float(out) if out.ndim == 0 else out
+
+
+def truncation_bound(alpha, tau, m2):
+    """A priori ceiling on |exact - discrete| at any half layer.
+
+    ``m2`` bounds |u''| on the time range covered by the history; the bound
+    decays like tau**(2-alpha).
+    """
+    check_alpha(alpha)
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"time step must be positive and finite, got {tau}")
+    if not (m2 >= 0.0 and math.isfinite(m2)):
+        raise ValueError(f"second-derivative bound must be nonnegative and finite, got {m2}")
+    lead = 2.0**alpha * m2 / (4.0 * math.gamma(2.0 - alpha))
+    return lead * ((1.0 - alpha) / 2.0 + 1.0) * tau ** (2.0 - alpha)
 
 
 def l1_lag_weights(k, alpha):

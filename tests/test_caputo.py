@@ -6,57 +6,84 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallaire import (
-    CaputoKernel,
-    apply_half_layer,
-    caputo_power,
-    l1_weight,
-    l1_weight_array,
-    split_half_layer,
-    truncation_bound,
-)
+from hallaire import l1_weight_array
 from hallaire.caputo import (
     HISTORY_CHUNK,
     HISTORY_WINDOW,
+    HistoryModes,
     KernelStack,
     fit_exponential_tail,
     gamma_const,
     history_rows,
 )
-from oracles import caputo_by_quadrature, l1_lag_weight_decimal, l1_lag_weights
+from hallaire.stepper import _history_sum
+from oracles import (
+    apply_half_layer,
+    caputo_by_quadrature,
+    caputo_power,
+    l1_lag_weight_decimal,
+    l1_lag_weights,
+    l1_weights_direct,
+    split_half_layer,
+    truncation_bound,
+)
 
 ALPHA_THRESHOLD = math.log(1.5) / math.log(3.0)  # where c_0 and c_1 cross
 
 
+def march_half_layer(levels, alpha, tau):
+    """The march's discrete Caputo derivative D_j at t_{j+1/2}, j = 0..nt-1, of the scalar levels u^0..u^nt.
+
+    Runs the step's own route: a :class:`KernelStack` and its
+    :class:`HistoryModes` over a (1, history_rows(nt), 1) increment buffer,
+    D_j = scale (c_0 delta^j - _history_sum(...)), with delta^j written at
+    row j - modes.start after the sum, as the step writes it.  Returns D and
+    the final checkpoint, above 0 once the buffer has folded.
+    """
+    deltas = np.diff(np.asarray(levels, dtype=float))
+    nsteps = deltas.size
+    kernel = KernelStack((alpha,), tau, nsteps)
+    modes = HistoryModes(kernel)
+    buffer = np.zeros((1, history_rows(nsteps), 1))
+    c0 = l1_weight_array(0, alpha)[0]
+    out = np.empty(nsteps)
+    for j in range(nsteps):
+        history = _history_sum(buffer, kernel, j, modes)[0, 0]
+        out[j] = kernel.scale[0, 0] * (c0 * deltas[j] - history)
+        buffer[0, j - modes.start, 0] = deltas[j]
+    return out, modes.start
+
+
 class TestWeights:
     def test_leading_weight(self):
-        assert l1_weight(0, 0.5) == pytest.approx(2.0**-0.5)
+        assert l1_weight_array(0, 0.5)[0] == pytest.approx(2.0**-0.5)
 
     def test_second_weight(self):
-        assert l1_weight(1, 0.5) == pytest.approx(1.5**0.5 - 0.5**0.5)
+        assert l1_weight_array(1, 0.5)[1] == pytest.approx(1.5**0.5 - 0.5**0.5)
 
     def test_crossing_point(self):
-        assert l1_weight(0, ALPHA_THRESHOLD) == pytest.approx(
-            l1_weight(1, ALPHA_THRESHOLD), abs=1e-12
-        )
+        c0, c1 = l1_weight_array(1, ALPHA_THRESHOLD)
+        assert c0 == pytest.approx(c1, abs=1e-12)
 
     def test_ordering_flips_at_threshold(self):
-        above = ALPHA_THRESHOLD + 0.01
-        below = ALPHA_THRESHOLD - 0.01
-        assert l1_weight(0, above) > l1_weight(1, above)
-        assert l1_weight(0, below) < l1_weight(1, below)
+        above = l1_weight_array(1, ALPHA_THRESHOLD + 0.01)
+        below = l1_weight_array(1, ALPHA_THRESHOLD - 0.01)
+        assert above[0] > above[1]
+        assert below[0] < below[1]
 
     def test_order_out_of_range_rejected(self):
         for alpha in (0.0, 1.0, -0.3, 0.005, 0.995):
             with pytest.raises(ValueError):
-                l1_weight(0, alpha)
+                l1_weight_array(0, alpha)
         with pytest.raises(ValueError):
-            l1_weight(-1, 0.5)
+            l1_weight_array(-1, 0.5)
 
     def test_array_matches_scalar(self):
+        # against the oracle's weights, computed one scalar at a time
         arr = l1_weight_array(12, 0.3)
+        want = l1_weights_direct(12, 0.3)
         for j in range(13):
-            assert arr[j] == pytest.approx(l1_weight(j, 0.3), rel=1e-14)
+            assert arr[j] == pytest.approx(want[j], rel=1e-14)
 
     def test_positive_and_decaying(self):
         for alpha in np.arange(0.05, 0.96, 0.1):
@@ -67,9 +94,8 @@ class TestWeights:
     def test_transformed_sequence_strictly_decreasing(self):
         # leading entry forced to one makes the whole sequence monotone
         for alpha in np.arange(0.05, 0.96, 0.1):
-            kernel = CaputoKernel(float(alpha), 0.1)
-            w = kernel.weights_transformed(10_000)
-            assert w[0] == 1.0
+            w = l1_weight_array(10_000, float(alpha))
+            w[0] = 1.0
             assert np.all(np.diff(w) < 0.0)
 
 
@@ -90,44 +116,40 @@ class TestGammaConst:
 
 
 class TestApplyHalfLayer:
+    # the dense oracle of tests/oracles.py; TestMarchOperator compares the march with it
     def test_constant_history_vanishes(self):
-        kernel = CaputoKernel(0.4, 0.05)
-        assert apply_half_layer(np.full(9, 3.7), kernel) == 0.0
+        assert apply_half_layer(np.full(9, 3.7), 0.4, 0.05) == 0.0
 
     def test_exact_on_linear(self):
         # telescoping makes the operator exact for u(t) = t
         for alpha in (0.1, 0.5, 0.9):
             tau = 1 / 64
-            kernel = CaputoKernel(alpha, tau)
             ts = np.arange(40) * tau
             for j in (0, 5, 17, 38):
-                got = apply_half_layer(ts[: j + 2], kernel, j)
+                got = apply_half_layer(ts[: j + 2], alpha, tau, j)
                 t_half = (j + 0.5) * tau
                 want = t_half ** (1.0 - alpha) / math.gamma(2.0 - alpha)
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_cubic_within_truncation_bound(self):
         alpha, tau, j = 0.5, 1e-3, 499
-        kernel = CaputoKernel(alpha, tau)
         ts = np.arange(j + 2) * tau
-        got = apply_half_layer(ts**3, kernel, j)
+        got = apply_half_layer(ts**3, alpha, tau, j)
         want = caputo_power(3, alpha, (j + 0.5) * tau)
         bound = truncation_bound(alpha, tau, 6.0 * (j + 1) * tau)
         assert abs(got - want) <= bound
 
     def test_vector_levels_componentwise(self, rng):
-        kernel = CaputoKernel(0.3, 0.2)
         hist = rng.standard_normal((6, 4))
-        full = apply_half_layer(hist, kernel)
+        full = apply_half_layer(hist, 0.3, 0.2)
         for col in range(4):
-            assert full[col] == pytest.approx(apply_half_layer(hist[:, col], kernel), rel=1e-14)
+            assert full[col] == pytest.approx(apply_half_layer(hist[:, col], 0.3, 0.2), rel=1e-14)
 
     def test_insufficient_history_rejected(self):
-        kernel = CaputoKernel(0.5, 0.1)
         with pytest.raises(ValueError):
-            apply_half_layer([1.0], kernel)
+            apply_half_layer([1.0], 0.5, 0.1)
         with pytest.raises(ValueError):
-            apply_half_layer([1.0, 2.0, 3.0], kernel, j=5)
+            apply_half_layer([1.0, 2.0, 3.0], 0.5, 0.1, j=5)
 
 
 class TestSplit:
@@ -138,23 +160,20 @@ class TestSplit:
     )
     @settings(deadline=None)
     def test_identity_recomposes(self, values, alpha, tau):
-        kernel = CaputoKernel(alpha, tau)
-        smooth, correction = split_half_layer(values, kernel)
-        direct = apply_half_layer(values, kernel)
+        smooth, correction = split_half_layer(values, alpha, tau)
+        direct = apply_half_layer(values, alpha, tau)
         scale = max(abs(smooth), abs(correction), abs(direct), 1e-30)
         assert abs((smooth - correction) - direct) <= 1e-13 * scale
 
     def test_constant_history(self):
-        kernel = CaputoKernel(0.7, 0.25)
-        smooth, correction = split_half_layer(np.full(7, -4.2), kernel)
+        smooth, correction = split_half_layer(np.full(7, -4.2), 0.7, 0.25)
         assert smooth == 0.0
         assert correction == 0.0
 
     def test_linear_history_correction(self):
         alpha, tau = 0.35, 0.125
-        kernel = CaputoKernel(alpha, tau)
         ts = np.arange(10) * tau
-        _, correction = split_half_layer(ts, kernel, j=8)
+        _, correction = split_half_layer(ts, alpha, tau, j=8)
         assert correction == pytest.approx(gamma_const(alpha) * tau ** (1.0 - alpha), rel=1e-13)
 
 
@@ -206,19 +225,16 @@ class TestTruncationBound:
 
 
 def _max_half_layer_error(u, exact, alpha, tau, nsteps, m2_of_t):
-    """Max |discrete - exact| over all half layers, also checking the bound.
+    """Max |march - exact| over all half layers, also checking the bound.
 
     The bound is applied with a 2x safety factor, the documented allowance
     for a possible constant-factor slack in its derivation.
     """
-    kernel = CaputoKernel(alpha, tau)
-    ts = np.arange(nsteps + 1) * tau
-    hist = u(ts)
+    got, _ = march_half_layer(u(np.arange(nsteps + 1) * tau), alpha, tau)
     worst = 0.0
     for j in range(nsteps):
-        got = apply_half_layer(hist[: j + 2], kernel, j)
         want = exact((j + 0.5) * tau)
-        err = abs(got - want)
+        err = abs(got[j] - want)
         assert err <= 2.0 * truncation_bound(alpha, tau, m2_of_t((j + 1) * tau))
         worst = max(worst, err)
     return worst
@@ -251,29 +267,47 @@ class TestTruncationDecay:
         assert order >= 2.0 - alpha - 0.1
 
 
+class TestMarchOperator:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_matches_dense_oracle(self, alpha):
+        # the march's D_j of t^3 against the dense sum over every level, on
+        # two exact rungs and two whose buffer has folded into modes
+        for nsteps, tol in ((100, 1e-13), (200, 1e-13), (400, 2e-9), (800, 2e-9)):
+            tau = 1.0 / nsteps
+            levels = (np.arange(nsteps + 1) * tau) ** 3
+            got, start = march_half_layer(levels, alpha, tau)
+            dense = np.array([apply_half_layer(levels, alpha, tau, j) for j in range(nsteps)])
+            assert (start > 0) == (nsteps >= 400), nsteps
+            gap = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
+            assert gap <= tol, (nsteps, gap)
+
+
 class TestKernelObject:
     def test_weights_match_array(self):
-        kernel = CaputoKernel(0.45, 0.01)
-        assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
-        assert np.array_equal(kernel.weights(50), l1_weight_array(50, 0.45))
-        assert np.array_equal(kernel.weights(3), l1_weight_array(3, 0.45))
+        for nsteps in (3, 50):
+            kernel = KernelStack((0.45,), 0.01, nsteps)
+            assert np.array_equal(kernel.history_weights(nsteps)[0], -l1_weight_array(nsteps, 0.45)[:0:-1])
 
     def test_scale_factor(self):
-        kernel = CaputoKernel(0.5, 0.1)
-        assert kernel.scale == pytest.approx(0.1**-0.5 / math.gamma(1.5), rel=1e-14)
+        kernel = KernelStack((0.5, 0.9), 0.1, 10)
+        assert kernel.scale.shape == (2, 1)
+        assert kernel.scale[0, 0] == pytest.approx(0.1**-0.5 / math.gamma(1.5), rel=1e-14)
+        assert kernel.scale[1, 0] == pytest.approx(0.1**-0.9 / math.gamma(1.1), rel=1e-14)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            CaputoKernel(1.2, 0.1)
-        with pytest.raises(ValueError):
-            CaputoKernel(0.5, 0.0)
-        for tau in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                CaputoKernel(0.5, tau)
-        kernel = CaputoKernel(0.5, 0.1)
+        for alphas in ((1.2,), (0.5, 0.0)):
+            with pytest.raises(ValueError, match="fractional order"):
+                KernelStack(alphas, 0.1, 10)
+        for tau in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time step must be positive and finite"):
+                KernelStack((0.5,), tau, 10)
+        for nsteps in (-1, -400):
+            with pytest.raises(ValueError, match=f"step count must be nonnegative, got {nsteps}"):
+                KernelStack((0.5,), 0.1, nsteps)
+        kernel = KernelStack((0.5,), 0.1, 10)
         for j in (-1, -2, -5):
             with pytest.raises(ValueError):
-                kernel.weights(j)
+                kernel.history_weights(j)
 
 
 class TestExponentialTail:

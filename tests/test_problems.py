@@ -8,12 +8,11 @@ from hallaire import (
     PointLoad,
     ProblemSpec,
     benchmark_problem,
-    caputo_power,
     make_problem,
     manufactured_problem,
 )
 from hallaire.problems import integral_benchmark_problem
-from oracles import caputo_by_quadrature
+from oracles import caputo_by_quadrature, caputo_power
 
 
 def _benchmark_terms(alpha):

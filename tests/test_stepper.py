@@ -23,7 +23,7 @@ from hallaire import (
     solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.caputo import SOE_MIN_STEPS, CaputoKernel, HistoryModes, KernelStack, history_rows, l1_weight_array
+from hallaire.caputo import SOE_MIN_STEPS, HistoryModes, KernelStack, history_rows, l1_weight_array
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
@@ -594,7 +594,7 @@ class TestWindowedHistory:
         # the march's buffer: row i holds the increment at modes.start + i
         buffer = np.zeros((1, history_rows(nsteps), width))
         assert buffer.shape[1] == 63
-        c = CaputoKernel(alpha, 1.0 / nsteps).weights(nsteps)
+        c = l1_weight_array(nsteps, alpha)
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
