@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .grids import _count
+
 # Gamma-function evaluations stay well conditioned away from the endpoints,
 # so the fractional order is accepted on a slightly clipped interval.
 ALPHA_MIN = 0.01
@@ -223,7 +225,8 @@ class KernelStack:
     ``lagged`` (C, B, N_exp), lag first as in a single fit, and ``error`` is
     the largest fit error.  N_exp depends only on the step count, so the fits
     stack.  An order out of range, a time step that is not positive and
-    finite, and a negative step count are each a ``ValueError``.
+    finite, and a step count that is not a whole number >= 0 are each a
+    ``ValueError``.
     """
 
     def __init__(self, alphas, tau: float, nsteps: int):
@@ -232,10 +235,8 @@ class KernelStack:
             check_alpha(alpha)
         if not (tau > 0.0 and math.isfinite(tau)):
             raise ValueError(f"time step must be positive and finite, got {tau}")
-        if nsteps < 0:
-            raise ValueError(f"step count must be nonnegative, got {nsteps}")
         self.alphas = tuple(float(alpha) for alpha in alphas)
-        self.nsteps = int(nsteps)
+        self.nsteps = _count("step count", nsteps, 0)
         self.scale = np.array([[tau ** (-alpha) / math.gamma(2.0 - alpha)] for alpha in alphas])
         self._lags = -np.stack([l1_weight_array(history_rows(self.nsteps), alpha)[:0:-1] for alpha in self.alphas])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -17,20 +17,6 @@ from .caputo import check_alpha
 # broadcasts to it).  A 1-D x with a scalar t is one half layer.
 Evaluator = Callable[[np.ndarray, np.ndarray | float], np.ndarray]
 SpaceFunc = Callable[[np.ndarray], np.ndarray]
-
-
-def _per_time(fn, t) -> np.ndarray:
-    """``fn`` of each time in ``t``, taken in Python floats, with the shape of ``t``
-    (and a last axis for each of the values, if ``fn`` returns several).
-
-    numpy's array ``pow`` and ``exp`` may round differently from the C
-    library's, which Python's floats use.  Taken one time at a time, the
-    time factors of a block of half layers are bit-identical to those of
-    single half layers.
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.array([fn(s) for s in t.ravel().tolist()])
-    return values.reshape(t.shape + values.shape[1:])
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -63,9 +49,11 @@ class ProblemSpec:
 
     The loads act on the solution less an offset: point load k adds
     q_k(x, t) (u(x_k, t) - g_k(t)) and the distributed load adds
-    int q u - g(t).  ``load_offsets(t)``, called with one time at a time as
-    a Python float, returns the g of every point load and then the
-    distributed load's: one value per load.  ``None`` means zero offsets, the
+    int q u - g(t).  ``load_offsets(t)`` returns the g of every point load
+    and then the distributed load's along a last axis: m values for a
+    scalar t, and for the column ``times[:, None]`` of a block of half
+    layers, which the solver passes, values that broadcast to
+    ``(len(times), m)``.  ``None`` means zero offsets, the
     plain loaded equation.  An offset moves a known part of the load term
     out of the forcing: a problem with exact solution u can set the offsets
     to its load terms' values on u, and its forcing then need not sample the
@@ -81,7 +69,7 @@ class ProblemSpec:
     initial: SpaceFunc
     exact: Evaluator | None = None
     integral_load: Evaluator | None = None
-    load_offsets: Callable[[float], Sequence[float]] | None = None
+    load_offsets: Callable[[np.ndarray | float], np.ndarray] | None = None
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -119,9 +107,8 @@ def manufactured_problem(
     ``(q, projection)`` where ``projection(t)`` equals the integral of
     q(x, t) against the spatial profile over the domain; it is required in
     closed form to keep the offset exact.  The load coefficients and q must
-    broadcast over x and t as the evaluators do (see ``Evaluator``);
-    ``projection`` is called with one time at a time, a float, as are the
-    other time factors of the forcing, the offsets and the exact solution.
+    broadcast over x and t as the evaluators do (see ``Evaluator``), and
+    ``projection`` over t: a column of times gives a column of values.
     """
     check_alpha(alpha)
     if not (math.isfinite(mode) and mode == int(mode) and mode >= 1):
@@ -138,17 +125,22 @@ def manufactured_problem(
         (a * math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha), p - alpha) for a, p in terms
     )
 
-    def tpart(t: float) -> float:
+    # The time factors take a scalar t as a 0-d array: numpy's pow may round
+    # differently from the C library's, which Python floats use, and so a
+    # half layer alone gets the bits it gets in a block's column of times.
+    def tpart(t):
+        t = np.asarray(t, dtype=float)
         part = 0
         for a, p in terms:
             part += a * t**p
         return 1.0 + part
 
-    def profile_factor(t: float) -> float:
+    def profile_factor(t):
         # The Caputo derivative of the time part plus kk (part + mu part').
         # Every exponent p - alpha is positive, so t = 0 gives a derivative
         # of 0.  One pass over the terms adds each sum in the order sum()
         # would.
+        t = np.asarray(t, dtype=float)
         part = slope = caputo = 0
         for (a, p), (c, q) in zip(terms, caputo_coefs):
             part += a * t**p
@@ -165,20 +157,20 @@ def manufactured_problem(
         q_int = projection = None
 
     def exact(x, t):
-        return _per_time(tpart, t) * np.sin(k * np.asarray(x, dtype=float))
+        return tpart(t) * np.sin(k * np.asarray(x, dtype=float))
 
     def initial(x):
         return np.sin(k * np.asarray(x, dtype=float))
 
     def forcing(x, t):
-        return _per_time(profile_factor, t) * np.sin(k * np.asarray(x, dtype=float))
+        return profile_factor(t) * np.sin(k * np.asarray(x, dtype=float))
 
-    def load_offsets(t: float) -> list:
+    def load_offsets(t):
         part = tpart(t)
         values = [part * s for s in load_profiles]
         if projection is not None:
             values.append(part * projection(t))
-        return values
+        return np.hstack(values)
 
     return ProblemSpec(
         length=float(length),
@@ -231,7 +223,7 @@ def integral_benchmark_problem(alpha: float) -> ProblemSpec:
     profile_integral = k * (math.e + 1.0) / (1.0 + k * k)  # integral of e^x sin(3 pi x)
 
     def projection(t):
-        return math.exp(t) * profile_integral
+        return np.exp(t) * profile_integral
 
     return manufactured_problem(
         3,

@@ -1,5 +1,5 @@
 """Spatial operators: second differences, the fourth-order compact average,
-cubic interpolation at load points, and composite Simpson quadrature."""
+cubic interpolation at load points, and composite Simpson weights."""
 
 from __future__ import annotations
 
@@ -99,9 +99,3 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
-
-
-def simpson_integral(v, h: float) -> float:
-    """Composite Simpson approximation of the integral over the full interval."""
-    v = np.asarray(v, dtype=float)
-    return float(np.dot(simpson_weights(v.size - 1, h), v))

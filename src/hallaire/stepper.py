@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import HistoryModes, KernelStack, check_alpha, gamma_const, history_rows
+from .caputo import HistoryModes, KernelStack, gamma_const, history_rows, l1_weight_array
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import build_load_stencil, compact_average, second_difference, simpson_weights
@@ -248,49 +248,36 @@ def woodbury_solve(factor: ThomasFactor, columns, row_solves, inverse, b) -> np.
     return thomas_solve(factor, b - np.matvec(columns, q))
 
 
-def assemble_tridiagonal(grid: Grid1D, alpha: float, mu: float) -> Tridiagonal:
-    """Constant-in-time implicit operator on the interior unknowns.
+def assemble_tridiagonal(grid: Grid1D, kernel: KernelStack, mu) -> Tridiagonal:
+    """Constant-in-time implicit operators on the interior unknowns, one per order of ``kernel``, stacked.
 
-    Row i applies ``scale*c0*compact_average - (1/2 + mu/tau)*second_difference``
-    to the new level; the resulting matrix is strictly diagonally dominant.
+    Row i of operator b applies ``scale_b*c0_b*compact_average -
+    (1/2 + mu_b/tau)*second_difference`` to the new level, with the
+    kernel's ``scale`` and c0 = ``l1_weight_array(0, alpha)[0]``; ``mu``
+    holds one value per order.  Each matrix is strictly diagonally dominant.
     """
-    check_alpha(alpha)
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    beta_c0 = grid.tau ** (-alpha) / math.gamma(2.0 - alpha) * 2.0 ** (alpha - 1.0)
+    mu = np.asarray(mu, dtype=float)[:, None]
+    if not (mu > 0.0).all():
+        raise ValueError(f"mu must be positive, got {mu.ravel().tolist()}")
+    beta_c0 = kernel.scale * np.array([l1_weight_array(0, alpha)[:1] for alpha in kernel.alphas])
     r = 0.5 + mu / grid.tau
     h2 = grid.h * grid.h
     n = grid.nx - 1
-    diag = np.full(n, beta_c0 * 10.0 / 12.0 + r * 2.0 / h2)
-    off = beta_c0 / 12.0 - r / h2
-    return Tridiagonal(np.full(n - 1, off), diag, np.full(n - 1, off))
+    diag = np.repeat(beta_c0 * 10.0 / 12.0 + r * 2.0 / h2, n, axis=1)
+    off = np.repeat(beta_c0 / 12.0 - r / h2, n - 1, axis=1)
+    return Tridiagonal(off, diag, off)
 
 
-def _evaluate(out: np.ndarray, name: str, evaluator, x: np.ndarray, t: np.ndarray) -> None:
-    """Write ``evaluator(x, t)``, for the nodes as a row and times as a column, into ``out``."""
+def _evaluate(out: np.ndarray, name: str, evaluator, *args) -> None:
+    """Write ``evaluator(*args)`` into ``out``; the last argument is the block's times as a column."""
+    t = args[-1]
     try:
-        out[...] = evaluator(x, t)
+        out[...] = evaluator(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"{name} failed on {len(t)} half layer(s) from t = {t[0, 0]:g}: "
-            f"evaluators must broadcast over x and t, here to the shape {out.shape} ({exc})"
+            f"evaluators must broadcast over x and t, and load_offsets over t, here to the shape {out.shape} ({exc})"
         ) from exc
-
-
-def _evaluate_offsets(out: np.ndarray, load_offsets, times: np.ndarray) -> None:
-    """Write ``load_offsets(t)`` of each time, taken in a Python float, as the rows of ``out``."""
-    m = out.shape[-1]
-    for row, t in zip(out, times.tolist()):
-        try:
-            values = load_offsets(t)
-            if len(values) != m:
-                raise ValueError(f"got {len(values)}")
-            row[...] = values
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"load_offsets failed at the half layer t = {t:g}: it must return {m} value(s) per time, "
-                f"one per point load and then the distributed load's ({exc})"
-            ) from exc
 
 
 def _members(problem) -> tuple:
@@ -321,15 +308,16 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     distributed load's interior Simpson-weighted samples; the forcing at
     every node as a ``(len(t_half), B, nx + 1)`` array; and the offsets as a
     ``(len(t_half), B, m)`` array, zero for a member without
-    ``load_offsets``, which is called one time at a time.  Each distinct
-    evaluator object (``is``, not ``==``) is called once, with the nodes as
-    a row and all the half layers as a column, for the whole batch: a
-    member whose forcing, coefficient or distributed load is an object
-    already sampled, in any of these roles, gets a copy of those samples, as
-    the bundled problems' coefficients are for every order.  A result that
-    does not broadcast to the shape of its samples is a ``ValueError``
-    naming the evaluator.  The coefficients' samples are averaged into the
-    columns in one pass.
+    ``load_offsets``.  Each distinct evaluator object (``is``, not ``==``)
+    is called once for the whole batch, with all the half layers as a
+    column and, but for ``load_offsets``, the nodes as a row: a member whose
+    evaluator is an object already sampled, in a role with the same
+    arguments, gets a copy of those samples, as the bundled problems'
+    coefficients are for every order.  A result that does not broadcast to
+    the shape of its samples, or a ``TypeError`` or ``ValueError`` from the
+    call, is a ``ValueError`` naming the evaluator and the block's first
+    half layer.  The coefficients' samples are averaged into the columns in
+    one pass.
     """
     problems = state.problems
     x = state.x
@@ -342,23 +330,26 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
     weights = np.empty((count, len(problems), x.size)) if distributed else None
     offsets = np.zeros((count, len(problems), points + distributed))
+    times = t_half[:, None]
+    # an evaluator of t alone and one of x and t never share their samples
     sampled = {}
 
-    def sample(out, name, evaluator):
-        if id(evaluator) in sampled:
-            out[...] = sampled[id(evaluator)]
+    def sample(out, name, evaluator, *args):
+        key = id(evaluator), len(args)
+        if key in sampled:
+            out[...] = sampled[key]
         else:
-            _evaluate(out, name, evaluator, nodes, t_half[:, None])
-            sampled[id(evaluator)] = out
+            _evaluate(out, name, evaluator, *args, times)
+            sampled[key] = out
 
     for b, member in enumerate(problems):
-        sample(forcing[:, b], "forcing", member.forcing)
+        sample(forcing[:, b], "forcing", member.forcing, nodes)
         for k, ld in enumerate(member.loads):
-            sample(q[:, b, k], f"load x={ld.position:g}", ld.coefficient)
+            sample(q[:, b, k], f"load x={ld.position:g}", ld.coefficient, nodes)
         if distributed:
-            sample(weights[:, b], "integral_load", member.integral_load)
+            sample(weights[:, b], "integral_load", member.integral_load, nodes)
         if member.load_offsets is not None:
-            _evaluate_offsets(offsets[:, b], member.load_offsets, t_half)
+            sample(offsets[:, b], "load_offsets", member.load_offsets)
     if points:
         _half_average(q, columns[:, :, :points])
     columns = np.swapaxes(columns, -1, -2)
@@ -472,10 +463,7 @@ class SolverState:
         self.x.flags.writeable = False
         self.problems = problems
         self.kernel = KernelStack([p.alpha for p in problems], grid.tau, grid.nt)
-        cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
-        self.factor = thomas_factor(
-            Tridiagonal(*(np.stack([getattr(t, side) for t in cores]) for side in ("lower", "diag", "upper")))
-        )
+        self.factor = thomas_factor(assemble_tridiagonal(grid, self.kernel, [p.mu for p in problems]))
         # each stencil scattered over every node; the boundary values are pinned to zero
         nodal = np.zeros((len(first.loads), grid.nx + 1))
         for row, ld in zip(nodal, first.loads):

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.interpolate import lagrange
 
 from hallaire.caputo import check_alpha
+from hallaire.spatial import simpson_weights
 from hallaire.stepper import ThomasFactor, thomas_factor, thomas_solve
 
 
@@ -185,6 +186,14 @@ def simpson_full_row(grid):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * grid.h / 3.0
+
+
+def simpson_integral(v, h):
+    """Composite Simpson approximation of the integral over the full interval,
+    with the package's ``simpson_weights``: the route by which the tests check
+    those weights on known integrals."""
+    v = np.asarray(v, dtype=float)
+    return float(np.dot(simpson_weights(v.size - 1, h), v))
 
 
 def compact_matrix(grid):

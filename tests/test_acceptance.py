@@ -235,7 +235,8 @@ def test_c5_woodbury_matches_dense_lu():
             grid = Grid1D(1.0, 1.0, nx, 40)
             state = SolverState(problems, grid)
             block = _load_block(state, 0)
-            cores = [assemble_tridiagonal(grid, p.alpha, p.mu) for p in problems]
+            stacked = assemble_tridiagonal(grid, state.kernel, [p.mu for p in problems])
+            cores = [Tridiagonal(stacked.lower[k], stacked.diag[k], stacked.upper[k]) for k in range(len(problems))]
             for i in range(block.stop - block.start):
                 b = rng.standard_normal((len(problems), nx - 1))
                 got = woodbury_solve(state.factor, block.columns[i], block.row_solves[i], block.inverses[i], b)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -301,9 +302,11 @@ class TestKernelObject:
         for tau in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="time step must be positive and finite"):
                 KernelStack((0.5,), tau, 10)
-        for nsteps in (-1, -400):
-            with pytest.raises(ValueError, match=f"step count must be nonnegative, got {nsteps}"):
+        # Grid1D's rule: a whole number, here >= 0; 2.5 is refused, not cut to 2
+        for nsteps in (-1, -400, 2.5, 0.5, math.nan, math.inf, "10"):
+            with pytest.raises(ValueError, match=re.escape(f"step count must be an integer >= 0, got {nsteps!r}")):
                 KernelStack((0.5,), 0.1, nsteps)
+        assert KernelStack((0.5,), 0.1, 10.0).nsteps == 10
         kernel = KernelStack((0.5,), 0.1, 10)
         for j in (-1, -2, -5):
             with pytest.raises(ValueError):

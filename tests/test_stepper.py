@@ -57,6 +57,12 @@ def _zeros_problem(alpha=0.5, mu=1.0, forcing=None, initial=None):
     )
 
 
+def _core(grid, alpha, mu):
+    """The implicit operator of one order on the grid, as the march assembles it."""
+    tri = assemble_tridiagonal(grid, KernelStack((alpha,), grid.tau, grid.nt), (mu,))
+    return Tridiagonal(tri.lower[0], tri.diag[0], tri.upper[0])
+
+
 def _next_rhs(state):
     """The right-hand side of the state's next step, from the samples at its half layer."""
     parts = assemble_load_columns(state, np.array([(state.j + 0.5) * state.grid.tau]))
@@ -109,7 +115,7 @@ def _loaded_problem(alpha, load_indices, distributed, mode=3):
         profile_integral = (k - math.e * k * (-1) ** mode) / (1.0 + k * k)
         integral_load = (
             lambda x, t: np.exp(np.asarray(x, dtype=float) + t),
-            lambda t: math.exp(t) * profile_integral,
+            lambda t: np.exp(t) * profile_integral,
         )
     return manufactured_problem(
         mode, ((1.0, 3.0), (1.0, 2.0 + alpha)), alpha, loads=loads, integral_load=integral_load
@@ -131,7 +137,7 @@ def _random_dominant(rng, n):
 class TestAssembleTridiagonal:
     def test_hand_assembled_row(self):
         g = Grid1D(1.0, 1.0, 4, 10)
-        tri = assemble_tridiagonal(g, 0.5, 1.0)
+        tri = _core(g, 0.5, 1.0)
         beta_c0 = 0.1**-0.5 / math.gamma(1.5) * 2.0**-0.5
         want_diag = beta_c0 * 10.0 / 12.0 + 10.5 * 32.0
         want_off = beta_c0 / 12.0 - 10.5 * 16.0
@@ -147,7 +153,7 @@ class TestAssembleTridiagonal:
                 int(rng.integers(4, 40)),
                 int(rng.integers(1, 300)),
             )
-            tri = assemble_tridiagonal(g, float(rng.uniform(0.02, 0.98)), float(10 ** rng.uniform(-6, 2)))
+            tri = _core(g, float(rng.uniform(0.02, 0.98)), float(10 ** rng.uniform(-6, 2)))
             interior = np.abs(tri.diag[1:-1]) - np.abs(tri.lower[:-1]) - np.abs(tri.upper[1:])
             assert np.all(interior > 0.0)
             # symmetric: the load rows are solved with the factor of T, not of T^T
@@ -155,15 +161,32 @@ class TestAssembleTridiagonal:
 
     def test_large_mu_limit(self):
         g = Grid1D(1.0, 1.0, 8, 4)
-        tri = assemble_tridiagonal(g, 0.5, 1e9)
+        tri = _core(g, 0.5, 1e9)
         assert tri.upper[0] / tri.diag[0] == pytest.approx(-0.5, abs=1e-6)
 
     def test_invalid_parameters(self):
         g = Grid1D(1.0, 1.0, 8, 4)
-        with pytest.raises(ValueError):
-            assemble_tridiagonal(g, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            assemble_tridiagonal(g, 1.5, 1.0)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            _core(g, 0.5, 0.0)
+        with pytest.raises(ValueError, match="fractional order"):
+            _core(g, 1.5, 1.0)
+
+    @pytest.mark.parametrize("nt", [1, 10, 160, 1280, 10_000])
+    def test_operator_scale_is_the_closed_form_bit_for_bit(self, nt):
+        # scale * c0, taken from the kernel, rounds as
+        # tau^-alpha / Gamma(2 - alpha) * 2^(alpha - 1) does; a stack of
+        # orders holds each order's operator as alone
+        g = Grid1D(1.0, 1.0, 8, nt)
+        alphas = np.linspace(0.02, 0.98, 97).tolist()
+        mus = np.geomspace(1e-3, 1e2, 97).tolist()
+        stacked = assemble_tridiagonal(g, KernelStack(alphas, g.tau, nt), mus)
+        assert stacked.diag.shape == (97, 7) and stacked.lower.shape == stacked.upper.shape == (97, 6)
+        for b, (alpha, mu) in enumerate(zip(alphas, mus)):
+            beta_c0 = g.tau ** (-alpha) / math.gamma(2.0 - alpha) * 2.0 ** (alpha - 1.0)
+            r = 0.5 + mu / g.tau
+            assert np.all(stacked.diag[b] == beta_c0 * 10.0 / 12.0 + r * 2.0 / (g.h * g.h))
+            assert np.all(stacked.lower[b] == beta_c0 / 12.0 - r / (g.h * g.h))
+            assert np.all(stacked.upper[b] == stacked.lower[b])
 
 
 class TestThomas:
@@ -251,7 +274,7 @@ class TestThomas:
         # LAPACK's banded solver; the last is the nx cross-check grid of the
         # deep acceptance gate, 63 blocks whose carry gains are near 1
         solve_banded = pytest.importorskip("scipy.linalg").solve_banded
-        tri = assemble_tridiagonal(Grid1D(1.0, 1.0, nx, nt), alpha, benchmark_problem(alpha).mu)
+        tri = _core(Grid1D(1.0, 1.0, nx, nt), alpha, benchmark_problem(alpha).mu)
         bands = np.zeros((3, tri.n))
         bands[0, 1:] = tri.upper
         bands[1] = tri.diag
@@ -390,7 +413,7 @@ class TestWoodbury:
         # the first step's close, on the load block the march builds for it
         p = benchmark_problem(0.5)
         g = Grid1D(1.0, 1.0, 12, 8)
-        tri = assemble_tridiagonal(g, p.alpha, p.mu)
+        tri = _core(g, p.alpha, p.mu)
         state = SolverState(p, g)
         block = stepper_mod._load_block(state, 0)
         b = _next_rhs(state)
@@ -435,7 +458,7 @@ class TestWoodbury:
         p = _loaded_problem(0.6, (0, 1, 3), False)
         grid = Grid1D(1.0, 1.0, 16, 4)
         state = SolverState(p, grid)
-        dense = _dense_from(assemble_tridiagonal(grid, p.alpha, p.mu), np.zeros((15, 0)), [])
+        dense = _dense_from(_core(grid, p.alpha, p.mu), np.zeros((15, 0)), [])
         assert state.row_solves.shape == (1, 3, 15)
         for row, solved in zip(state.point_rows, state.row_solves[0]):
             want = np.linalg.solve(dense.T, row)
@@ -932,7 +955,7 @@ def woodbury_march(problem, grid):
     with the oracle's ``woodbury_solve`` on a factor of its own, solving the
     load columns against T anew."""
     state = SolverState(problem, grid)
-    tri = assemble_tridiagonal(grid, problem.alpha, problem.mu)
+    tri = _core(grid, problem.alpha, problem.mu)
     levels = [state.level[0]]
     for j in range(grid.nt):
         columns, rows = (side[0] for side in _sides_at(state, (j + 0.5) * grid.tau))
@@ -1099,10 +1122,9 @@ class TestLoadBlocks:
     @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
     @pytest.mark.parametrize("nx", [8, 1000])
     def test_block_forcing_is_the_per_half_layer_forcing(self, make, nx):
-        # a block samples the forcing on a column of times; the bundled
-        # forcing takes its time factors one time at a time, so it equals
-        # the forcing called at each half layer with a scalar time bit for
-        # bit.  The offsets are taken one time at a time as they are.
+        # a block samples the forcing and the offsets on a column of times,
+        # and gets bit for bit the values of each half layer called alone
+        # with a scalar time (see test_problems.TestTimeColumns)
         p = make(0.5)
         grid = Grid1D(1.0, 1.0, nx, 40)
         state = SolverState(p, grid)
@@ -1412,12 +1434,12 @@ class TestLoadOffsets:
         loads = tuple(PointLoad(x, q(*abc)) for x, abc in zip(positions, coefficients)) if mix != "distributed" else ()
         q_int = q(*coefficients[-1]) if mix != "points" else None
         m = len(loads) + (q_int is not None)
-        pairs = offsets[:m]
-        g = lambda t: [g0 + g1 * t * t for g0, g1 in pairs]
+        g0, g1 = np.array(offsets[:m]).T
+        g = lambda t: g0 + g1 * t * t
 
         def twin_forcing(x, t):
             base = _smooth_forcing(x, t)
-            values = np.array([g(s) for s in np.ravel(t).tolist()]).reshape(np.shape(t) + (m,))
+            values = g(np.asarray(t)[..., None])
             for k, ld in enumerate(loads):
                 base = base - ld.coefficient(x, t) * values[..., k]
             return base - values[..., -1] if q_int is not None else base
@@ -1466,32 +1488,38 @@ class TestLoadOffsets:
     @pytest.mark.parametrize(
         "offsets, reason, at",
         [
-            (lambda t: [1.0, 2.0], r"got 2", 0),
-            (lambda t: 1.0, r"has no len", 0),
-            (lambda t: None, r"has no len", 0),
+            (lambda t: np.hstack([t, t]), r"could not broadcast", 0),
+            (lambda t: np.ravel(t), r"could not broadcast", 0),
             (lambda t: ["one"], r"could not convert", 0),
-            (lambda t: [[1.0, 2.0]], r"sequence", 0),
-            # raises past t = 0.6, first at the half layer 42.5 of the block of steps 32..63
-            (lambda t: [math.sqrt(0.6 - t)], r"math domain error", 42),
+            (lambda t: [[1.0, 2.0]], r"could not broadcast", 0),
+            # the one-time-at-a-time form of an offset: math.exp takes no column
+            (lambda t: [math.exp(t)], r"only", 0),
+            # raises on a column past t = 0.6, first that of the block of
+            # steps 32..63 (half layer 42.5 is past it), named by its first
+            (lambda t: np.sqrt(0.6 - t) if np.all(t <= 0.6) else math.sqrt(-1.0), r"math domain error", 32),
         ],
-        ids=["too-many", "scalar", "none", "not-a-number", "nested", "raises-later"],
+        ids=["too-many", "row", "not-a-number", "nested", "scalar-only", "raises-later"],
     )
     def test_bad_offsets_are_refused_with_their_half_layer(self, offsets, reason, at):
-        # one point load takes one offset a time
+        # one point load takes one offset a time: a (32, 1) column for the
+        # first block of 70 steps
         problem = _offset_problem(0.5, (PointLoad(0.4, lambda x, t: 1.0 + x * t),), None, offsets)
         seen = []
-        match = rf"^load_offsets failed at the half layer t = {(at + 0.5) / 70:g}: it must return 1 value\(s\) per time.*{reason}"
+        match = (
+            rf"^load_offsets failed on 32 half layer\(s\) from t = {(at + 0.5) / 70:g}: "
+            rf".*load_offsets over t, here to the shape \(32, 1\).*{reason}"
+        )
         with pytest.raises(ValueError, match=match):
             solve(problem, Grid1D(1.0, 1.0, 8, 70), observers=(lambda j, t, level: seen.append(j),))
         # refused while the block is built, before its first step
-        assert seen[-1] == at // LOAD_BLOCK * LOAD_BLOCK
+        assert seen[-1] == at
 
     @pytest.mark.parametrize("load", ["point", "distributed"])
     def test_nan_offset_mid_block_names_its_level(self, load):
         grid = Grid1D(1.0, 1.0, 8, 70)
         bad = 40  # half layer 40.5 lies inside the block of steps 32..63
         t_bad = (bad + 0.5) * grid.tau
-        offsets = lambda t: [math.nan if abs(t - t_bad) < 1e-9 else 0.5]
+        offsets = lambda t: np.where(np.abs(t - t_bad) < 1e-9, math.nan, 0.5)
         one = lambda x, t: 1.0 + x * t
         if load == "point":
             problem = _offset_problem(0.5, (PointLoad(0.4, one),), None, offsets)
@@ -1506,7 +1534,7 @@ class TestLoadOffsets:
         # a member without load_offsets takes zero offsets beside members with them
         loads = (PointLoad(0.3, lambda x, t: np.exp(x - t)),)
         q = lambda x, t: np.cos(x * t)
-        g = lambda t: [1.0 + t, 2.0 - t]
+        g = lambda t: np.hstack([1.0 + t, 2.0 - t])
         problems = [_offset_problem(a, loads, q, None if a == 0.5 else g) for a in ALPHAS]
         grid = Grid1D(1.0, 1.0, 12, 70)
         assert _sha1_of_levels(problems, grid, True) == _sha1_of_levels(problems, grid, False)
