@@ -19,6 +19,11 @@ def _count(name: str, value, least: int) -> int:
     return count
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform mesh on [0, length] x [0, final_time].
@@ -34,9 +39,7 @@ class Grid1D:
 
     def __post_init__(self):
         for name in ("length", "final_time"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
         # the compact and load stencils need interior room
         object.__setattr__(self, "nx", _count("nx", self.nx, 4))
         object.__setattr__(self, "nt", _count("nt", self.nt, 1))

@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .caputo import check_alpha
+from .grids import _check_positive
 
 # Evaluators broadcast over x and t: called with nodes and times of
 # broadcastable shapes, such as x[None, :] and times[:, None] for a block of
@@ -17,11 +18,6 @@ from .caputo import check_alpha
 # broadcasts to it).  A 1-D x with a scalar t is one half layer.
 Evaluator = Callable[[np.ndarray, np.ndarray | float], np.ndarray]
 SpaceFunc = Callable[[np.ndarray], np.ndarray]
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -146,15 +142,11 @@ def manufactured_problem(
             part += a * t**p
             slope += a * p * t ** (p - 1.0)
             caputo += c * t**q
-        part = 1.0 + part
-        return caputo + kk * (part + mu * slope)
+        return caputo + kk * (1.0 + part + mu * slope)
 
     loads = tuple(loads)
     load_profiles = tuple(math.sin(k * ld.position) for ld in loads)
-    if integral_load is not None:
-        q_int, projection = integral_load
-    else:
-        q_int = projection = None
+    q_int, projection = integral_load if integral_load is not None else (None, None)
 
     def exact(x, t):
         return tpart(t) * np.sin(k * np.asarray(x, dtype=float))

@@ -272,11 +272,14 @@ def _evaluate(out: np.ndarray, name: str, evaluator, *args) -> None:
     """Write ``evaluator(*args)`` into ``out``; the last argument is the block's times as a column."""
     t = args[-1]
     try:
-        out[...] = evaluator(*args)
+        value = evaluator(*args)
+        if value is None:
+            raise TypeError("it returned None")
+        out[...] = value
     except (TypeError, ValueError) as exc:
         raise ValueError(
-            f"{name} failed on {len(t)} half layer(s) from t = {t[0, 0]:g}: "
-            f"evaluators must broadcast over x and t, and load_offsets over t, here to the shape {out.shape} ({exc})"
+            f"{name} failed on {len(t)} half layer(s) from t = {t[0, 0]:g}: it must broadcast "
+            f"over {'x and t' if len(args) > 1 else 't'}, here to the shape {out.shape} ({exc})"
         ) from exc
 
 

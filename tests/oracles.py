@@ -17,7 +17,7 @@ from scipy.interpolate import lagrange
 
 from hallaire.caputo import check_alpha
 from hallaire.spatial import simpson_weights
-from hallaire.stepper import ThomasFactor, thomas_factor, thomas_solve
+from hallaire.stepper import ThomasFactor, Tridiagonal, thomas_factor, thomas_solve
 
 
 def caputo_by_quadrature(du, alpha, t):
@@ -126,6 +126,11 @@ def l1_lag_weight_decimal(k, alpha, digits=50):
         beta = Decimal(1.0 - alpha)
         half = Decimal("0.5")
         return (Decimal(int(k)) + half) ** beta - (Decimal(int(k)) - half) ** beta
+
+
+def order_core(stacked, k):
+    """Order k's operator of the stacked cores that ``assemble_tridiagonal`` returns."""
+    return Tridiagonal(stacked.lower[k], stacked.diag[k], stacked.upper[k])
 
 
 def woodbury_solve(tri, columns, rows, b):

@@ -29,7 +29,7 @@ from hallaire import (
 from hallaire.stepper import SolverState, _load_block, assemble_tridiagonal, woodbury_solve
 from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
 from test_problems import _benchmark_terms, residual_at
-from oracles import apply_half_layer, caputo_power, split_half_layer, truncation_bound
+from oracles import apply_half_layer, caputo_power, order_core, split_half_layer, truncation_bound
 from oracles import woodbury_solve as column_woodbury
 from test_caputo import march_half_layer
 from test_stepper import _dense_from, march, solved_levels
@@ -236,7 +236,7 @@ def test_c5_woodbury_matches_dense_lu():
             state = SolverState(problems, grid)
             block = _load_block(state, 0)
             stacked = assemble_tridiagonal(grid, state.kernel, [p.mu for p in problems])
-            cores = [Tridiagonal(stacked.lower[k], stacked.diag[k], stacked.upper[k]) for k in range(len(problems))]
+            cores = [order_core(stacked, k) for k in range(len(problems))]
             for i in range(block.stop - block.start):
                 b = rng.standard_normal((len(problems), nx - 1))
                 got = woodbury_solve(state.factor, block.columns[i], block.row_solves[i], block.inverses[i], b)

@@ -107,30 +107,6 @@ class TestBenchmark:
                 assert np.max(np.abs(ld.coefficient(x, float(t)))) <= math.e**2 * (1.0 + 1e-12)
 
 
-class TestTimeColumns:
-    @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("nt", [40, 160, 1280, 10_000])
-    def test_a_column_of_half_layers_samples_each_as_alone(self, make, alpha, nt):
-        # bit for bit: a load block's samples are those of its half layers
-        # taken one by one, on which a lockstep batch's levels equal each
-        # order's solve alone
-        p = make(alpha)
-        x = np.arange(25) * (1.0 / 24)
-        tau = 1.0 / nt
-        for length in (1, 10, 31, 32):
-            for start in sorted({0, 1, 7, nt // 2, nt - length} & set(range(nt - length + 1))):
-                half = (np.arange(start, start + length) + 0.5) * tau
-                forcing = p.forcing(x[None, :], half[:, None])
-                exact = p.exact(x[None, :], half[:, None])
-                offsets = p.load_offsets(half[:, None])
-                assert forcing.shape == exact.shape == (length, 25)
-                assert offsets.shape == (length, len(p.loads) + (p.integral_load is not None))
-                for i, t in enumerate(((j + 0.5) * tau for j in range(start, start + length))):
-                    for got, want in ((forcing[i], p.forcing(x, t)), (exact[i], p.exact(x, t)), (offsets[i], p.load_offsets(t))):
-                        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (length, start, i)
-
-
 class TestIntegralVariant:
     def test_residual_vanishes(self, rng):
         p = integral_benchmark_problem(0.5)

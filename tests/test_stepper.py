@@ -59,8 +59,7 @@ def _zeros_problem(alpha=0.5, mu=1.0, forcing=None, initial=None):
 
 def _core(grid, alpha, mu):
     """The implicit operator of one order on the grid, as the march assembles it."""
-    tri = assemble_tridiagonal(grid, KernelStack((alpha,), grid.tau, grid.nt), (mu,))
-    return Tridiagonal(tri.lower[0], tri.diag[0], tri.upper[0])
+    return oracles.order_core(assemble_tridiagonal(grid, KernelStack((alpha,), grid.tau, grid.nt), (mu,)), 0)
 
 
 def _next_rhs(state):
@@ -1120,27 +1119,33 @@ class TestLoadBlocks:
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
-    @pytest.mark.parametrize("nx", [8, 1000])
-    def test_block_forcing_is_the_per_half_layer_forcing(self, make, nx):
-        # a block samples the forcing and the offsets on a column of times,
-        # and gets bit for bit the values of each half layer called alone
-        # with a scalar time (see test_problems.TestTimeColumns)
-        p = make(0.5)
-        grid = Grid1D(1.0, 1.0, nx, 40)
-        state = SolverState(p, grid)
-        for start in (0, LOAD_BLOCK):
-            block = stepper_mod._load_block(state, start)
-            half_layers = [(j + 0.5) * grid.tau for j in range(block.start, block.stop)]
-            want = np.array([p.forcing(grid.x, t) for t in half_layers])
-            assert block.forcing[:, 0].shape == want.shape
-            assert np.array_equal(block.forcing[:, 0], want)
-            assert np.array_equal(block.offsets[:, 0], [p.load_offsets(t) for t in half_layers])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("nt", [40, 160, 1280, 10_000])
+    def test_block_samples_are_the_per_half_layer_samples(self, make, alpha, nt):
+        # a block samples the forcing and the offsets, and the study the
+        # exact solution, on a column of times, and gets bit for bit the
+        # values of each half layer called alone with a scalar time: on this
+        # a lockstep batch's levels equal each order's solve alone
+        p = make(alpha)
+        for nx in (8, 1000):
+            grid = Grid1D(1.0, 1.0, nx, nt)
+            state = SolverState(p, grid)
+            for length in (1, 10, 31, 32):
+                for start in sorted({0, 1, 7, LOAD_BLOCK, nt // 2, nt - length} & set(range(nt - length + 1))):
+                    half = (np.arange(start, start + length) + 0.5) * grid.tau
+                    _, _, forcing, offsets = assemble_load_columns(state, half)
+                    exact = p.exact(grid.x[None, :], half[:, None])
+                    for i, t in enumerate((j + 0.5) * grid.tau for j in range(start, start + length)):
+                        pairs = ((forcing[i, 0], p.forcing(grid.x, t)), (exact[i], p.exact(grid.x, t)),
+                                 (offsets[i, 0], p.load_offsets(t)))
+                        for got, want in pairs:
+                            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (nx, length, start, i)
 
     @pytest.mark.parametrize("name", ["forcing", "load x=0.4", "integral_load"])
     @pytest.mark.parametrize(
         "bad",
-        [lambda x, t: np.ones(3), lambda x, t: np.asarray(x, dtype=float) * math.exp(t)],
-        ids=["wrong-shape", "scalar-time"],
+        [lambda x, t: np.ones(3), lambda x, t: np.asarray(x, dtype=float) * math.exp(t), lambda x, t: None],
+        ids=["wrong-shape", "scalar-time", "none"],
     )
     def test_evaluator_that_does_not_broadcast_is_named(self, name, bad):
         good = lambda x, t: np.exp(np.asarray(x, dtype=float) - t)
@@ -1150,7 +1155,7 @@ class TestLoadBlocks:
             lambda x: np.sin(math.pi * np.asarray(x, dtype=float)), integral_load=pick("integral_load"),
         )
         seen = []
-        with pytest.raises(ValueError, match=rf"^{re.escape(name)} failed .*evaluators must broadcast over x and t"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} failed .*: it must broadcast over x and t, "):
             solve(problem, Grid1D(1.0, 1.0, 8, 40), observers=(lambda j, t, level: seen.append(j),))
         # refused while the first block is built, before the first step
         assert seen == [0]
@@ -1492,13 +1497,15 @@ class TestLoadOffsets:
             (lambda t: np.ravel(t), r"could not broadcast", 0),
             (lambda t: ["one"], r"could not convert", 0),
             (lambda t: [[1.0, 2.0]], r"could not broadcast", 0),
+            # a function that forgot its return, which numpy would store as NaN
+            (lambda t: None, r"it returned None", 0),
             # the one-time-at-a-time form of an offset: math.exp takes no column
             (lambda t: [math.exp(t)], r"only", 0),
             # raises on a column past t = 0.6, first that of the block of
             # steps 32..63 (half layer 42.5 is past it), named by its first
             (lambda t: np.sqrt(0.6 - t) if np.all(t <= 0.6) else math.sqrt(-1.0), r"math domain error", 32),
         ],
-        ids=["too-many", "row", "not-a-number", "nested", "scalar-only", "raises-later"],
+        ids=["too-many", "row", "not-a-number", "nested", "none", "scalar-only", "raises-later"],
     )
     def test_bad_offsets_are_refused_with_their_half_layer(self, offsets, reason, at):
         # one point load takes one offset a time: a (32, 1) column for the
@@ -1507,7 +1514,7 @@ class TestLoadOffsets:
         seen = []
         match = (
             rf"^load_offsets failed on 32 half layer\(s\) from t = {(at + 0.5) / 70:g}: "
-            rf".*load_offsets over t, here to the shape \(32, 1\).*{reason}"
+            rf"it must broadcast over t, here to the shape \(32, 1\).*{reason}"
         )
         with pytest.raises(ValueError, match=match):
             solve(problem, Grid1D(1.0, 1.0, 8, 70), observers=(lambda j, t, level: seen.append(j),))
