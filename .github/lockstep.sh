@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Three orders in lockstep give, byte for byte, the rows of the three
-# one-order studies, on four temporal ladders:
+# one-order studies, on five temporal ladders:
 #   the distributed load; point loads sharing their evaluators; point loads
 #   on a windowed march; point loads and their offsets on a wide windowed
-#   march.
+#   march; and a deep one on the benchmark's own grid, nx = 1000 and
+#   nt = 1280, whose history folds 39 times.
 # Usage: bash .github/lockstep.sh [DIR]  (with `hallaire` on PATH; the
 # reports go to DIR, a new temporary directory by default).
 set -euo pipefail
@@ -28,3 +29,4 @@ lockstep integral --problem integral-load --nx 200 --nt 10,20,40,420
 lockstep points --problem benchmark --nx 1000 --nt 10,20,40
 lockstep windowed --problem benchmark --nx 24 --nt 400,800
 lockstep wide --problem benchmark --nx 1000 --nt 400
+lockstep deep --problem benchmark --nx 1000 --nt 1280

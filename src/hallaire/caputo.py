@@ -56,6 +56,17 @@ def history_rows(nsteps: int) -> int:
     return nsteps if nsteps < SOE_MIN_STEPS else HISTORY_WINDOW + HISTORY_CHUNK - 1
 
 
+def history_vectors(nsteps: int) -> int:
+    """Vectors of nx + 1 values a march of ``nsteps`` steps holds per order for its history.
+
+    Its increments, and on a windowed march also the exponential modes and
+    the per-chunk tails of :class:`HistoryModes`.
+    """
+    if nsteps < SOE_MIN_STEPS:
+        return nsteps
+    return history_rows(nsteps) + SOE_POINTS * _soe_edges(nsteps).size + HISTORY_CHUNK
+
+
 def check_alpha(alpha: float) -> None:
     if not ALPHA_MIN < alpha < ALPHA_MAX:
         raise ValueError(
@@ -122,8 +133,9 @@ class ExponentialTail:
 
     * ``fold[:, i]`` is E_{C-i}, the weight of increment S + i, i < C, in the
       modes moved on to S + C; its first column E_C moves the modes C steps on;
-    * ``lagged[i]`` is minus ``weights`` times E_d at the lag d = W - 1 + i
-      between the checkpoint and the step.
+    * ``lagged[i]`` (C x N_exp) is minus ``weights`` times E_d at the lag
+      d = W - 1 + i between the checkpoint and the step, for the C steps a
+      checkpoint serves.
     """
 
     nodes: np.ndarray
@@ -190,25 +202,40 @@ class HistoryModes:
     full buffer folds its first HISTORY_CHUNK rows, so a 63-row one keeps the
     checkpoint 31 to 62 steps behind the step, on lags the tail was fitted on,
     and one with a row for every step never folds or fits.
+
+    The C steps a checkpoint serves share the part of their history that no
+    later step writes: the modes and the W - 1 rows left in the buffer by the
+    fold.  ``tails`` (B, C, N), ``None`` before the first fold, holds it once
+    per chunk: ``tails[:, i]`` is -sum_{s < start + W - 1} c_{j-s} delta^s
+    for the step at j = start + W - 1 + i, so that step sums only the rows
+    written since the fold.
     """
 
     def __init__(self, kernel: KernelStack):
         self.kernel = kernel
         self.start = 0
         self.values = 0.0
+        self.tails = None
 
     def catch_up(self, increments: np.ndarray, j: int) -> int:
-        """Fold in and shift out a chunk while the step at j has no row left in ``increments``; the checkpoint."""
+        """Fold in and shift out a chunk while the step at j has no row left in ``increments``; the checkpoint.
+
+        A fold also sums the new chunk's ``tails``: the modes through
+        ``soe.lagged`` and the rows left in the buffer through ``kernel.window``.
+        """
+        if j - self.start < increments.shape[1]:
+            return self.start
+        soe = self.kernel.soe
         while j - self.start >= increments.shape[1]:
-            fold = self.kernel.soe.fold
-            self.values = fold[:, :, :1] * self.values + fold @ increments[:, :HISTORY_CHUNK]
+            # the moved modes are summed into the product's own array: one temporary fewer
+            values = soe.fold @ increments[:, :HISTORY_CHUNK]
+            values += soe.fold[:, :, :1] * self.values
+            self.values = values
             increments[:, :-HISTORY_CHUNK] = increments[:, HISTORY_CHUNK:]
             self.start += HISTORY_CHUNK
+        self.tails = np.matmul(soe.lagged, self.values, out=self.tails)
+        self.tails += self.kernel.window @ increments[:, : HISTORY_WINDOW - 1]
         return self.start
-
-    def tail(self, j: int) -> np.ndarray:
-        """-sum_{s < start} c_{j-s} delta^s for the step at j, once caught up to it."""
-        return np.vecmat(self.kernel.soe.lagged[j - self.start - HISTORY_WINDOW + 1], self.values)
 
 
 class KernelStack:
@@ -221,12 +248,15 @@ class KernelStack:
     -c_j..-c_1, for the lags up to ``history_rows(nsteps)`` the march
     stores.  ``soe`` stacks the orders' :class:`ExponentialTail` fits for an
     ``nsteps``-step march, fitted on first use:
-    ``nodes`` and ``weights`` are (B, N_exp), ``fold`` (B, N_exp, C),
-    ``lagged`` (C, B, N_exp), lag first as in a single fit, and ``error`` is
-    the largest fit error.  N_exp depends only on the step count, so the fits
-    stack.  An order out of range, a time step that is not positive and
-    finite, and a step count that is not a whole number >= 0 are each a
-    ``ValueError``.
+    ``nodes`` and ``weights`` are (B, N_exp), ``fold`` (B, N_exp, C) and
+    ``lagged`` (B, C, N_exp), order first like every stacked array, and
+    ``error`` is the largest fit error.  N_exp depends only on the step
+    count, so the fits stack.  ``window`` (B, C, W - 1), built on first use
+    too, holds the weights of the W - 1 rows a fold leaves in a windowed
+    buffer for the C steps the checkpoint serves: ``window[b, i, r]`` is
+    -c_{W-1+i-r} of order b.  An order out of range, a time step that is not
+    positive and finite, and a step count that is not a whole number >= 0
+    are each a ``ValueError``.
     """
 
     def __init__(self, alphas, tau: float, nsteps: int):
@@ -254,6 +284,12 @@ class KernelStack:
     @cached_property
     def soe(self) -> ExponentialTail:
         fits = [fit_exponential_tail(alpha, self.nsteps) for alpha in self.alphas]
-        stacked = {name: np.stack([getattr(fit, name) for fit in fits]) for name in ("nodes", "weights", "fold")}
-        lagged = np.stack([fit.lagged for fit in fits], axis=1)
-        return ExponentialTail(error=max(fit.error for fit in fits), lagged=lagged, **stacked)
+        stacked = {name: np.stack([getattr(fit, name) for fit in fits]) for name in ("nodes", "weights", "fold", "lagged")}
+        return ExponentialTail(error=max(fit.error for fit in fits), **stacked)
+
+    @cached_property
+    def window(self) -> np.ndarray:
+        # -c_{W-1+i-r} = _lags[:, stored - (W-1+i) + r]: row i is the run of W - 1 lags from stored - W + 1 - i
+        stored = self._lags.shape[1]
+        runs = np.lib.stride_tricks.sliding_window_view(self._lags, HISTORY_WINDOW - 1, axis=1)
+        return runs[:, stored - HISTORY_WINDOW + 1 - np.arange(HISTORY_CHUNK)]

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caputo import HistoryModes, KernelStack, gamma_const, history_rows, l1_weight_array
+from .caputo import (
+    HISTORY_WINDOW,
+    HistoryModes,
+    KernelStack,
+    gamma_const,
+    history_rows,
+    history_vectors,
+    l1_weight_array,
+)
 from .grids import Grid1D
 from .problems import ProblemSpec
 from .spatial import build_load_stencil, compact_average, second_difference, simpson_weights
@@ -315,12 +323,13 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     is called once for the whole batch, with all the half layers as a
     column and, but for ``load_offsets``, the nodes as a row: a member whose
     evaluator is an object already sampled, in a role with the same
-    arguments, gets a copy of those samples, as the bundled problems'
-    coefficients are for every order.  A result that does not broadcast to
-    the shape of its samples, or a ``TypeError`` or ``ValueError`` from the
+    arguments, gets a copy of those samples.  Members whose loads name the
+    same coefficient objects, as the bundled problems' loads do for every
+    order, share their columns: the first of them averages its samples, and
+    the others copy its columns.  A result that does not broadcast to the
+    shape of its samples, or a ``TypeError`` or ``ValueError`` from the
     call, is a ``ValueError`` naming the evaluator and the block's first
-    half layer.  The coefficients' samples are averaged into the columns in
-    one pass.
+    half layer.
     """
     problems = state.problems
     x = state.x
@@ -329,7 +338,14 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     points = len(state.point_rows)
     distributed = state.simpson is not None
     forcing = np.empty((count, len(problems), x.size))
-    q = np.empty((count, len(problems), points, x.size))
+    # members whose loads name the same coefficient objects share their columns: the first of
+    # them, member owner[b][0], samples them into row owner[b][1] of q and averages them
+    owners = {}
+    owner = [
+        owners.setdefault(tuple(id(ld.coefficient) for ld in member.loads), (b, len(owners)))
+        for b, member in enumerate(problems)
+    ]
+    q = np.empty((count, len(owners), points, x.size))
     columns = np.empty((count, len(problems), points + distributed, x.size - 2))
     weights = np.empty((count, len(problems), x.size)) if distributed else None
     offsets = np.zeros((count, len(problems), points + distributed))
@@ -347,14 +363,17 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
 
     for b, member in enumerate(problems):
         sample(forcing[:, b], "forcing", member.forcing, nodes)
-        for k, ld in enumerate(member.loads):
-            sample(q[:, b, k], f"load x={ld.position:g}", ld.coefficient, nodes)
+        first, d = owner[b]
+        if first != b:
+            columns[:, b, :points] = columns[:, first, :points]
+        elif points:
+            for k, ld in enumerate(member.loads):
+                sample(q[:, d, k], f"load x={ld.position:g}", ld.coefficient, nodes)
+            _half_average(q[:, d], columns[:, b, :points])
         if distributed:
             sample(weights[:, b], "integral_load", member.integral_load, nodes)
         if member.load_offsets is not None:
             sample(offsets[:, b], "load_offsets", member.load_offsets)
-    if points:
-        _half_average(q, columns[:, :, :points])
     columns = np.swapaxes(columns, -1, -2)
     rows = np.broadcast_to(state.point_rows, (count, len(problems)) + state.point_rows.shape)
     if distributed:
@@ -402,17 +421,18 @@ def _load_block(state: SolverState, start: int) -> LoadBlock:
     return LoadBlock(start, stop, columns, rows, inverses, row_solves, forcing, offsets)
 
 
-def _check_size(grid: Grid1D, count: int = 1) -> None:
-    """Refuse a batch whose stored increments and factors cannot fit in this machine's memory.
+def _check_size(grid: Grid1D, count: int = 1, block_bytes: int = 0) -> None:
+    """Refuse a batch whose state cannot fit in this machine's memory.
 
-    The need is counted, never allocated: per problem, the increment buffer
-    and the factor of the core, whose carry maps grow as the square of the
-    block count.
+    The need is counted, never allocated: per problem, the history
+    (:func:`~hallaire.caputo.history_vectors`) and the factor of the core,
+    whose carry maps grow as the square of the block count; and a load
+    block's columns, rows and row solves, ``block_bytes`` each at most.
     """
     n = grid.nx - 1
     s = min(n, BLOCK)
     k = -(-n // s)
-    need = 8 * count * (history_rows(grid.nt) * (grid.nx + 1) + k * s * (s + 3) + 2 * k * k)
+    need = 8 * count * (history_vectors(grid.nt) * (grid.nx + 1) + k * s * (s + 3) + 2 * k * k) + 3 * block_bytes
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -420,7 +440,7 @@ def _check_size(grid: Grid1D, count: int = 1) -> None:
     if need > have:
         raise ValueError(
             f"a solve of {count} problem(s) on {grid.nx} intervals and {grid.nt} steps needs {need:.3g} "
-            f"bytes for its stored increments and factors, more than the {have:.3g} bytes of memory here"
+            f"bytes for its history, factors and load block, more than the {have:.3g} bytes of memory here"
         )
 
 
@@ -460,7 +480,10 @@ class SolverState:
             raise ValueError("the problems of a batch must share their load points and whether they have a distributed load")
         if first.integral_load is not None and grid.nx % 2 != 0:
             raise ValueError("the distributed load needs an even number of spatial intervals")
-        _check_size(grid, len(problems))
+        loads = len(first.loads) + (first.integral_load is not None)
+        per_step = 8 * len(problems) * (loads * grid.nx + grid.nx + 1)
+        block_steps = max(1, min(LOAD_BLOCK, BLOCK_BYTES // per_step))
+        _check_size(grid, len(problems), block_steps * per_step)
         self.grid = grid
         self.x = grid.x
         self.x.flags.writeable = False
@@ -487,19 +510,20 @@ class SolverState:
             self.level[b] = p.initial(self.x)
         self.level[:, [0, -1]] = 0.0
         self.level.flags.writeable = False
-        loads = len(first.loads) + (self.simpson is not None)
-        per_step = 8 * len(problems) * (loads * (n + 1) + grid.nx + 1)
-        self.block_steps = max(1, min(LOAD_BLOCK, BLOCK_BYTES // per_step))
+        self.block_steps = block_steps
         self.block = None
         self.j = 0
 
 
 def _history_sum(increments: np.ndarray, kernel: KernelStack, j: int, modes: HistoryModes) -> np.ndarray:
-    # D = -sum_{s<j} c_{j-s} delta^s: rows 0..j-S-1, from the checkpoint S on, exactly; older ones from the modes.
+    # D = -sum_{s<j} c_{j-s} delta^s.  Before the first fold every row is summed exactly; after it, the rows
+    # from W - 1 on, those written since the fold, and the chunk's tails row holds the rest.
     start = modes.catch_up(increments, j)
-    out = np.vecmat(kernel.history_weights(j - start), increments[:, : j - start])
+    done = HISTORY_WINDOW - 1 if start else 0
+    i = j - start - done
+    out = np.vecmat(kernel.history_weights(i), increments[:, done : j - start])
     if start:
-        out += modes.tail(j)
+        out += modes.tails[:, i]
     return out
 
 

@@ -23,7 +23,15 @@ from hallaire import (
     solve,
 )
 import hallaire.stepper as stepper_mod
-from hallaire.caputo import SOE_MIN_STEPS, HistoryModes, KernelStack, history_rows, l1_weight_array
+from hallaire.caputo import (
+    HISTORY_CHUNK,
+    SOE_MIN_STEPS,
+    HistoryModes,
+    KernelStack,
+    fit_exponential_tail,
+    history_rows,
+    l1_weight_array,
+)
 from hallaire.problems import integral_benchmark_problem
 from hallaire.stepper import (
     BLOCK,
@@ -594,48 +602,54 @@ def solved_levels(problem, grid):
 class TestWindowedHistory:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        alpha=st.floats(0.011, 0.989),
+        alphas=st.lists(st.floats(0.011, 0.989), min_size=1, max_size=3, unique=True),
         nsteps=st.integers(450, 1500),
         width=st.integers(1, 5),
         shape=st.sampled_from(["walk", "noise", "smooth", "spikes"]),
         size=st.sampled_from([1e-6, 1.0, 1e6]),
     )
+    @example(seed=0, alphas=[0.1, 0.5, 0.9], nsteps=450, width=2, shape="walk", size=1.0)
     @settings(deadline=None, max_examples=30)
-    def test_windowed_sum_matches_exact_sum(self, seed, alpha, nsteps, width, shape, size):
+    def test_windowed_sum_matches_exact_sum(self, seed, alphas, nsteps, width, shape, size):
+        # a batch of orders shares one buffer over a dozen folds or more, and
+        # each order's modes, tails and window rows take its own weights
         rng = np.random.default_rng(seed)
+        count = len(alphas)
         t = np.linspace(0.0, 1.0, nsteps + 1)[:, None]
         increments = {
-            "walk": rng.standard_normal((nsteps, width)),
-            "noise": np.diff(rng.standard_normal((nsteps + 1, width)), axis=0),
-            "smooth": np.diff(np.sin(rng.uniform(1.0, 9.0, width) * t) + t**3, axis=0),
-            "spikes": rng.standard_normal((nsteps, width)) * (rng.random((nsteps, 1)) < 0.02),
+            "walk": rng.standard_normal((count, nsteps, width)),
+            "noise": np.diff(rng.standard_normal((count, nsteps + 1, width)), axis=1),
+            "smooth": np.diff(np.sin(rng.uniform(1.0, 9.0, (count, 1, width)) * t) + t**3, axis=1),
+            "spikes": rng.standard_normal((count, nsteps, width)) * (rng.random((count, nsteps, 1)) < 0.02),
         }[shape] * size
-        kernel = KernelStack((alpha,), 1.0 / nsteps, nsteps)
-        fit = kernel.soe
+        kernel = KernelStack(alphas, 1.0 / nsteps, nsteps)
+        errors = [fit_exponential_tail(alpha, nsteps).error for alpha in alphas]
         modes = HistoryModes(kernel)
         # the march's buffer: row i holds the increment at modes.start + i
-        buffer = np.zeros((1, history_rows(nsteps), width))
+        buffer = np.zeros((count, history_rows(nsteps), width))
         assert buffer.shape[1] == 63
-        c = l1_weight_array(nsteps, alpha)
+        c = np.stack([l1_weight_array(nsteps, alpha) for alpha in alphas])
         delta = np.abs(increments)
         for j in range(nsteps):
             got = _history_sum(buffer, kernel, j, modes)
-            lagged = c[j:0:-1]  # c_{j-s} for s = 0..j-1
+            lagged = c[:, j:0:-1]  # c_{j-s} of every order for s = 0..j-1
             # the exact sum of every increment
-            want = np.vecmat(-lagged, increments[:j])[None]
-            # fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
-            bound = (fit.error + 1e-12) * (lagged @ delta[:j])
-            assert np.all(np.abs(got[0] - want[0]) <= bound), j
-            buffer[0, j - modes.start] = increments[j]
-        assert modes.start > 0
+            want = np.vecmat(-lagged, increments[:, :j])
+            for b, error in enumerate(errors):
+                # order b's fit error times sum_s c_{j-s} |delta^s|, plus round-off on the same sum
+                bound = (error + 1e-12) * (lagged[b] @ delta[b, :j])
+                assert np.all(np.abs(got[b] - want[b]) <= bound), (alphas[b], j)
+            buffer[:, j - modes.start] = increments[:, j]
+        assert modes.start >= 12 * HISTORY_CHUNK
 
     @pytest.mark.parametrize("nt", [1, 10, 32, 160, 320, SOE_MIN_STEPS - 1])
     @pytest.mark.parametrize("name, nx", [("benchmark", 1000), ("integral-load", 200), ("benchmark", 24)])
     def test_short_marches_carry_no_exponential_state(self, name, nx, nt):
-        # a march that never folds neither fits the tail nor stores modes
+        # a march that never folds neither fits the tail, nor builds the
+        # window's weights, nor stores modes or per-chunk tails
         state = solve(make_problem(name, 0.5), Grid1D(1.0, 1.0, nx, nt))
-        assert "soe" not in vars(state.kernel)
-        assert state.modes.start == 0 and np.ndim(state.modes.values) == 0
+        assert "soe" not in vars(state.kernel) and "window" not in vars(state.kernel)
+        assert state.modes.start == 0 and np.ndim(state.modes.values) == 0 and state.modes.tails is None
 
     @pytest.mark.parametrize("nt", [1, 40, SOE_MIN_STEPS - 1, SOE_MIN_STEPS, 1280, 100000])
     def test_increment_buffer_rows(self, nt):
@@ -656,6 +670,23 @@ class TestWindowedHistory:
         fit = state.kernel.soe
         held = state.modes.values.nbytes + sum(a.nbytes for a in (fit.nodes, fit.weights, fit.fold, fit.lagged))
         assert held < 1_000_000
+
+    @pytest.mark.parametrize("name", ["benchmark", "integral-load"])
+    @pytest.mark.parametrize("nt", [SOE_MIN_STEPS, 1280, 5120, 100_000])
+    def test_counted_need_covers_a_folded_batch(self, monkeypatch, name, nt):
+        # a three-order state past its first fold, with its modes, tails and
+        # load block, holds no more than _check_size counts: a machine one
+        # byte smaller than what it holds refuses the batch
+        problems = tuple(make_problem(name, alpha) for alpha in (0.1, 0.5, 0.9))
+        grid = Grid1D(1.0, 1.0, 1000, nt)
+        state = SolverState(problems, grid)
+        for _ in range(64):
+            step(state)
+        assert state.modes.tails is not None
+        held = _array_bytes(state)
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda key: held - 1 if key == "SC_PHYS_PAGES" else 1)
+        with pytest.raises(ValueError, match=r"a solve of 3 problem\(s\) on 1000 intervals"):
+            SolverState(problems, grid)
 
     def test_marched_state_does_not_grow_with_nt(self):
         # past the first fold a state holds the same arrays at any nt, but
@@ -1382,21 +1413,21 @@ class TestLockstep:
             solve(problem, Grid1D(1.0, 1.0, 8, 4), observers=observers)
 
     def test_batch_beyond_memory_is_refused_before_allocation(self, monkeypatch):
-        # one solve fits in 1 MiB of reported memory, a batch of two does
+        # one solve fits in 5 MiB of reported memory, a batch of two does
         # not; the need is counted, so the refusal allocates nothing
-        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else 4096)
+        monkeypatch.setattr(stepper_mod.os, "sysconf", lambda name: 1280 if name == "SC_PHYS_PAGES" else 4096)
         grid = Grid1D(1.0, 1.0, 1000, 1000)
         SolverState(benchmark_problem(0.5), grid)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"a solve of 2 problem\(s\) .* needs \S+ bytes .*more than the 1\.05e\+06"):
+            with pytest.raises(ValueError, match=r"a solve of 2 problem\(s\) .* needs \S+ bytes .*more than the 5\.24e\+06"):
                 SolverState((benchmark_problem(0.5), benchmark_problem(0.9)), grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64_000
         monkeypatch.undo()
-        # a batch that no machine here holds: 10^5 solves of 0.8 MB each
+        # a batch that no machine here holds: 10^5 solves of 1.6 MB each
         with pytest.raises(ValueError, match=r"a solve of 100000 problem\(s\)"):
             SolverState((benchmark_problem(0.5),) * 100_000, grid)
 
