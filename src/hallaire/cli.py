@@ -8,11 +8,8 @@ import sys
 from pathlib import Path
 
 from .study import (
-    TABLE2_ORDER_ONLY_NT,
-    ConvergenceReport,
     StudyConfig,
     build_config,
-    deep_order_check,
     emit_report,
     parse_config_file,
     run_study,
@@ -123,26 +120,11 @@ def _cmd_self_check(args) -> int:
     if out:
         _check_writable(out)
     report = run_study(config)
-    deep_line = None
-    if args.deep:
-        # cells are compared down to 1/1280; the two finest rungs are judged
-        # by the qualitative order gate only
-        order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT}
-        strict_rows = tuple(r for r in report.rows if r.step_label not in order_only)
-        strict = ConvergenceReport(report.mode, report.problem, strict_rows)
-        result = self_check(config, report=strict)
-        deep_ok, detail = deep_order_check(report)
-        deep_line = f"deep rungs {'ok' if deep_ok else 'FAIL'}: {detail}"
-        passed = result.passed and deep_ok
-    else:
-        result = self_check(config, report=report)
-        passed = result.passed
+    result = self_check(config, report=report)
     if out:
         _write_or_print(emit_report(report, "csv"), out)
     print(result.summary())
-    if deep_line:
-        print(deep_line)
-    return 0 if passed else CHECK_FAILED
+    return 0 if result.passed else CHECK_FAILED
 
 
 def main(argv=None) -> int:

@@ -31,11 +31,17 @@ def compact_average(v) -> np.ndarray:
     Applied to samples of a second derivative this matches the plain second
     difference of the function itself to fourth order.  A stack of nodal
     vectors is averaged along its last axis, each vector exactly as alone.
+    The result is the one array allocated, and bit for bit the value of
+    ``(v[2:] + 10 v[1:-1] + v[:-2]) / 12``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 3:
         raise ValueError("compact_average expects a full nodal vector (length >= 3)")
-    return (v[..., 2:] + 10.0 * v[..., 1:-1] + v[..., :-2]) / 12.0
+    out = v[..., 1:-1] * 10.0
+    out += v[..., 2:]
+    out += v[..., :-2]
+    out /= 12.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -296,19 +296,6 @@ def _members(problem) -> tuple:
     return (problem,) if isinstance(problem, ProblemSpec) else tuple(problem)
 
 
-def _half_average(q: np.ndarray, out: np.ndarray) -> None:
-    """Write ``-0.5 * compact_average(q)`` into ``out``, bit for bit, with no temporary array.
-
-    The operations are compact_average's, in its order, and then the
-    halving; one division by -24 would differ where the result is subnormal.
-    """
-    np.multiply(q[..., 1:-1], 10.0, out=out)
-    np.add(q[..., 2:], out, out=out)
-    out += q[..., :-2]
-    out /= 12.0
-    out *= -0.5
-
-
 def assemble_load_columns(state: SolverState, t_half: np.ndarray):
     """Load columns, load rows, forcing and load offsets of the state's batch at the half layers ``t_half``.
 
@@ -369,7 +356,7 @@ def assemble_load_columns(state: SolverState, t_half: np.ndarray):
         elif points:
             for k, ld in enumerate(member.loads):
                 sample(q[:, d, k], f"load x={ld.position:g}", ld.coefficient, nodes)
-            _half_average(q[:, d], columns[:, b, :points])
+            np.multiply(compact_average(q[:, d]), -0.5, out=columns[:, b, :points])
         if distributed:
             sample(weights[:, b], "integral_load", member.integral_load, nodes)
         if member.load_offsets is not None:

@@ -3,7 +3,7 @@ reference tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -24,18 +24,10 @@ CSV_HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
 ERR_COLUMNS = ("err_C", "err_L2", "err_grad")
 CO_COLUMNS = ("co_C", "co_L2", "co_grad")
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Per-cell tolerances for the self-check mode.
-
-    ``first_co_atol`` applies to the first convergence-order entry of each
-    ladder, where the asymptotic regime is weakest.
-    """
-
-    err_rtol: float = 0.01
-    co_atol: float = 0.05
-    first_co_atol: float = 0.05
+# A self-check passes an error cell within 1 % of its reference, relative,
+# and an order cell within 0.05, absolute.
+ERR_RTOL = 0.01
+CO_ATOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,6 @@ class StudyConfig:
     ladder: tuple[tuple[int, int], ...]  # (nx, nt) per rung
     problem: str = "benchmark"
     out: str | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
     reference: str | None = None
 
     def __post_init__(self):
@@ -100,7 +91,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     mode: str
-    problem: str
     rows: tuple[StudyRow, ...]
 
 
@@ -222,7 +212,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
             )
             prev = tracker
             prev_rung = (nx, nt)
-    return ConvergenceReport(config.mode, config.problem, tuple(rows))
+    return ConvergenceReport(config.mode, tuple(rows))
 
 
 def format_sci(x: float) -> str:
@@ -248,15 +238,19 @@ def emit_report(report: ConvergenceReport, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}; choices: csv, markdown")
 
 
+def _cells(r: StudyRow) -> tuple[str, ...]:
+    """The six error and order cells of a row, as both formats write them."""
+    return (
+        format_sci(r.err_max), _format_co(r.co_max),
+        format_sci(r.err_l2), _format_co(r.co_l2),
+        format_sci(r.err_grad), _format_co(r.co_grad),
+    )
+
+
 def _emit_csv(report: ConvergenceReport) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            f"{r.alpha:g},{r.step_label},"
-            f"{format_sci(r.err_max)},{_format_co(r.co_max)},"
-            f"{format_sci(r.err_l2)},{_format_co(r.co_l2)},"
-            f"{format_sci(r.err_grad)},{_format_co(r.co_grad)}"
-        )
+        lines.append(",".join((f"{r.alpha:g}", r.step_label, *_cells(r))))
     return "\n".join(lines) + "\n"
 
 
@@ -270,15 +264,11 @@ def _emit_markdown(report: ConvergenceReport) -> str:
     for r in report.rows:
         alpha_cell = f"{r.alpha:g}" if r.alpha != last_alpha else ""
         last_alpha = r.alpha
-        lines.append(
-            f"| {alpha_cell} | {r.step_label} | {format_sci(r.err_max)} | {_format_co(r.co_max)} "
-            f"| {format_sci(r.err_l2)} | {_format_co(r.co_l2)} "
-            f"| {format_sci(r.err_grad)} | {_format_co(r.co_grad)} |"
-        )
+        lines.append(f"| {' | '.join((alpha_cell, r.step_label, *_cells(r)))} |")
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str, mode: str = "unknown", problem: str = "") -> ConvergenceReport:
+def parse_report(text: str) -> ConvergenceReport:
     """Parse a CSV report produced by :func:`emit_report`."""
     lines = [line for line in text.strip().splitlines() if line.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -310,7 +300,7 @@ def parse_report(text: str, mode: str = "unknown", problem: str = "") -> Converg
                 co_grad=co[2],
             )
         )
-    return ConvergenceReport(mode, problem, tuple(rows))
+    return ConvergenceReport("unknown", tuple(rows))
 
 
 def load_reference(name_or_path: str) -> ConvergenceReport:
@@ -344,6 +334,7 @@ class CheckResult:
     passed: bool
     cells: tuple[CellCheck, ...]
     warnings: tuple[str, ...] = ()
+    gate: str | None = None  # the deep order gate's line, for the deep Table 2 preset
 
     def failures(self) -> tuple[CellCheck, ...]:
         return tuple(c for c in self.cells if not c.ok)
@@ -359,6 +350,8 @@ class CheckResult:
             )
         for w in self.warnings:
             lines.append(f"warning: {w}")
+        if self.gate is not None:
+            lines.append(self.gate)
         lines.append("self-check PASSED" if self.passed else "self-check FAILED")
         return "\n".join(lines)
 
@@ -366,10 +359,16 @@ class CheckResult:
 def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> CheckResult:
     """Run the configured study and compare it cell by cell with the reference.
 
-    Failures are recorded in the result, not raised.  If an error cell misses
-    the tolerance but its final-level variant would pass, the cell is noted
-    accordingly.  Rows missing from the reference are warned about; a study
-    with none in the reference is a ValueError, as comparing nothing proves nothing.
+    Error cells pass within ``ERR_RTOL`` of the reference, relative, and
+    order cells within ``CO_ATOL``, absolute.  The deep Table 2 preset,
+    ``table2_config(deep=True)`` and no other config, leaves the rungs of
+    TABLE2_ORDER_ONLY_NT out of the cells and is judged on them by
+    :func:`deep_order_check`, whose line the result carries and whose
+    verdict its ``passed`` includes.  Failures are recorded in the result,
+    not raised.  If an error cell misses the tolerance but its final-level
+    variant would pass, the cell is noted accordingly.  Rows missing from
+    the reference are warned about; a study with none in the reference is
+    a ValueError, as comparing nothing proves nothing.
     """
     if config.reference is None:
         raise ValueError("self-check needs a reference table")
@@ -377,13 +376,13 @@ def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> 
     if report is None:
         report = run_study(config)
     ref_index = {(f"{r.alpha:g}", r.step_label): r for r in reference.rows}
-    tols = config.tolerances
+    deep = config == table2_config(deep=True)
+    order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT} if deep else set()
     cells = []
     warnings = []
-    per_alpha_index = {}
     for row in report.rows:
-        rung_idx = per_alpha_index.get(row.alpha, 0)
-        per_alpha_index[row.alpha] = rung_idx + 1
+        if row.step_label in order_only:
+            continue
         ref = ref_index.get((f"{row.alpha:g}", row.step_label))
         if ref is None:
             warnings.append(f"no reference entry for alpha={row.alpha:g}, step={row.step_label}")
@@ -393,23 +392,27 @@ def self_check(config: StudyConfig, report: ConvergenceReport | None = None) -> 
         final_err = (row.final_err_max, row.final_err_l2, row.final_err_grad)
         for column, got, want, final in zip(ERR_COLUMNS, got_err, want_err, final_err):
             dev = abs(got - want) / abs(want)
-            ok = dev <= tols.err_rtol
+            ok = dev <= ERR_RTOL
             note = ""
-            if not ok and final is not None and abs(final - want) / abs(want) <= tols.err_rtol:
+            if not ok and final is not None and abs(final - want) / abs(want) <= ERR_RTOL:
                 note = "final-level reading matches"
-            cells.append(CellCheck(row.alpha, row.step_label, column, got, want, dev, tols.err_rtol, ok, note))
+            cells.append(CellCheck(row.alpha, row.step_label, column, got, want, dev, ERR_RTOL, ok, note))
         got_co = (row.co_max, row.co_l2, row.co_grad)
         want_co = (ref.co_max, ref.co_l2, ref.co_grad)
-        co_tol = tols.first_co_atol if rung_idx == 1 else tols.co_atol
         for column, got, want in zip(CO_COLUMNS, got_co, want_co):
             if got is None or want is None:
                 continue
             dev = abs(got - want)
-            cells.append(CellCheck(row.alpha, row.step_label, column, got, want, dev, co_tol, dev <= co_tol))
+            cells.append(CellCheck(row.alpha, row.step_label, column, got, want, dev, CO_ATOL, dev <= CO_ATOL))
     if not cells:
         raise ValueError(f"reference {config.reference!r} has no entry for any row of the study")
     passed = all(c.ok for c in cells)
-    return CheckResult(passed, tuple(cells), tuple(warnings))
+    gate = None
+    if deep:
+        gate_ok, detail = deep_order_check(report)
+        gate = f"deep rungs {'ok' if gate_ok else 'FAIL'}: {detail}"
+        passed = passed and gate_ok
+    return CheckResult(passed, tuple(cells), tuple(warnings), gate)
 
 
 DEEP_ALPHA = 0.9
@@ -453,7 +456,6 @@ def table1_config() -> StudyConfig:
         alphas=(0.1, 0.5, 0.9),
         ladder=((6, 10000), (12, 10000), (24, 10000)),
         problem="benchmark",
-        tolerances=Tolerances(first_co_atol=0.15),
         reference="table1",
     )
 

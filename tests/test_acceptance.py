@@ -17,7 +17,6 @@ from hallaire import (
     ProblemSpec,
     Tridiagonal,
     compact_average,
-    deep_order_check,
     l1_weight_array,
     make_problem,
     run_study,
@@ -27,7 +26,7 @@ from hallaire import (
     table2_config,
 )
 from hallaire.stepper import SolverState, _load_block, assemble_tridiagonal, woodbury_solve
-from hallaire.study import TABLE2_ORDER_ONLY_NT, ConvergenceReport, StudyConfig
+from hallaire.study import StudyConfig
 from test_problems import _benchmark_terms, residual_at
 from oracles import apply_half_layer, caputo_power, order_core, split_half_layer, truncation_bound
 from oracles import woodbury_solve as column_woodbury
@@ -88,17 +87,16 @@ def deep_report():
 
 @pytest.mark.skipif(not RUN_DEEP, reason="deep temporal rungs are optional; set HALLAIRE_DEEP=1")
 def test_c2_deep_temporal_orders(deep_report):
-    # cells down to 1/1280 at the preset tolerances, the two finest rungs by their orders
-    order_only = {f"1/{nt}" for nt in TABLE2_ORDER_ONLY_NT}
-    rows = tuple(r for r in deep_report.rows if r.step_label not in order_only)
-    result = self_check(table2_config(deep=True), report=ConvergenceReport("temporal", "benchmark", rows))
+    # the deep preset's self-check compares the cells down to 1/1280 and
+    # judges the two finest rungs by their orders
+    result = self_check(table2_config(deep=True), report=deep_report)
     worst_err = max(c.deviation for c in result.cells if c.column.startswith("err"))
     worst_co = max(c.deviation for c in result.cells if c.column.startswith("co"))
-    ok, detail = deep_order_check(deep_report)
-    _report_line(2, ok and result.passed, f"deep rungs, {len(result.cells)} cells down to 1/1280, worst err dev "
-                 f"{worst_err:.2e}, worst CO dev {worst_co:.2e}; {detail}")
+    _report_line(2, result.passed, f"deep rungs, {len(result.cells)} cells down to 1/1280, worst err dev "
+                 f"{worst_err:.2e}, worst CO dev {worst_co:.2e}; {result.gate}")
+    assert {c.step for c in result.cells}.isdisjoint({"1/2560", "1/5120"})
+    assert result.gate.startswith("deep rungs ok"), result.gate
     assert result.passed, result.summary()
-    assert ok, detail
 
 
 @pytest.mark.skipif(not RUN_DEEP, reason="deep temporal rungs are optional; set HALLAIRE_DEEP=1")

@@ -1140,14 +1140,14 @@ class TestLoadBlocks:
         )
     )
     @example(q=np.array([[[0.0, 0.0, 0.0, 14 * 5e-324, 0.0]]]))
-    def test_fused_average_is_minus_half_the_compact_average(self, q):
-        # bit for bit, also where the result is subnormal: there one division
-        # by -24 would round 14 * 2^-1074 / 12 / -2 to -2^-1074, not to -0
-        out = np.empty(q.shape[:-1] + (q.shape[-1] - 2,))
+    def test_compact_average_is_its_one_line_expression(self, q):
+        # bit for bit, also where the result is subnormal and for a stack:
+        # the in-place operations are the expression's, in its order
         with np.errstate(all="ignore"):
-            stepper_mod._half_average(q, out)
-            want = -0.5 * compact_average(q)
-        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+            got = compact_average(q)
+            want = (q[..., 2:] + 10.0 * q[..., 1:-1] + q[..., :-2]) / 12.0
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("make", [benchmark_problem, integral_benchmark_problem])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -33,10 +34,19 @@ from hallaire.study import (
     load_reference,
     parse_config_file,
     parse_count,
+    table1_config,
     table2_config,
 )
 
 HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
+
+
+def _table2_with_last_order_broken():
+    """The bundled Table 2 with the order of its last row, alpha = 0.9 at 1/5120, raised to 2.1."""
+    rows = list(load_reference("table2").rows)
+    rows[-1] = dataclasses.replace(rows[-1], co_max=2.1)
+    return ConvergenceReport("temporal", tuple(rows))
+
 
 # Report lines with one cell that cannot be read or is not finite.
 BAD_REPORT_LINES = {
@@ -173,9 +183,7 @@ class TestRunStudy:
 
 class TestEmission:
     def test_single_row_layout(self):
-        report = ConvergenceReport(
-            "spatial", "benchmark", (StudyRow(0.5, "1/6", 1e-2, 5e-3, 4e-2),)
-        )
+        report = ConvergenceReport("spatial", (StudyRow(0.5, "1/6", 1e-2, 5e-3, 4e-2),))
         text = emit_report(report)
         lines = text.strip().splitlines()
         assert lines[0] == "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
@@ -212,14 +220,26 @@ class TestEmission:
         assert len(lines) == 4
 
     def test_unknown_format_rejected(self):
-        report = ConvergenceReport("spatial", "benchmark", (StudyRow(0.5, "1/6", 1.0, 1.0, 1.0),))
+        report = ConvergenceReport("spatial", (StudyRow(0.5, "1/6", 1.0, 1.0, 1.0),))
         with pytest.raises(ValueError):
             emit_report(report, "yaml")
         with pytest.raises(ValueError):
-            emit_report(ConvergenceReport("spatial", "benchmark", ()))
+            emit_report(ConvergenceReport("spatial", ()))
 
 
 class TestSelfCheck:
+    @pytest.mark.parametrize("config", [table1_config(), table2_config()], ids=["table1", "table2"])
+    def test_one_tolerance_pair_for_both_tables(self, config):
+        result = self_check(config, report=load_reference(config.reference))
+        assert result.passed, result.summary()
+        orders = [c for c in result.cells if c.column.startswith("co")]
+        errors = [c for c in result.cells if c.column.startswith("err")]
+        assert orders and all(c.tol == 0.05 for c in orders)
+        assert errors and all(c.tol == 0.01 for c in errors)
+        if config.reference == "table1":
+            # the first order cells of each ladder, at 1/12, are held to the same 0.05
+            assert sum(c.step == "1/12" for c in orders) == 9
+
     def test_restricted_table_passes(self):
         config = tiny_temporal_config(
             alphas=(0.5,), ladder=((1000, 10), (1000, 20)), reference="table2"
@@ -332,20 +352,11 @@ class TestDeepOrderGate:
         assert ok, detail
 
     def test_rejects_non_decreasing_tail(self):
-        reference = load_reference("table2")
-        rows = list(reference.rows)
-        last = rows[-1]
-        rows[-1] = StudyRow(
-            last.alpha, last.step_label, last.err_max, last.err_l2, last.err_grad,
-            co_max=2.1, co_l2=last.co_l2, co_grad=last.co_grad,
-        )
-        ok, _ = deep_order_check(ConvergenceReport("temporal", "benchmark", tuple(rows)))
+        ok, _ = deep_order_check(_table2_with_last_order_broken())
         assert not ok
 
     def test_needs_enough_rungs(self):
-        short = ConvergenceReport(
-            "temporal", "benchmark", (StudyRow(0.9, "1/10", 1.0, 1.0, 1.0),)
-        )
+        short = ConvergenceReport("temporal", (StudyRow(0.9, "1/10", 1.0, 1.0, 1.0),))
         ok, detail = deep_order_check(short)
         assert not ok and "not enough" in detail
 
@@ -356,10 +367,42 @@ class TestDeepOrderGate:
         assert main(["self-check", "--table", "2", "--deep"]) == 0
         out = capsys.readouterr().out
         assert "deep rungs ok" in out
+        assert out.splitlines()[-1] == "self-check PASSED"
         cells = out.split("deep rungs")[0]
         # cells are compared down to 1/1280; the two finest rungs only by their orders
         assert "step=1/1280 err_C" in cells
         assert "1/2560" not in cells and "1/5120" not in cells
+
+    def test_cli_deep_gate_failure_is_the_verdict(self, monkeypatch, capsys):
+        import hallaire.cli as cli_mod
+
+        # every compared cell passes; only the gate on the finest rungs fails
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: _table2_with_last_order_broken())
+        assert main(["self-check", "--table", "2", "--deep"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("deep rungs FAIL")
+        assert lines[-1] == "self-check FAILED"
+        assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_deep_preset_splits_the_reference_itself(self):
+        result = self_check(table2_config(deep=True), report=load_reference("table2"))
+        assert result.passed, result.summary()
+        assert result.gate.startswith("deep rungs ok")
+        steps = {c.step for c in result.cells}
+        assert "1/1280" in steps
+        assert steps.isdisjoint({"1/2560", "1/5120"})
+        # the shallow preset has no gate
+        assert self_check(table2_config(), report=load_reference("table2")).gate is None
+
+    def test_custom_config_compares_its_fine_cells(self):
+        # only the deep preset itself leaves the finest rungs out of its cells
+        config = tiny_temporal_config(alphas=(0.9,), ladder=((1000, 1280), (1000, 2560)), reference="table2")
+        rows = tuple(r for r in load_reference("table2").rows if r.alpha == 0.9 and r.step_label in ("1/1280", "1/2560"))
+        result = self_check(config, report=ConvergenceReport("temporal", rows))
+        assert result.passed, result.summary()
+        assert result.gate is None
+        fine = [c for c in result.cells if c.step == "1/2560"]
+        assert [c.column for c in fine] == ["err_C", "err_L2", "err_grad", "co_C", "co_L2", "co_grad"]
 
 
 class TestCli:
@@ -472,7 +515,7 @@ class TestCli:
         assert "time level 1" in capsys.readouterr().err
 
         nan_row = StudyRow(0.5, "1/4", float("nan"), 1.0, 1.0)
-        monkeypatch.setattr(cli_mod, "run_study", lambda config: ConvergenceReport("temporal", "benchmark", (nan_row,)))
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: ConvergenceReport("temporal", (nan_row,)))
         assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "nan" in err and len(err.strip().splitlines()) == 1
