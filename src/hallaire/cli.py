@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 from .study import (
-    StudyConfig,
     build_config,
     emit_report,
     parse_config_file,
@@ -78,26 +77,25 @@ def _write_or_print(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _config_from_args(args) -> StudyConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "mode": args.mode,
-        "alpha": args.alpha,
-        "nx": args.nx,
-        "nt": args.nt,
-        "problem": args.problem,
-        "out": args.out,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return build_config(values)
+def _report_path(out: str | None, values: dict) -> str | None:
+    """``--out`` wins over the config file's ``out``; an empty path means no report file.
+
+    The path is checked before any solve.
+    """
+    out = out if out is not None else values.get("out")
+    if not out:
+        return None
+    _check_writable(out)
+    return out
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    if config.out is not None:
-        _check_writable(config.out)
+    values = parse_config_file(args.config) if args.config else {}
+    overrides = {"mode": args.mode, "alpha": args.alpha, "nx": args.nx, "nt": args.nt, "problem": args.problem}
+    config = build_config(values | {k: v for k, v in overrides.items() if v is not None})
+    out = _report_path(args.out, values)
     report = run_study(config)
-    _write_or_print(emit_report(report, args.format), config.out)
+    _write_or_print(emit_report(report, args.format), out)
     return 0
 
 
@@ -107,21 +105,19 @@ def _cmd_self_check(args) -> int:
             "--deep applies to the bundled --table 2 preset; spell the full "
             "ladder out in a config file instead"
         )
+    values = parse_config_file(args.config) if args.config else {}
     if args.config:
-        config = build_config(parse_config_file(args.config))
+        config = build_config(values)
         if config.reference is None:
             raise ValueError("self-check configs need a 'reference' entry")
     elif args.table == "1":
         config = table1_config()
     else:
         config = table2_config(deep=args.deep)
-    # --out wins over a config file's out; an empty path asks for no report
-    out = args.out if args.out is not None else config.out
-    if out:
-        _check_writable(out)
+    out = _report_path(args.out, values)
     report = run_study(config)
     result = self_check(config, report=report)
-    if out:
+    if out is not None:
         _write_or_print(emit_report(report, "csv"), out)
     print(result.summary())
     return 0 if result.passed else CHECK_FAILED

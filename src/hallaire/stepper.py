@@ -592,54 +592,40 @@ def stability_step_limit(problem: ProblemSpec) -> float:
 
 
 def _notify(observers, j, t, level, alphas):
-    for b, seen in enumerate(observers):
-        for observer in seen:
-            try:
-                observer(j, t, level[b])
-            except Exception as exc:
-                raise RuntimeError(f"observer failed at time level {j} for alpha = {alphas[b]:g}") from exc
+    for observer in observers:
+        try:
+            observer(j, t, level)
+        except Exception as exc:
+            raise RuntimeError(f"observer failed at time level {j} for alpha = {alphas}") from exc
 
 
-def _observer_lists(problem, count: int, observers) -> tuple:
-    """One tuple of observers per problem of the batch; a bare callable or an entry that is not one is a ValueError."""
-
-    def sequence(items, of: str) -> tuple:
-        if not callable(items):
-            try:
-                return tuple(items)
-            except TypeError:
-                pass
-        raise ValueError(f"observers must be {of}, got {items!r}")
-
-    if isinstance(problem, ProblemSpec):
-        lists = (sequence(observers, "a sequence of callables"),)
-    else:
-        lists = sequence(observers, "one sequence of callables per problem") or ((),) * count
-        if len(lists) != count or any(map(callable, lists)):
-            raise ValueError(
-                f"{count} problems need as many sequences of observers, "
-                f"got {len(lists)} entries, {sum(map(callable, lists))} of them a bare callable"
-            )
-        lists = tuple(sequence(seen, "a sequence of callables") for seen in lists)
-    for seen in lists:
-        for observer in seen:
-            if not callable(observer):
-                raise ValueError(f"observers must be callables (j, t, level), got {observer!r}")
-    return lists
+def _observer_tuple(observers) -> tuple:
+    """The observers as a tuple; a bare callable, a non-iterable or an entry that is not callable is a ValueError."""
+    if not callable(observers):
+        try:
+            observers = tuple(observers)
+        except TypeError:
+            pass
+        else:
+            for observer in observers:
+                if not callable(observer):
+                    raise ValueError(f"observers must be callables (j, t, level), got {observer!r}")
+            return observers
+    raise ValueError(f"observers must be a sequence of callables, got {observers!r}")
 
 
 def solve(problem, grid: Grid1D, observers=()) -> SolverState:
     """March all time steps of one problem, or of a batch of them in lockstep.
 
-    ``problem`` is a :class:`ProblemSpec`, whose ``observers`` are callables
-    ``(j, t, level)``, or a sequence of problems (see :class:`SolverState`),
-    whose ``observers`` hold one sequence of such callables per problem.
-    Each problem's observers see its levels in order, the only place past
-    levels can be read; a batch gives every problem the levels, bit for bit,
-    of its own solve alone.  Returns the final state.
+    ``problem`` is a :class:`ProblemSpec` or a sequence of problems (see
+    :class:`SolverState`); ``observers`` are callables ``(j, t, level)``.
+    They see every level in order, the only place past levels can be read:
+    a problem's own level, or for a batch its ``(B, nx + 1)`` levels, each
+    row bit for bit that problem's solve alone.  Every level is read-only.
+    Returns the final state.
     """
     problems = _members(problem)
-    observers = _observer_lists(problem, len(problems), observers)
+    observers = _observer_tuple(observers)
     for member in problems:
         if not (
             math.isclose(grid.length, member.length)
@@ -655,9 +641,10 @@ def solve(problem, grid: Grid1D, observers=()) -> SolverState:
                 stacklevel=2,
             )
     state = SolverState(problems, grid)
-    alphas = state.kernel.alphas
-    _notify(observers, 0, 0.0, state.level, alphas)
+    alphas = ", ".join(f"{alpha:g}" for alpha in state.kernel.alphas)
+    single = isinstance(problem, ProblemSpec)
+    _notify(observers, 0, 0.0, state.level[0] if single else state.level, alphas)
     for j in range(grid.nt):
         step(state)
-        _notify(observers, j + 1, (j + 1) * grid.tau, state.level, alphas)
+        _notify(observers, j + 1, (j + 1) * grid.tau, state.level[0] if single else state.level, alphas)
     return state

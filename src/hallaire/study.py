@@ -14,9 +14,8 @@ from .grids import Grid1D, convergence_order
 from .problems import PROBLEMS, make_problem
 from .stepper import LOAD_BLOCK, solve
 
-# Bytes of levels one error tracker gathers before it measures them.  The
-# levels of a batch share one array per time level, so the trackers of a
-# Table 2 rung hold three times this.
+# Bytes of one order's levels the error tracker gathers before it measures
+# them; a rung of B orders gathers B times this.
 TRACK_BYTES = 1 << 16
 
 CSV_HEADER = "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
@@ -38,7 +37,6 @@ class StudyConfig:
     alphas: tuple[float, ...]
     ladder: tuple[tuple[int, int], ...]  # (nx, nt) per rung
     problem: str = "benchmark"
-    out: str | None = None
     reference: str | None = None
 
     def __post_init__(self):
@@ -90,25 +88,25 @@ class StudyRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    mode: str
     rows: tuple[StudyRow, ...]
 
 
 class _ErrorTracker:
-    """Observer accumulating error norms of y - exact over the levels.
+    """Observer accumulating error norms of y - exact over the levels of a batch, one entry per order.
 
-    The levels are gathered LOAD_BLOCK at a time, or fewer where they would
-    take more than TRACK_BYTES (8 at nx = 1000), and measured together: one
-    call of ``exact`` on their times, and row by row the max norm, the L2
-    norm of the interior (:func:`~hallaire.grids.norm_l2`) and the
-    forward-difference gradient norm (:func:`~hallaire.grids.norm_grad_forward`).
-    The solve hands over a new read-only array for every level, so the
-    levels are kept without a copy.  The norms are complete once the final
-    level, ``j = grid.nt``, has been seen.
+    The batch's levels are gathered LOAD_BLOCK at a time, or fewer where one
+    order's would take more than TRACK_BYTES (8 at nx = 1000), and measured
+    together: one call of each problem's ``exact`` on their times, and then
+    for every level and order at once the max norm, the L2 norm of the
+    interior (:func:`~hallaire.grids.norm_l2`) and the forward-difference
+    gradient norm (:func:`~hallaire.grids.norm_grad_forward`).  The solve
+    hands over a new read-only array for every level, so the levels are
+    kept without a copy.  The norms, arrays over the orders, are complete
+    once the final level, ``j = grid.nt``, has been seen.
     """
 
-    def __init__(self, problem, grid):
-        self._exact = problem.exact
+    def __init__(self, problems, grid):
+        self._exact = tuple(problem.exact for problem in problems)
         # the nodes are taken at the first measurement, after the solve has
         # checked that its grid fits in memory
         self._grid = grid
@@ -117,12 +115,8 @@ class _ErrorTracker:
         self._chunk = max(1, min(LOAD_BLOCK, TRACK_BYTES // (8 * (grid.nx + 1))))
         self._times = []
         self._levels = []
-        self.max_c = 0.0
-        self.max_l2 = 0.0
-        self.max_grad = 0.0
-        self.final_c = 0.0
-        self.final_l2 = 0.0
-        self.final_grad = 0.0
+        self.max_c, self.max_l2, self.max_grad = (np.zeros(len(problems)) for _ in range(3))
+        self.final_c, self.final_l2, self.final_grad = (np.zeros(len(problems)) for _ in range(3))
 
     def __call__(self, j, t, level):
         self._times.append(t)
@@ -135,21 +129,22 @@ class _ErrorTracker:
             self._x = self._grid.x
         h = self._h
         times = np.array(self._times)[:, None]
-        # in place, so that the measurement at the final level, when the
-        # solve holds the most, adds the fewest arrays
+        # (chunk, B, nx + 1), in place, so that the measurement at the final
+        # level, when the solve holds the most, adds the fewest arrays
         z = np.array(self._levels)
         self._times, self._levels = [], []
-        z -= self._exact(self._x[None, :], times)
-        inner = z[:, 1:-1]
-        d = z[:, 2:] - inner
+        for b, exact in enumerate(self._exact):
+            z[:, b] -= exact(self._x[None, :], times)
+        inner = z[..., 1:-1]
+        d = z[..., 2:] - inner
         d /= h
-        c = np.maximum(z.max(axis=1), -z.min(axis=1))
-        l2 = np.sqrt(h * np.einsum("ij,ij->i", inner, inner))
-        grad = np.sqrt(h * np.einsum("ij,ij->i", d, d))
-        self.max_c = max(self.max_c, float(c.max()))
-        self.max_l2 = max(self.max_l2, float(l2.max()))
-        self.max_grad = max(self.max_grad, float(grad.max()))
-        self.final_c, self.final_l2, self.final_grad = float(c[-1]), float(l2[-1]), float(grad[-1])
+        c = np.maximum(z.max(axis=-1), -z.min(axis=-1))
+        l2 = np.sqrt(h * np.einsum("...i,...i->...", inner, inner))
+        grad = np.sqrt(h * np.einsum("...i,...i->...", d, d))
+        np.maximum(self.max_c, c.max(axis=0), out=self.max_c)
+        np.maximum(self.max_l2, l2.max(axis=0), out=self.max_l2)
+        np.maximum(self.max_grad, grad.max(axis=0), out=self.max_grad)
+        self.final_c, self.final_l2, self.final_grad = c[-1], l2[-1], grad[-1]
 
 
 def _step_label(extent: float, count: int) -> str:
@@ -163,56 +158,35 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """Solve every rung once, for all the orders in lockstep, and collect errors and observed orders.
 
     Each rung is one :func:`solve` of the batch of problems, one per alpha,
-    each watched by its own error tracker; a batch gives every order the
-    levels of its own solve alone, bit for bit.  The rows come out alpha by
-    alpha, each alpha's rungs in ladder order.
+    watched by one error tracker that measures every order; a batch gives
+    every order the levels of its own solve alone, bit for bit.  The rows
+    come out alpha by alpha, each alpha's rungs in ladder order.
     """
     problems = tuple(make_problem(config.problem, alpha) for alpha in config.alphas)
     first = problems[0]
     if first.exact is None:
         raise ValueError("refinement studies need a problem with an exact solution")
-    rungs = []
+    trackers = []
     for nx, nt in config.ladder:
         grid = Grid1D(first.length, first.final_time, nx, nt)
-        trackers = tuple(_ErrorTracker(problem, grid) for problem in problems)
-        solve(problems, grid, observers=tuple((tracker,) for tracker in trackers))
-        rungs.append(trackers)
+        tracker = _ErrorTracker(problems, grid)
+        solve(problems, grid, observers=(tracker,))
+        trackers.append(tracker)
+    spatial = config.mode == "spatial"
     rows = []
     for b, alpha in enumerate(config.alphas):
         prev = None
-        prev_rung = None
-        for (nx, nt), trackers in zip(config.ladder, rungs):
-            tracker = trackers[b]
-            if config.mode == "spatial":
-                label = _step_label(first.length, nx)
-            else:
-                label = _step_label(first.final_time, nt)
+        for (nx, nt), tracker in zip(config.ladder, trackers):
+            count = nx if spatial else nt
+            label = _step_label(first.length if spatial else first.final_time, count)
+            errs = tuple(float(e[b]) for e in (tracker.max_c, tracker.max_l2, tracker.max_grad))
+            finals = tuple(float(e[b]) for e in (tracker.final_c, tracker.final_l2, tracker.final_grad))
             cos = (None, None, None)
             if prev is not None:
-                ratio = nx / prev_rung[0] if config.mode == "spatial" else nt / prev_rung[1]
-                cos = (
-                    convergence_order(prev.max_c, tracker.max_c, ratio),
-                    convergence_order(prev.max_l2, tracker.max_l2, ratio),
-                    convergence_order(prev.max_grad, tracker.max_grad, ratio),
-                )
-            rows.append(
-                StudyRow(
-                    alpha=alpha,
-                    step_label=label,
-                    err_max=tracker.max_c,
-                    err_l2=tracker.max_l2,
-                    err_grad=tracker.max_grad,
-                    co_max=cos[0],
-                    co_l2=cos[1],
-                    co_grad=cos[2],
-                    final_err_max=tracker.final_c,
-                    final_err_l2=tracker.final_l2,
-                    final_err_grad=tracker.final_grad,
-                )
-            )
-            prev = tracker
-            prev_rung = (nx, nt)
-    return ConvergenceReport(config.mode, tuple(rows))
+                cos = tuple(convergence_order(e0, e1, count / prev[1]) for e0, e1 in zip(prev[0], errs))
+            rows.append(StudyRow(alpha, label, *errs, *cos, *finals))
+            prev = errs, count
+    return ConvergenceReport(tuple(rows))
 
 
 def format_sci(x: float) -> str:
@@ -255,9 +229,8 @@ def _emit_csv(report: ConvergenceReport) -> str:
 
 
 def _emit_markdown(report: ConvergenceReport) -> str:
-    step_name = "h" if report.mode == "spatial" else "tau"
     lines = [
-        f"| alpha | {step_name} | err_C | CO | err_L2 | CO | err_grad | CO |",
+        "| alpha | step | err_C | CO | err_L2 | CO | err_grad | CO |",
         "|---|---|---|---|---|---|---|---|",
     ]
     last_alpha = None
@@ -300,7 +273,7 @@ def parse_report(text: str) -> ConvergenceReport:
                 co_grad=co[2],
             )
         )
-    return ConvergenceReport("unknown", tuple(rows))
+    return ConvergenceReport(tuple(rows))
 
 
 def load_reference(name_or_path: str) -> ConvergenceReport:
@@ -505,6 +478,7 @@ def parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(alphas)
 
 
+# ``out`` is the report path, which the command line reads; the study ignores it.
 CONFIG_KEYS = ("mode", "problem", "out", "alpha", "nx", "nt", "reference")
 
 
@@ -557,6 +531,5 @@ def build_config(values: dict) -> StudyConfig:
         alphas=alphas,
         ladder=ladder,
         problem=problem,
-        out=values.get("out"),
         reference=values.get("reference"),
     )

@@ -1289,15 +1289,9 @@ class TestLoadBlocks:
 
 
 def _sha1_of_levels(problems, grid, batched):
-    """SHA-1 of the levels each problem's observer sees, from one batched solve or one solve each."""
-    seen = [[] for _ in problems]
-    observers = tuple((lambda j, t, level, into=into: into.append(level.copy()),) for into in seen)
-    if batched:
-        solve(tuple(problems), grid, observers=observers)
-    else:
-        for problem, watch in zip(problems, observers):
-            solve(problem, grid, observers=watch)
-    return [hashlib.sha1(np.array(levels).tobytes()).hexdigest() for levels in seen]
+    """SHA-1 of each problem's levels, from one batched solve or one solve each."""
+    levels = _batch_levels(problems, grid) if batched else [solved_levels(problem, grid) for problem in problems]
+    return [hashlib.sha1(np.ascontiguousarray(one).tobytes()).hexdigest() for one in levels]
 
 
 ALPHAS = (0.1, 0.5, 0.9)
@@ -1334,12 +1328,11 @@ class TestLockstep:
     def test_non_finite_level_names_its_alpha(self):
         blowup = lambda x, t: np.where(np.asarray(t) > 0.5, np.inf, 0.0) + np.zeros_like(np.asarray(x, dtype=float))
         problems = (_zeros_problem(alpha=0.3), _zeros_problem(alpha=0.7, forcing=blowup), _zeros_problem(alpha=0.8))
-        seen = ([], [], [])
-        observers = tuple((lambda j, t, level, into=into: into.append(j),) for into in seen)
+        seen = []
         with pytest.raises(FloatingPointError, match=r"time level 3 \(t = 0.75\) for alpha = 0.7;.*stability_step_limit"):
-            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=observers)
-        # every order saw the levels up to the one before
-        assert seen == ([0, 1, 2], [0, 1, 2], [0, 1, 2])
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=(lambda j, t, level: seen.append((j, level.shape)),))
+        # the observer saw the batch's levels up to the one before
+        assert seen == [(0, (3, 9)), (1, (3, 9)), (2, (3, 9))]
 
     def test_observer_failure_names_its_alpha(self):
         def bomb(j, t, level):
@@ -1347,8 +1340,8 @@ class TestLockstep:
                 raise RuntimeError("boom")
 
         problems = (_zeros_problem(alpha=0.3), _zeros_problem(alpha=0.7))
-        with pytest.raises(RuntimeError, match="observer failed at time level 2 for alpha = 0.7"):
-            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=((), (bomb,)))
+        with pytest.raises(RuntimeError, match="observer failed at time level 2 for alpha = 0.3, 0.7$"):
+            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=(bomb,))
 
     def test_singular_capacitance_names_its_alpha(self):
         # as in test_singular_capacitance_in_step_names_loads, for the second
@@ -1380,14 +1373,17 @@ class TestLockstep:
         with pytest.raises(ValueError, match="at least one problem"):
             SolverState((), grid)
 
-    def test_observers_come_one_sequence_per_problem(self):
+    def test_observers_see_the_whole_batch(self):
         problems = (benchmark_problem(0.3), benchmark_problem(0.6))
-        watch = lambda j, t, level: None
-        with pytest.raises(ValueError, match="2 problems need as many sequences of observers, got 1 entries"):
-            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=((watch,),))
-        # a flat sequence of callables is not one sequence per problem
-        with pytest.raises(ValueError, match="got 2 entries, 2 of them a bare callable"):
-            solve(problems, Grid1D(1.0, 1.0, 8, 4), observers=(watch, watch))
+        grid = Grid1D(1.0, 1.0, 8, 4)
+        seen = []
+        state = solve(problems, grid, observers=(lambda j, t, level: seen.append((j, t, level)),))
+        assert [(j, t) for j, t, _ in seen] == [(j, j * grid.tau) for j in range(5)]
+        assert all(level.shape == (2, 9) and not level.flags.writeable for _, _, level in seen)
+        assert seen[-1][2] is state.level
+        # one sequence of observers per problem is no longer a form
+        with pytest.raises(ValueError, match=r"^observers must be callables \(j, t, level\), got \(<built-in method append"):
+            solve(problems, grid, observers=((seen.append,), (seen.append,)))
 
     @pytest.mark.parametrize(
         "batch, observers, refusal",
@@ -1396,10 +1392,10 @@ class TestLockstep:
             (False, (3,), r"callables \(j, t, level\), got 3$"),
             (False, [[3]], r"callables \(j, t, level\), got \[3\]$"),
             (False, 3, "a sequence of callables, got 3$"),
-            (True, lambda j, t, level: None, "one sequence of callables per problem, got <function"),
-            (True, ((3,), ()), r"callables \(j, t, level\), got 3$"),
-            (True, ([[3]], ()), r"callables \(j, t, level\), got \[3\]$"),
-            (True, (3, ()), "a sequence of callables, got 3$"),
+            (True, lambda j, t, level: None, "a sequence of callables, got <function"),
+            (True, (3,), r"callables \(j, t, level\), got 3$"),
+            (True, [[3]], r"callables \(j, t, level\), got \[3\]$"),
+            (True, 3, "a sequence of callables, got 3$"),
         ],
         ids=["bare", "entry", "nested", "scalar", "batch-bare", "batch-entry", "batch-nested", "batch-scalar"],
     )
@@ -1433,10 +1429,8 @@ class TestLockstep:
 
 
 def _batch_levels(problems, grid):
-    """Every level each problem's observer sees in one batched solve, stacked per problem."""
-    seen = [[] for _ in problems]
-    solve(tuple(problems), grid, observers=tuple((lambda j, t, level, into=into: into.append(level.copy()),) for into in seen))
-    return np.array(seen)
+    """Every level of one batched solve, stacked per problem: (B, nt + 1, nx + 1)."""
+    return solved_levels(tuple(problems), grid).swapaxes(0, 1)
 
 
 def _smooth_forcing(x, t):

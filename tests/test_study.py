@@ -25,7 +25,7 @@ from hallaire import (
     solve,
 )
 from hallaire.cli import main
-from hallaire.problems import PROBLEMS, ProblemSpec
+from hallaire.problems import PROBLEMS, ProblemSpec, make_problem
 from hallaire.study import (
     ConvergenceReport,
     _ErrorTracker,
@@ -45,7 +45,7 @@ def _table2_with_last_order_broken():
     """The bundled Table 2 with the order of its last row, alpha = 0.9 at 1/5120, raised to 2.1."""
     rows = list(load_reference("table2").rows)
     rows[-1] = dataclasses.replace(rows[-1], co_max=2.1)
-    return ConvergenceReport("temporal", tuple(rows))
+    return ConvergenceReport(tuple(rows))
 
 
 # Report lines with one cell that cannot be read or is not finite.
@@ -120,25 +120,45 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="exact"):
             run_study(tiny_temporal_config(problem="blind"))
 
+    def test_a_non_finite_error_is_kept_and_refused_in_the_report(self, monkeypatch):
+        # an exact solution that turns NaN past t = 0.5 must not read as an error of 0
+        def late_nan(alpha):
+            exact = benchmark_problem(alpha).exact
+            return dataclasses.replace(
+                benchmark_problem(alpha), exact=lambda x, t: np.where(np.asarray(t) > 0.5, np.nan, exact(x, t))
+            )
+
+        monkeypatch.setitem(PROBLEMS, "late-nan", late_nan)
+        report = run_study(tiny_temporal_config(problem="late-nan", ladder=((24, 10),)))
+        assert np.isnan(report.rows[0].err_max) and np.isnan(report.rows[0].final_err_max)
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            emit_report(report)
+
+    @pytest.mark.parametrize("name, nx", [("benchmark", 24), ("integral-load", 200)])
     @pytest.mark.parametrize("nt", [1, 31, 32, 33, 70])
-    def test_batched_tracker_matches_a_per_level_observer(self, nt):
-        # the bundled exact solution is bit-identical for a scalar time and
+    def test_batched_tracker_matches_a_per_level_observer(self, name, nx, nt):
+        # the bundled exact solutions are bit-identical for a scalar time and
         # for a column of times, so both observers measure the same errors
-        problem = benchmark_problem(0.5)
-        grid = Grid1D(1.0, 1.0, 24, nt)
-        tracker = _ErrorTracker(problem, grid)
+        problems = tuple(make_problem(name, alpha) for alpha in (0.1, 0.5, 0.9))
+        grid = Grid1D(1.0, 1.0, nx, nt)
+        tracker = _ErrorTracker(problems, grid)
         per_level = []
 
         def reference(j, t, level):
-            z = level - problem.exact(grid.x, t)
-            per_level.append((norm_max(z), norm_l2(z[1:-1], grid.h), norm_grad_forward(z, grid.h)))
+            norms = []
+            for problem, y in zip(problems, level):
+                z = y - problem.exact(grid.x, t)
+                norms.append((norm_max(z), norm_l2(z[1:-1], grid.h), norm_grad_forward(z, grid.h)))
+            per_level.append(norms)
 
-        solve(problem, grid, observers=(tracker, reference))
-        c, l2, grad = np.array(per_level).T
+        solve(problems, grid, observers=(tracker, reference))
+        # each (nt + 1, B): one row per level, one column per order
+        c, l2, grad = np.array(per_level).transpose(2, 0, 1)
         assert len(c) == nt + 1
-        assert (tracker.max_c, tracker.final_c) == (c.max(), c[-1])
+        assert np.array_equal(tracker.max_c, c.max(axis=0)) and np.array_equal(tracker.final_c, c[-1])
         got = (tracker.max_l2, tracker.final_l2, tracker.max_grad, tracker.final_grad)
-        assert got == pytest.approx((l2.max(), l2[-1], grad.max(), grad[-1]), rel=1e-14, abs=0.0)
+        want = (l2.max(axis=0), l2[-1], grad.max(axis=0), grad[-1])
+        np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-14, atol=0.0)
 
     def test_each_rung_is_one_solve_of_every_order(self, monkeypatch):
         import hallaire.study as study_mod
@@ -152,25 +172,28 @@ class TestRunStudy:
 
         monkeypatch.setattr(study_mod, "solve", recorded)
         report = run_study(tiny_temporal_config(alphas=(0.1, 0.5, 0.9)))
-        assert calls == [((0.1, 0.5, 0.9), 4, 3), ((0.1, 0.5, 0.9), 8, 3)]
+        assert calls == [((0.1, 0.5, 0.9), 4, 1), ((0.1, 0.5, 0.9), 8, 1)]
         assert [(r.alpha, r.step_label) for r in report.rows] == [
             (a, step) for a in (0.1, 0.5, 0.9) for step in ("1/4", "1/8")
         ]
 
     @pytest.mark.parametrize(
         "problem, ladder",
-        [("integral-load", ((200, 10), (200, 20), (200, 40))), ("benchmark", ((6, 600), (12, 600)))],
+        [
+            ("integral-load", ((200, 10), (200, 20), (200, 40))),
+            ("benchmark", ((6, 600), (12, 600))),
+            # Table 2's grid, where the tracker measures 8 levels at a time
+            ("benchmark", ((1000, 10), (1000, 20), (1000, 40))),
+        ],
     )
     def test_lockstep_report_is_the_one_order_reports(self, problem, ladder):
-        # the rows of a study over three orders are, byte for byte, those of
-        # the three one-order studies in the same order
+        # the rows of a study over three orders equal, in every field, those
+        # of the three one-order studies in the same order, and hold floats
         mode = "temporal" if ladder[0][0] == ladder[1][0] else "spatial"
-        together = emit_report(run_study(StudyConfig(mode, (0.1, 0.5, 0.9), ladder, problem=problem)))
-        apart = [
-            emit_report(run_study(StudyConfig(mode, (alpha,), ladder, problem=problem))).splitlines()[1:]
-            for alpha in (0.1, 0.5, 0.9)
-        ]
-        assert together.splitlines()[1:] == [line for lines in apart for line in lines]
+        together = run_study(StudyConfig(mode, (0.1, 0.5, 0.9), ladder, problem=problem)).rows
+        apart = [run_study(StudyConfig(mode, (alpha,), ladder, problem=problem)).rows for alpha in (0.1, 0.5, 0.9)]
+        assert together == tuple(row for rows in apart for row in rows)
+        assert all(type(value) is float for row in together for value in dataclasses.astuple(row)[2:] if value is not None)
 
     def test_reference_table_cell_reproduced(self):
         report = run_study(
@@ -183,7 +206,7 @@ class TestRunStudy:
 
 class TestEmission:
     def test_single_row_layout(self):
-        report = ConvergenceReport("spatial", (StudyRow(0.5, "1/6", 1e-2, 5e-3, 4e-2),))
+        report = ConvergenceReport((StudyRow(0.5, "1/6", 1e-2, 5e-3, 4e-2),))
         text = emit_report(report)
         lines = text.strip().splitlines()
         assert lines[0] == "alpha,step,err_C,co_C,err_L2,co_L2,err_grad,co_grad"
@@ -216,15 +239,18 @@ class TestEmission:
         report = run_study(tiny_temporal_config())
         text = emit_report(report, "markdown")
         lines = text.strip().splitlines()
-        assert lines[0].startswith("| alpha | tau |")
+        assert lines[0].startswith("| alpha | step |")
         assert len(lines) == 4
 
+    def test_markdown_of_a_parsed_spatial_table_names_its_step_column_step(self):
+        assert emit_report(load_reference("table1"), "markdown").startswith("| alpha | step |")
+
     def test_unknown_format_rejected(self):
-        report = ConvergenceReport("spatial", (StudyRow(0.5, "1/6", 1.0, 1.0, 1.0),))
+        report = ConvergenceReport((StudyRow(0.5, "1/6", 1.0, 1.0, 1.0),))
         with pytest.raises(ValueError):
             emit_report(report, "yaml")
         with pytest.raises(ValueError):
-            emit_report(ConvergenceReport("spatial", ()))
+            emit_report(ConvergenceReport(()))
 
 
 class TestSelfCheck:
@@ -356,7 +382,7 @@ class TestDeepOrderGate:
         assert not ok
 
     def test_needs_enough_rungs(self):
-        short = ConvergenceReport("temporal", (StudyRow(0.9, "1/10", 1.0, 1.0, 1.0),))
+        short = ConvergenceReport((StudyRow(0.9, "1/10", 1.0, 1.0, 1.0),))
         ok, detail = deep_order_check(short)
         assert not ok and "not enough" in detail
 
@@ -398,7 +424,7 @@ class TestDeepOrderGate:
         # only the deep preset itself leaves the finest rungs out of its cells
         config = tiny_temporal_config(alphas=(0.9,), ladder=((1000, 1280), (1000, 2560)), reference="table2")
         rows = tuple(r for r in load_reference("table2").rows if r.alpha == 0.9 and r.step_label in ("1/1280", "1/2560"))
-        result = self_check(config, report=ConvergenceReport("temporal", rows))
+        result = self_check(config, report=ConvergenceReport(rows))
         assert result.passed, result.summary()
         assert result.gate is None
         fine = [c for c in result.cells if c.step == "1/2560"]
@@ -515,15 +541,26 @@ class TestCli:
         assert "time level 1" in capsys.readouterr().err
 
         nan_row = StudyRow(0.5, "1/4", float("nan"), 1.0, 1.0)
-        monkeypatch.setattr(cli_mod, "run_study", lambda config: ConvergenceReport("temporal", (nan_row,)))
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: ConvergenceReport((nan_row,)))
         assert main(["run", "--mode", "temporal", "--nx", "50", "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "nan" in err and len(err.strip().splitlines()) == 1
 
+    def test_an_empty_report_path_prints_the_report(self, tmp_path, monkeypatch, capsys):
+        # an empty --out means no report file, for run as for self-check,
+        # and it wins over the config file's out too
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nout = {tmp_path / 'named.csv'}\n")
+        for argv in (["run", "--mode", "temporal", "--alpha", "0.5", "--nx", "8", "--nt", "4"], ["run", "--config", str(cfg)]):
+            assert main(argv + ["--out", ""]) == 0
+            printed = capsys.readouterr().out
+            assert printed.startswith(HEADER + "\n") and len(parse_report(printed).rows) == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["study.cfg"]
+
     @pytest.mark.parametrize(
-        # an empty --out asks self-check for no report file at all
         "command, where",
-        [("run", "missing-dir"), ("run", "directory"), ("run", "empty"), ("self-check", "missing-dir"), ("self-check", "directory")],
+        [("run", "missing-dir"), ("run", "directory"), ("self-check", "missing-dir"), ("self-check", "directory")],
     )
     def test_unwritable_report_path_exits_two_before_any_solve(self, tmp_path, monkeypatch, capsys, command, where):
         import hallaire.cli as cli_mod
@@ -532,7 +569,7 @@ class TestCli:
             raise AssertionError("run_study was called")
 
         monkeypatch.setattr(cli_mod, "run_study", never)
-        out = {"missing-dir": str(tmp_path / "nonexistent" / "x.csv"), "directory": str(tmp_path), "empty": ""}[where]
+        out = {"missing-dir": str(tmp_path / "nonexistent" / "x.csv"), "directory": str(tmp_path)}[where]
         cfg = tmp_path / "check.cfg"
         cfg.write_text("mode = temporal\nalpha = 0.5\nnx = 8\nnt = 4\nreference = table2\n")
         argv = ["run", "--mode", "temporal", "--nx", "8", "--nt", "4"] if command == "run" else ["self-check", "--config", str(cfg)]
